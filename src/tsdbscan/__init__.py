@@ -2,6 +2,7 @@
 
 from .core import (
     NOISE,
+    CurveSample,
     Labeling,
     RunStats,
     approximate_diameter_ub,
@@ -12,7 +13,6 @@ from .core import (
     region_query,
 )
 from .curve import (
-    CurveSample,
     UnimodalityReport,
     curve_to_sample,
     dip_p_value,
@@ -23,7 +23,6 @@ from .curve import (
 from .data_io import load_labels, load_matrix, synth_blobs
 from .metrics import approximation_ratio, ari, exclude_noise, nmi
 from .search import (
-    ProbeResult,
     SearchBounds,
     TuneConfig,
     cond,

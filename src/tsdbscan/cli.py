@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -18,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import NOISE, RunStats, count_clusters, dbscan, noise_fraction
-from .curve import curve_to_sample, dip_p_value, dip_statistic, sweep_curve
+from .core import METRICS, NOISE, RunStats, count_clusters, dbscan, noise_fraction
+from .curve import curve_to_sample, dip_p_value, dip_statistic, epsilon_grid, sweep_curve
 from .data_io import (
     atomic_write_text,
     load_curve,
@@ -41,8 +40,6 @@ from .theory import (
 
 REPORT_VERSION = "1"
 
-THREADS_ENV = "TSDBSCAN_THREADS"
-
 
 def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
     if needs_input:
@@ -52,9 +49,13 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_tune(p: argparse.ArgumentParser) -> None:
+def _add_probe(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-pts", type=int, required=True)
-    p.add_argument("--metric", choices=["euclidean", "manhattan", "cosine"], default="euclidean")
+    p.add_argument("--metric", choices=METRICS, default="euclidean")
+
+
+def _add_tune(p: argparse.ArgumentParser) -> None:
+    _add_probe(p)
     p.add_argument("--itr", type=int, default=6)
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--m", type=int, default=30)
@@ -68,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dbscan", help="cluster at a fixed radius")
     _add_common(p)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--min-pts", type=int, required=True)
-    p.add_argument("--metric", choices=["euclidean", "manhattan", "cosine"], default="euclidean")
+    _add_probe(p)
 
     p = sub.add_parser("tune", help="tune the radius with ternary search and cluster")
     _add_common(p)
@@ -81,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="evaluate k(eps) on an even grid")
     _add_common(p)
-    p.add_argument("--min-pts", type=int, required=True)
-    p.add_argument("--metric", choices=["euclidean", "manhattan", "cosine"], default="euclidean")
+    _add_probe(p)
     p.add_argument("--grid-size", type=int, default=100)
 
     p = sub.add_parser("dip", help="dip-test a sweep curve CSV")
@@ -115,56 +114,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    cfg = {k.replace("_", "-"): v for k, v in vars(args).items() if k != "command"}
-    cfg["threads"] = os.environ.get(THREADS_ENV)
-    return cfg
+def _write_labeling(outdir: Path, x, labeling) -> dict:
+    """Write labels.csv; return the labeling's part of the results."""
+    write_labels(outdir / "labels.csv", labeling.labels)
+    return {
+        "k": count_clusters(labeling),
+        "noise_fraction": noise_fraction(labeling),
+        "n_points": len(x),
+        "n_dims": x.shape[1],
+    }
 
 
 def _run_dbscan(args, outdir: Path, stats: RunStats) -> dict:
     x = load_matrix(args.input, args.format)
     labeling = dbscan(x, args.epsilon, args.min_pts, metric=args.metric, stats=stats)
-    write_labels(outdir / "labels.csv", labeling.labels)
-    return {
-        "epsilon": args.epsilon,
-        "k": count_clusters(labeling),
-        "noise_fraction": noise_fraction(labeling),
-        "n_points": len(x),
-        "n_dims": x.shape[1],
-    }
+    return {"epsilon": args.epsilon, **_write_labeling(outdir, x, labeling)}
 
 
-def _run_tune(args, outdir: Path, stats: RunStats, use_tse: bool) -> dict:
+def _run_tune(args, outdir: Path, stats: RunStats) -> dict:
     x = load_matrix(args.input, args.format)
     cfg = TuneConfig(min_pts=args.min_pts, itr=args.itr, alpha=args.alpha,
                      m=args.m, seed=args.seed, metric=args.metric)
-    runner = tse_clustering if use_tse else ts_clustering
+    runner = tse_clustering if args.command == "tse" else ts_clustering
     epsilon, labeling = runner(x, cfg, stats=stats)
-    write_labels(outdir / "labels.csv", labeling.labels)
-    return {
-        "epsilon_star": epsilon,
-        "k": count_clusters(labeling),
-        "noise_fraction": noise_fraction(labeling),
-        "n_points": len(x),
-        "n_dims": x.shape[1],
-    }
+    return {"epsilon_star": epsilon, **_write_labeling(outdir, x, labeling)}
 
 
 def _run_sweep(args, outdir: Path, stats: RunStats) -> dict:
-    from .core import approximate_diameter_ub
-
     x = load_matrix(args.input, args.format)
-    ub0 = approximate_diameter_ub(x, metric=args.metric)
-    if ub0 <= 0:
-        raise ValueError("degenerate dataset: all points coincide with the first")
-    grid = np.linspace(ub0 / 1000, ub0, args.grid_size)
+    grid = epsilon_grid(x, args.grid_size, args.metric)
     curve = sweep_curve(x, grid, args.min_pts, metric=args.metric, stats=stats)
     write_curve(outdir / "curve.csv", curve)
-    mode_i = int(np.argmax([c.k for c in curve]))
+    mode = max(curve, key=lambda c: c.k)
     return {
         "grid_size": args.grid_size,
-        "mode_epsilon": curve[mode_i].epsilon,
-        "mode_k": curve[mode_i].k,
+        "mode_epsilon": mode.epsilon,
+        "mode_k": mode.k,
     }
 
 
@@ -173,14 +158,14 @@ def _run_dip(args, outdir: Path, stats: RunStats) -> dict:
     sample = curve_to_sample(curve)
     dip = dip_statistic(sample)
     p = dip_p_value(sample, args.n_boot, args.seed)
-    mode_i = int(np.argmax([c.k for c in curve]))
+    mode = max(curve, key=lambda c: c.k)
     return {
         "dip": dip,
         "p_value": p,
         "n_boot": args.n_boot,
         "sample_size": int(len(sample)),
-        "mode_epsilon": curve[mode_i].epsilon,
-        "mode_k": curve[mode_i].k,
+        "mode_epsilon": mode.epsilon,
+        "mode_k": mode.k,
     }
 
 
@@ -229,8 +214,8 @@ def _run_synth(args, outdir: Path, stats: RunStats) -> dict:
 
 _RUNNERS = {
     "dbscan": _run_dbscan,
-    "tune": lambda a, o, s: _run_tune(a, o, s, use_tse=False),
-    "tse": lambda a, o, s: _run_tune(a, o, s, use_tse=True),
+    "tune": _run_tune,
+    "tse": _run_tune,
     "sweep": _run_sweep,
     "dip": _run_dip,
     "oracle": _run_oracle,
@@ -253,7 +238,7 @@ def run(args: argparse.Namespace) -> int:
         "version": REPORT_VERSION,
         "tool_version": __version__,
         "command": args.command,
-        "config": _config_echo(args),
+        "config": {k.replace("_", "-"): v for k, v in vars(args).items() if k != "command"},
         "results": results,
         "dbscan_invocations": stats.dbscan_invocations,
         "point_evaluations": stats.point_evaluations,

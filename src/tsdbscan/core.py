@@ -42,6 +42,15 @@ class RunStats:
 
 
 @dataclass
+class CurveSample:
+    """One k(eps) probe: the radius, the cluster count, the noise fraction."""
+
+    epsilon: float
+    k: int
+    noise: float
+
+
+@dataclass
 class Labeling:
     """Per-point cluster assignment; ``labels[i] == NOISE`` marks noise."""
 
@@ -71,6 +80,16 @@ def _check_metric(metric: str) -> str:
     return _CDIST_NAME[metric]
 
 
+def _validate(points, metric: str) -> np.ndarray:
+    """validate_points plus the metric; under cosine, rejects rows whose
+    squared norm is 0 (or underflows to 0), as they have no angle."""
+    x = validate_points(points)
+    _check_metric(metric)
+    if metric == "cosine" and not np.all(np.einsum("ij,ij->i", x, x) > 0):
+        raise ValueError("cosine distance is undefined for zero vectors")
+    return x
+
+
 def distance(p, q, metric: str = "euclidean") -> float:
     """Distance between two points; symmetric, zero on identical input."""
     p = np.asarray(p, dtype=np.float64).ravel()
@@ -89,8 +108,7 @@ def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunSt
 
 def region_query(x: np.ndarray, i: int, epsilon: float, metric: str = "euclidean") -> np.ndarray:
     """Indices of the closed eps-ball around point ``i`` (always includes i)."""
-    x = validate_points(x)
-    _check_metric(metric)
+    x = _validate(x, metric)
     if not 0 <= i < len(x):
         raise IndexError(f"point index {i} out of range for N={len(x)}")
     if epsilon <= 0:
@@ -110,8 +128,7 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     index of their first core point and a border point reachable from
     several clusters is claimed by the cluster discovered first.
     """
-    x = validate_points(points)
-    _check_metric(metric)
+    x = _validate(points, metric)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if min_pts < 2:
@@ -170,12 +187,19 @@ def approximate_diameter_ub(points, metric: str = "euclidean",
     """Doubled 2-approximation of the diameter from the first point.
 
     diameter <= result <= 2 * diameter by the triangle inequality, in
-    linear time. Returns 0 when every point coincides with the first;
-    callers must substitute a positive floor in that case.
+    linear time. Cosine distance 1 - cos(theta) is no metric, but the
+    angle theta is, so the bound doubles the widest angle from the first
+    point (capped at pi); there diameter <= result <= 4 * diameter.
+    Returns 0 when every point coincides with the first (in direction,
+    under cosine); callers must substitute a positive floor in that case.
     """
-    x = validate_points(points)
-    _check_metric(metric)
+    x = _validate(points, metric)
     if len(x) < 2:
         raise ValueError("need at least 2 points for a diameter bound")
-    d = _distance_block(x[:1], x, metric, stats)[0]
-    return float(2.0 * d.max())
+    if metric != "cosine":
+        return float(2.0 * _distance_block(x[:1], x, metric, stats)[0].max())
+    u = x / np.linalg.norm(x, axis=1, keepdims=True)
+    # the chord of unit vectors keeps small angles exact, unlike arccos
+    chord = _distance_block(u[:1], u, "euclidean", stats)[0].max()
+    theta = min(np.pi, 4.0 * np.arcsin(min(1.0, 0.5 * chord)))
+    return float(2.0 * np.sin(0.5 * theta) ** 2)

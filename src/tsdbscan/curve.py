@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CurveSample,
     RunStats,
     approximate_diameter_ub,
     count_clusters,
@@ -24,21 +25,20 @@ from .core import (
 
 
 @dataclass
-class CurveSample:
-    """One (eps, k, noise-fraction) evaluation."""
-
-    epsilon: float
-    k: int
-    noise: float
-
-
-@dataclass
 class UnimodalityReport:
     dip: float
     p_value: float
     mode_epsilon: float
     mode_k: int
     n_boot: int
+
+
+def epsilon_grid(x, grid_size: int, metric: str = "euclidean") -> np.ndarray:
+    """Default sweep grid: ``grid_size`` even radii from UB0/1000 to the diameter bound UB0."""
+    ub0 = approximate_diameter_ub(x, metric=metric)
+    if ub0 <= 0:
+        raise ValueError("degenerate dataset: all points coincide with the first")
+    return np.linspace(ub0 / 1000, ub0, grid_size)
 
 
 def sweep_curve(x, grid, min_pts: int, metric: str = "euclidean",
@@ -239,14 +239,11 @@ def unimodality_report(x, grid_size: int, min_pts: int, metric: str = "euclidean
     x = validate_points(x)
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
-    ub0 = approximate_diameter_ub(x, metric=metric)
-    if ub0 <= 0:
-        raise ValueError("degenerate dataset: all points coincide with the first")
-    grid = np.linspace(ub0 / 1000, ub0, grid_size)
+    grid = epsilon_grid(x, grid_size, metric)
     curve = sweep_curve(x, grid, min_pts, metric=metric, stats=stats)
     sample = curve_to_sample(curve)
     dip = dip_statistic(sample)
     p = dip_p_value(sample, n_boot, seed)
-    mode_i = int(np.argmax([c.k for c in curve]))
-    return UnimodalityReport(dip=dip, p_value=p, mode_epsilon=curve[mode_i].epsilon,
-                             mode_k=curve[mode_i].k, n_boot=n_boot)
+    mode = max(curve, key=lambda c: c.k)  # the first on ties
+    return UnimodalityReport(dip=dip, p_value=p, mode_epsilon=mode.epsilon,
+                             mode_k=mode.k, n_boot=n_boot)

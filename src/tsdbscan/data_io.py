@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NOISE
+from .core import NOISE, CurveSample
 
 _DELIMS = {"csv": ",", "tsv": "\t"}
 
@@ -82,16 +82,14 @@ def write_labels(path, labels: np.ndarray) -> None:
     atomic_write_text(path, "\n".join(str(v) for v in out) + "\n")
 
 
-def write_curve(path, curve) -> None:
+def write_curve(path, curve: list[CurveSample]) -> None:
     lines = ["epsilon,k,noise_fraction"]
     lines += [f"{c.epsilon!r},{c.k},{c.noise!r}" for c in curve]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_curve(path):
+def load_curve(path) -> list[CurveSample]:
     """Read a curve CSV written by :func:`write_curve`."""
-    from .curve import CurveSample
-
     x = load_matrix(path, "csv")
     if x.shape[1] != 3:
         raise ValueError(f"{path}: curve file must have 3 columns (epsilon,k,noise_fraction)")

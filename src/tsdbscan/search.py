@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CurveSample,
     Labeling,
     RunStats,
     approximate_diameter_ub,
@@ -28,6 +29,9 @@ from .core import (
 _SEED_ROWS = 1
 _SEED_DIMS = 2
 _SEED_REPEAT = 3
+
+# noise fraction above which effective_k discounts a lone cluster
+CHANCE_NOISE_THRESHOLD = 0.9
 
 
 @dataclass
@@ -56,7 +60,6 @@ class TuneConfig:
     m: int = 30
     seed: int = 0
     metric: str = "euclidean"
-    chance_noise_threshold: float = 0.9
 
     def __post_init__(self):
         if self.min_pts < 2:
@@ -67,27 +70,16 @@ class TuneConfig:
             raise ValueError("alpha must be in (0, 1]")
         if self.m < 1:
             raise ValueError("m must be positive")
-        if not 0 < self.chance_noise_threshold < 1:
-            raise ValueError("chance_noise_threshold must be in (0, 1)")
 
 
-@dataclass
-class ProbeResult:
-    """One k(eps) evaluation."""
-
-    epsilon: float
-    k: int
-    noise: float
-
-
-def effective_k(probe: ProbeResult, chance_noise_threshold: float) -> int:
+def effective_k(probe: CurveSample) -> int:
     """Cluster count with the chance-single-cluster guard.
 
     A lone cluster that leaves almost every point as noise formed by
     chance, not by convergence; treat it as the under-eps regime (k=0)
     so the search keeps moving right.
     """
-    if probe.k == 1 and probe.noise > chance_noise_threshold:
+    if probe.k == 1 and probe.noise > CHANCE_NOISE_THRESHOLD:
         return 0
     return probe.k
 
@@ -105,9 +97,9 @@ def cond(bounds: SearchBounds, m_l: float, m_r: float, k_l: int, k_r: int) -> Se
     return SearchBounds(m_l, bounds.upper)
 
 
-def _probe(x: np.ndarray, epsilon: float, cfg: TuneConfig, stats: RunStats | None) -> ProbeResult:
+def _probe(x: np.ndarray, epsilon: float, cfg: TuneConfig, stats: RunStats | None) -> CurveSample:
     labeling = dbscan(x, epsilon, cfg.min_pts, metric=cfg.metric, stats=stats)
-    return ProbeResult(epsilon=epsilon, k=count_clusters(labeling), noise=noise_fraction(labeling))
+    return CurveSample(epsilon=epsilon, k=count_clusters(labeling), noise=noise_fraction(labeling))
 
 
 def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
@@ -126,10 +118,15 @@ def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
         m_r = (bounds.lower + 2 * bounds.upper) / 3
         if m_l <= 0 or m_l >= m_r:  # interval collapsed to float resolution
             break
-        k_l = effective_k(_probe(x, m_l, cfg, stats), cfg.chance_noise_threshold)
-        k_r = effective_k(_probe(x, m_r, cfg, stats), cfg.chance_noise_threshold)
+        k_l = effective_k(_probe(x, m_l, cfg, stats))
+        k_r = effective_k(_probe(x, m_r, cfg, stats))
         bounds = cond(bounds, m_l, m_r, k_l, k_r)
     return 0.5 * (m_l + m_r)
+
+
+def _row_sample_fits(n: int, cfg: TuneConfig) -> bool:
+    """Whether a row subsample of n points can hold a cluster."""
+    return math.ceil(cfg.alpha * n) >= cfg.min_pts + 1
 
 
 def _sample_rows(n: int, cfg: TuneConfig, rng: np.random.Generator) -> np.ndarray:
@@ -151,7 +148,7 @@ def estimate_upper_bound(x, cfg: TuneConfig, ub0: float | None = None,
     """
     x = validate_points(x)
     n = len(x)
-    if math.ceil(cfg.alpha * n) < cfg.min_pts + 1:
+    if not _row_sample_fits(n, cfg):
         raise ValueError(
             f"subsample of ceil({cfg.alpha} * {n}) points is too small for "
             f"min_pts={cfg.min_pts}; fall back to the trivial bound"
@@ -178,15 +175,15 @@ def estimate_lower_bound(x, ub: float, cfg: TuneConfig,
     return ternary_search(proj, SearchBounds(0.0, ub), cfg, stats)
 
 
-def _resolve_bounds(x: np.ndarray, cfg: TuneConfig, stats: RunStats | None) -> tuple[SearchBounds, float]:
-    """Shared bound-estimation prologue; returns (bounds, ub0)."""
+def _resolve_bounds(x: np.ndarray, cfg: TuneConfig, stats: RunStats | None) -> SearchBounds:
+    """Shared bound-estimation prologue."""
     ub0 = approximate_diameter_ub(x, metric=cfg.metric)
     if ub0 <= 0:
         warnings.warn("degenerate dataset: all points coincide with the first")
         ub0 = np.finfo(np.float64).eps
-    try:
+    if _row_sample_fits(len(x), cfg):
         ub = estimate_upper_bound(x, cfg, ub0=ub0, stats=stats)
-    except ValueError:
+    else:
         warnings.warn("subsample too small for the upper-bound heuristic; using the trivial bound")
         ub = ub0
     lb = estimate_lower_bound(x, ub, cfg, stats=stats)
@@ -195,7 +192,16 @@ def _resolve_bounds(x: np.ndarray, cfg: TuneConfig, stats: RunStats | None) -> t
         lb, ub = 0.5 * lb, min(2.0 * ub, ub0)
         if lb >= ub:
             lb, ub = 0.0, ub0
-    return SearchBounds(lb, ub), ub0
+    return SearchBounds(lb, ub)
+
+
+def _tune(x, cfg: TuneConfig, stats: RunStats | None, final_stage) -> tuple[float, Labeling]:
+    """Bounds, then ``final_stage`` inside them, then an uncounted clustering at the result."""
+    x = validate_points(x)
+    if len(x) < cfg.min_pts:
+        raise ValueError(f"need at least min_pts={cfg.min_pts} points, got {len(x)}")
+    epsilon = final_stage(x, _resolve_bounds(x, cfg, stats), cfg, stats)
+    return epsilon, dbscan(x, epsilon, cfg.min_pts, metric=cfg.metric)
 
 
 def ts_clustering(x, cfg: TuneConfig, stats: RunStats | None = None) -> tuple[float, Labeling]:
@@ -205,12 +211,7 @@ def ts_clustering(x, cfg: TuneConfig, stats: RunStats | None = None) -> tuple[fl
     6*itr DBSCAN probes; the returned labeling is one extra run at the
     tuned radius.
     """
-    x = validate_points(x)
-    if len(x) < cfg.min_pts:
-        raise ValueError(f"need at least min_pts={cfg.min_pts} points, got {len(x)}")
-    bounds, _ = _resolve_bounds(x, cfg, stats)
-    epsilon = ternary_search(x, bounds, cfg, stats)
-    return epsilon, dbscan(x, epsilon, cfg.min_pts, metric=cfg.metric)
+    return _tune(x, cfg, stats, ternary_search)
 
 
 def tse_estimate(x, bounds: SearchBounds, cfg: TuneConfig,
@@ -234,9 +235,4 @@ def tse_estimate(x, bounds: SearchBounds, cfg: TuneConfig,
 
 def tse_clustering(x, cfg: TuneConfig, stats: RunStats | None = None) -> tuple[float, Labeling]:
     """Like ts_clustering but with the subsampled estimator as the final stage."""
-    x = validate_points(x)
-    if len(x) < cfg.min_pts:
-        raise ValueError(f"need at least min_pts={cfg.min_pts} points, got {len(x)}")
-    bounds, _ = _resolve_bounds(x, cfg, stats)
-    epsilon = tse_estimate(x, bounds, cfg, stats)
-    return epsilon, dbscan(x, epsilon, cfg.min_pts, metric=cfg.metric)
+    return _tune(x, cfg, stats, tse_estimate)

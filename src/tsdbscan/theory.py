@@ -16,6 +16,8 @@ import numpy as np
 
 from .core import RunStats, count_clusters, dbscan
 
+PROBE_MARGIN = 0.1  # relative distance of a concentration probe beyond its threshold
+
 
 @dataclass
 class UniformModel:
@@ -102,20 +104,17 @@ def concentration_thresholds(cfg: ConcentrationConfig, dims: int = 1) -> tuple[f
 
 
 def concentration_experiment(cfg: ConcentrationConfig, dims: int, n: int,
-                             trials: int, seed: int, margin: float = 0.1,
-                             stats: RunStats | None = None) -> dict:
+                             trials: int, seed: int, stats: RunStats | None = None) -> dict:
     """Probe both thresholds with a safety margin and report pass rates.
 
-    The statements are asymptotic, so the probes sit ``margin`` beyond
+    The statements are asymptotic, so the probes sit ``PROBE_MARGIN`` beyond
     each threshold. The experiment passes when each regime shows up in
     at least a 1-delta fraction of trials.
     """
     min_pts = max(2, round(cfg.rho * n))
-    if min_pts < 2:
-        raise ValueError("rho * n must give min_pts >= 2")
     eps_low, eps_high = concentration_thresholds(cfg, dims)
-    probe_high = eps_high * (1 + margin)
-    probe_low = eps_low * (1 - margin)
+    probe_high = eps_high * (1 + PROBE_MARGIN)
+    probe_low = eps_low * (1 - PROBE_MARGIN)
     ones = zeros = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

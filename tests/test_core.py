@@ -191,3 +191,42 @@ class TestDiameterBound:
     def test_single_point_errors(self):
         with pytest.raises(ValueError):
             approximate_diameter_ub(np.array([[1.0]]))
+
+    def test_cosine_bounds_the_widest_angle(self):
+        # the first vector sits between the other two, so the widest
+        # pair spans twice the angle seen from the first
+        angles = np.array([0.0, 0.1, -0.1])
+        x = np.column_stack([np.cos(angles), np.sin(angles)])
+        diam = distance(x[1], x[2], "cosine")
+        assert diam == pytest.approx(1 - np.cos(0.2))
+        ub = approximate_diameter_ub(x, "cosine")
+        assert diam <= ub <= 4 * diam
+
+    def test_cosine_opposite_vectors_cap_at_two(self):
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        assert approximate_diameter_ub(x, "cosine") == pytest.approx(2.0)
+
+
+class TestCosineZeroVectors:
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.01], [0.0, 0.0]])
+
+    def test_dbscan_rejects(self):
+        with pytest.raises(ValueError, match="zero vectors"):
+            dbscan(self.X, 0.5, 2, metric="cosine")
+
+    def test_underflowing_norm_counts_as_zero(self):
+        # scipy's cosine distance is NaN for such a row
+        with pytest.raises(ValueError, match="zero vectors"):
+            dbscan(np.array([[1e-200, 0.0], [1.0, 0.0]]), 0.5, 2, metric="cosine")
+
+    def test_region_query_rejects(self):
+        with pytest.raises(ValueError, match="zero vectors"):
+            region_query(self.X, 1, 0.5, metric="cosine")
+
+    def test_diameter_bound_rejects(self):
+        with pytest.raises(ValueError, match="zero vectors"):
+            approximate_diameter_ub(self.X, "cosine")
+
+    def test_other_metrics_accept(self):
+        for metric in ("euclidean", "manhattan"):
+            assert count_clusters(dbscan(self.X, 0.5, 2, metric=metric)) == 2

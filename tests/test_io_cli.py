@@ -176,6 +176,16 @@ class TestCli:
         assert "closed_form_mode_epsilon" in report["results"]
         assert report["results"]["concentration"][0]["dims"] == 1
 
+    def test_cosine_zero_vector_fails_with_message(self, tmp_path, capsys):
+        data = tmp_path / "zero.csv"
+        data.write_text("0,0\n1,0\n1,0.01\n0,0\n")
+        out = tmp_path / "run"
+        code = run_cli(["dbscan", "--input", data, "--epsilon", 0.5, "--min-pts", 2,
+                        "--metric", "cosine", "--out", out])
+        assert code == 1
+        assert "zero vectors" in capsys.readouterr().err
+        assert not (out / "labels.csv").exists()
+
     def test_missing_input_fails_without_outputs(self, tmp_path):
         out = tmp_path / "missing"
         code = run_cli(["dbscan", "--input", tmp_path / "nope.csv", "--epsilon", 1,

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+import tsdbscan.search
 from tsdbscan import (
-    ProbeResult,
+    CurveSample,
     RunStats,
     SearchBounds,
     TuneConfig,
@@ -31,13 +32,13 @@ def sweep_max_k(x, min_pts, lo, hi, n=1000):
 
 class TestEffectiveK:
     def test_chance_single_cluster(self):
-        assert effective_k(ProbeResult(1.0, 1, 0.98), 0.9) == 0
+        assert effective_k(CurveSample(1.0, 1, 0.98)) == 0
 
     def test_converged_single_cluster(self):
-        assert effective_k(ProbeResult(1.0, 1, 0.05), 0.9) == 1
+        assert effective_k(CurveSample(1.0, 1, 0.05)) == 1
 
     def test_rule_only_at_k_one(self):
-        assert effective_k(ProbeResult(1.0, 7, 0.95), 0.9) == 7
+        assert effective_k(CurveSample(1.0, 7, 0.95)) == 7
 
 
 class TestCond:
@@ -169,6 +170,25 @@ class TestTsClustering:
             eps, lab = ts_clustering(x, TuneConfig(min_pts=2, seed=2))
         assert eps > 0
 
+    def test_search_errors_propagate(self, monkeypatch):
+        # only a too-small row subsample falls back to the trivial bound;
+        # any other error inside the upper-bound search reaches the caller
+        real = tsdbscan.search.ternary_search
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("inside the search")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tsdbscan.search, "ternary_search", fail_first)
+        x = np.random.default_rng(11).random((100, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="inside the search"):
+                ts_clustering(x, TuneConfig(min_pts=3, seed=0))
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         x = rng.random((80, 4))
@@ -208,7 +228,6 @@ class TestConfigValidation:
         {"min_pts": 2, "alpha": 0.0},
         {"min_pts": 2, "alpha": 1.5},
         {"min_pts": 2, "m": 0},
-        {"min_pts": 2, "chance_noise_threshold": 1.0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
