@@ -54,13 +54,6 @@ def _add_probe(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", choices=METRICS, default="euclidean")
 
 
-def _add_tune(p: argparse.ArgumentParser) -> None:
-    _add_probe(p)
-    p.add_argument("--itr", type=int, default=6)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--m", type=int, default=30)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsdbscan",
                                      description="DBSCAN with ternary-search radius tuning")
@@ -71,13 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     _add_probe(p)
 
-    p = sub.add_parser("tune", help="tune the radius with ternary search and cluster")
-    _add_common(p)
-    _add_tune(p)
-
-    p = sub.add_parser("tse", help="tune with the subsampled estimator and cluster")
-    _add_common(p)
-    _add_tune(p)
+    for name, text in (("tune", "tune the radius with ternary search and cluster"),
+                       ("tse", "tune with the subsampled estimator and cluster")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        _add_probe(p)
+        p.add_argument("--itr", type=int, default=6)
+        p.add_argument("--alpha", type=float, default=0.2)
+        p.add_argument("--m", type=int, default=30)
 
     p = sub.add_parser("sweep", help="evaluate k(eps) on an even grid")
     _add_common(p)

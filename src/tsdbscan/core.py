@@ -80,12 +80,16 @@ def _check_metric(metric: str) -> str:
     return _CDIST_NAME[metric]
 
 
+def _has_direction(x: np.ndarray) -> np.ndarray:
+    """Rows whose squared norm does not underflow to 0: only these have an angle."""
+    return np.einsum("ij,ij->i", x, x) > 0
+
+
 def _validate(points, metric: str) -> np.ndarray:
-    """validate_points plus the metric; under cosine, rejects rows whose
-    squared norm is 0 (or underflows to 0), as they have no angle."""
+    """validate_points plus the metric; under cosine, rejects rows with no direction."""
     x = validate_points(points)
     _check_metric(metric)
-    if metric == "cosine" and not np.all(np.einsum("ij,ij->i", x, x) > 0):
+    if metric == "cosine" and not np.all(_has_direction(x)):
         raise ValueError("cosine distance is undefined for zero vectors")
     return x
 

@@ -236,7 +236,6 @@ def unimodality_report(x, grid_size: int, min_pts: int, metric: str = "euclidean
                        n_boot: int = 1000, seed: int = 0,
                        stats: RunStats | None = None) -> UnimodalityReport:
     """Sweep a default grid, dip-test the curve, and report the mode."""
-    x = validate_points(x)
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = epsilon_grid(x, grid_size, metric)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NOISE, CurveSample
+from .core import CurveSample
 
 _DELIMS = {"csv": ",", "tsv": "\t"}
 
@@ -60,7 +60,7 @@ def load_matrix(path, fmt: str = "csv") -> np.ndarray:
 
 
 def load_labels(path) -> np.ndarray:
-    """One integer per line; -1 maps to the internal noise sentinel."""
+    """One integer per line; -1 is noise, as it is in memory (``NOISE``)."""
     path = Path(path)
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
@@ -71,15 +71,12 @@ def load_labels(path) -> np.ndarray:
             labels[i] = int(line)
         except ValueError:
             raise ValueError(f"{path}: non-integer label at line {i + 1}") from None
-    labels[labels == -1] = NOISE
     return labels
 
 
 def write_labels(path, labels: np.ndarray) -> None:
     """One label per line, -1 for noise, written atomically."""
-    out = np.asarray(labels, dtype=np.int64).copy()
-    out[out == NOISE] = -1
-    atomic_write_text(path, "\n".join(str(v) for v in out) + "\n")
+    atomic_write_text(path, "\n".join(str(v) for v in np.asarray(labels, dtype=np.int64)) + "\n")
 
 
 def write_curve(path, curve: list[CurveSample]) -> None:

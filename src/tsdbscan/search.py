@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    NOISE,
     CurveSample,
     Labeling,
     RunStats,
+    _has_direction,
     approximate_diameter_ub,
     count_clusters,
     dbscan,
-    noise_fraction,
     validate_points,
 )
 
@@ -98,8 +99,15 @@ def cond(bounds: SearchBounds, m_l: float, m_r: float, k_l: int, k_r: int) -> Se
 
 
 def _probe(x: np.ndarray, epsilon: float, cfg: TuneConfig, stats: RunStats | None) -> CurveSample:
+    # under cosine, rows a dimension subsample zeroes out have no angle: noise
+    n = len(x)
+    if cfg.metric == "cosine":
+        x = x[_has_direction(x)]
+        if not len(x):
+            return CurveSample(epsilon, 0, 1.0)
     labeling = dbscan(x, epsilon, cfg.min_pts, metric=cfg.metric, stats=stats)
-    return CurveSample(epsilon=epsilon, k=count_clusters(labeling), noise=noise_fraction(labeling))
+    noise = (np.count_nonzero(labeling.labels == NOISE) + n - len(x)) / n
+    return CurveSample(epsilon=epsilon, k=count_clusters(labeling), noise=float(noise))
 
 
 def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
@@ -107,6 +115,7 @@ def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
     """Contract ``bounds`` for ``cfg.itr`` iterations; return the final midpoint.
 
     Exactly 2*itr DBSCAN probes. The result lies inside the initial bounds.
+    Under cosine, rows with no direction (zero rows) count as noise.
     """
     x = validate_points(x)
     if bounds.width <= np.finfo(np.float64).eps * max(1.0, abs(bounds.upper)):
@@ -168,8 +177,6 @@ def estimate_lower_bound(x, ub: float, cfg: TuneConfig,
     radius is smaller; ternary search runs with (0, ub) as its interval.
     """
     x = validate_points(x)
-    if ub <= 0:
-        raise ValueError("ub must be positive")
     rng = np.random.default_rng([cfg.seed, _SEED_DIMS])
     proj = x[:, _sample_dims(x.shape[1], cfg, rng)]
     return ternary_search(proj, SearchBounds(0.0, ub), cfg, stats)

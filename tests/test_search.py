@@ -19,6 +19,7 @@ from tsdbscan import (
     sweep_curve,
     ternary_search,
     ts_clustering,
+    tse_clustering,
     tse_estimate,
 )
 
@@ -143,6 +144,10 @@ class TestBoundEstimators:
         assert estimate_upper_bound(x, cfg) == estimate_upper_bound(x, cfg)
         assert estimate_lower_bound(x, 1.0, cfg) == estimate_lower_bound(x, 1.0, cfg)
 
+    def test_lower_bound_rejects_empty_interval(self):
+        with pytest.raises(ValueError):
+            estimate_lower_bound(TWO_CLUSTERS_1D, 0.0, TuneConfig(min_pts=2))
+
     def test_subsample_too_small_raises(self):
         x = np.random.default_rng(6).random((10, 2))
         with pytest.raises(ValueError):
@@ -219,6 +224,52 @@ class TestTse:
         stats = RunStats()
         tse_estimate(x, SearchBounds(0.0, 2.0), cfg, stats)
         assert stats.dbscan_invocations == 2 * cfg.itr * cfg.m
+
+
+def sparse_rows(n=200, d=10, nonzeros=2, seed=5):
+    """Nonnegative rows with ``nonzeros`` positive entries each, so no row is
+    zero but most projections onto a few dimensions zero some rows out."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, d))
+    for row in x:
+        row[rng.choice(d, nonzeros, replace=False)] = rng.random(nonzeros) + 0.1
+    return x
+
+
+class TestCosineZeroRows:
+    def test_tuning_runs_on_sparse_rows(self):
+        x = sparse_rows()
+        cfg = TuneConfig(min_pts=5, metric="cosine", seed=5, m=5)
+        # the lower bound keeps ceil(0.2 * 10) = 2 dimensions
+        assert (np.abs(x[:, :2]).sum(axis=1) == 0).any()
+        eps, lab = ts_clustering(x, cfg)
+        # the radius found when cosine distances of zero rows were NaN
+        assert eps == pytest.approx(0.20168867217551834, rel=1e-12)
+        assert len(lab.labels) == len(x)
+        eps, lab = tse_clustering(x, cfg)
+        assert eps == pytest.approx(0.2637226654267116, rel=1e-12)
+        assert len(lab.labels) == len(x)
+
+    def test_projected_zero_rows_count_as_noise(self):
+        x = np.array([[1.0, 0.0], [1.0, 0.01], [1.0, 0.02], [0.0, 1.0], [0.01, 1.0]])
+        padded = np.vstack([x, np.zeros((3, 2))])
+        cfg = TuneConfig(min_pts=2, metric="cosine")
+        bare = tsdbscan.search._probe(x, 0.01, cfg, None)
+        probe = tsdbscan.search._probe(padded, 0.01, cfg, None)
+        assert probe.k == bare.k == 2
+        assert probe.noise == 3 / 8
+
+    def test_all_zero_projection_is_all_noise(self):
+        stats = RunStats()
+        probe = tsdbscan.search._probe(np.zeros((4, 2)), 0.5, TuneConfig(min_pts=2, metric="cosine"), stats)
+        assert (probe.k, probe.noise) == (0, 1.0)
+        assert stats.dbscan_invocations == 0
+
+    def test_caller_zero_rows_rejected(self):
+        x = np.vstack([sparse_rows(), np.zeros((1, 10))])
+        for tune in (ts_clustering, tse_clustering):
+            with pytest.raises(ValueError, match="zero vectors"):
+                tune(x, TuneConfig(min_pts=5, metric="cosine"))
 
 
 class TestConfigValidation:

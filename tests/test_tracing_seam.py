@@ -1,5 +1,10 @@
 """The benchmark's tracer patches module-level names of tsdbscan from
-outside; every name it patches must still exist, or traced runs break."""
+outside; every name it patches must still exist, or traced runs break.
+
+This guards only against removed names. It cannot tell whether the
+program still calls a function through the name that is patched: a name
+that resolves but is no longer on the call path passes here while its
+span silently times less than it did."""
 
 import importlib
 import importlib.util
