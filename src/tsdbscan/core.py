@@ -21,8 +21,8 @@ ROLE_CORE = 2
 
 METRICS = ("euclidean", "manhattan", "cosine")
 
-# scipy spells Manhattan "cityblock"
-_CDIST_NAME = {"euclidean": "euclidean", "manhattan": "cityblock", "cosine": "cosine"}
+# scipy spells Manhattan "cityblock"; cosine runs on unit rows (see _validate)
+_CDIST_NAME = {"euclidean": "euclidean", "manhattan": "cityblock", "cosine": "sqeuclidean"}
 
 # Row chunk size for pairwise-distance blocks; keeps memory bounded at
 # large N without changing any result.
@@ -74,23 +74,24 @@ def validate_points(points) -> np.ndarray:
     return x
 
 
-def _check_metric(metric: str) -> str:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    return _CDIST_NAME[metric]
-
-
 def _has_direction(x: np.ndarray) -> np.ndarray:
-    """Rows whose squared norm does not underflow to 0: only these have an angle."""
-    return np.einsum("ij,ij->i", x, x) > 0
+    """Rows whose squared norm neither underflows to 0 nor overflows: only
+    these can be scaled to unit length."""
+    sq = np.einsum("ij,ij->i", x, x)
+    return (sq > 0) & np.isfinite(sq)
 
 
 def _validate(points, metric: str) -> np.ndarray:
-    """validate_points plus the metric; under cosine, rejects rows with no direction."""
+    """validate_points plus the metric; under cosine, rejects rows with no
+    direction and returns the rows scaled to unit length."""
     x = validate_points(points)
-    _check_metric(metric)
-    if metric == "cosine" and not np.all(_has_direction(x)):
-        raise ValueError("cosine distance is undefined for zero vectors")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    if metric == "cosine":
+        if not np.all(_has_direction(x)):
+            raise ValueError("cosine distance is undefined for zero vectors "
+                             "(and for rows whose squared norm underflows or overflows)")
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
     return x
 
 
@@ -100,11 +101,16 @@ def distance(p, q, metric: str = "euclidean") -> float:
     q = np.asarray(q, dtype=np.float64).ravel()
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    return float(cdist(p[None, :], q[None, :], metric=_check_metric(metric))[0, 0])
+    x = _validate(np.stack([p, q]), metric)
+    return float(_distance_block(x[:1], x[1:], metric, None)[0, 0])
 
 
 def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunStats | None) -> np.ndarray:
+    """Pairwise distances of rows from ``_validate``. Cosine 1 - cos = |u - v|^2 / 2
+    on unit rows, which is exactly 0 between identical rows."""
     d = cdist(x_rows, x, metric=_CDIST_NAME[metric])
+    if metric == "cosine":
+        d *= 0.5
     if stats is not None:
         stats.point_evaluations += x_rows.shape[0] * x.shape[0] * x.shape[1]
     return d
@@ -118,10 +124,7 @@ def region_query(x: np.ndarray, i: int, epsilon: float, metric: str = "euclidean
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     d = _distance_block(x[i : i + 1], x, metric, None)[0]
-    hits = np.flatnonzero(d <= epsilon)
-    if i not in hits:  # guards against metric round-off at d(x_i, x_i)
-        hits = np.sort(np.append(hits, i))
-    return hits
+    return np.flatnonzero(d <= epsilon)
 
 
 def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
@@ -186,8 +189,7 @@ def noise_fraction(labeling: Labeling) -> float:
     return float(np.count_nonzero(labeling.labels == NOISE) / labeling.n_points)
 
 
-def approximate_diameter_ub(points, metric: str = "euclidean",
-                            stats: RunStats | None = None) -> float:
+def approximate_diameter_ub(points, metric: str = "euclidean") -> float:
     """Doubled 2-approximation of the diameter from the first point.
 
     diameter <= result <= 2 * diameter by the triangle inequality, in
@@ -201,9 +203,8 @@ def approximate_diameter_ub(points, metric: str = "euclidean",
     if len(x) < 2:
         raise ValueError("need at least 2 points for a diameter bound")
     if metric != "cosine":
-        return float(2.0 * _distance_block(x[:1], x, metric, stats)[0].max())
-    u = x / np.linalg.norm(x, axis=1, keepdims=True)
-    # the chord of unit vectors keeps small angles exact, unlike arccos
-    chord = _distance_block(u[:1], u, "euclidean", stats)[0].max()
+        return float(2.0 * _distance_block(x[:1], x, metric, None)[0].max())
+    # the chord of the unit rows keeps small angles exact, unlike arccos
+    chord = _distance_block(x[:1], x, "euclidean", None)[0].max()
     theta = min(np.pi, 4.0 * np.arcsin(min(1.0, 0.5 * chord)))
     return float(2.0 * np.sin(0.5 * theta) ** 2)

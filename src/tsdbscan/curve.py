@@ -74,6 +74,36 @@ def curve_to_sample(curve: list[CurveSample]) -> np.ndarray:
     return np.repeat(eps, ks)
 
 
+def _minorant_touches(x: list[float]) -> list[int]:
+    """For each j, the previous touch point of the greatest convex minorant of x[:j+1]."""
+    mn = [0] * len(x)
+    for j in range(1, len(x)):
+        m = j - 1
+        while m:
+            mm = mn[m]
+            if (x[j] - x[m]) * (m - mm) < (x[m] - x[mm]) * (j - m):
+                break
+            m = mm
+        mn[j] = m
+    return mn
+
+
+def _segment_gap(x: list[float], knots: list[int], upper: bool) -> float:
+    """Largest ECDF distance to the hull, times n, inside the segments between ascending knots."""
+    gap = 0.0
+    for jb, je in zip(knots, knots[1:]):
+        t = 1.0
+        if je - jb > 1 and x[je] != x[jb]:
+            xb, c = x[jb], (je - jb) / (x[je] - x[jb])
+            if upper:  # concave majorant: the line lies above the ECDF's left limit
+                dev = ((v - xb) * c - (jj - jb - 1) for jj, v in enumerate(x[jb:je + 1], jb))
+            else:  # convex minorant: the line lies below the ECDF
+                dev = ((jj - jb + 1) - (v - xb) * c for jj, v in enumerate(x[jb:je + 1], jb))
+            t = max(t, max(dev))
+        gap = max(gap, t)
+    return gap
+
+
 def _dip_of_sorted(x: np.ndarray) -> float:
     """Hartigan & Hartigan's dip of a sorted sample (AS 217 algorithm)."""
     n = len(x)
@@ -81,110 +111,51 @@ def _dip_of_sorted(x: np.ndarray) -> float:
     if n < 4 or x[0] == x[-1]:
         return floor
 
-    # touch indices for the greatest convex minorant fit
-    mn = np.zeros(n, dtype=np.int64)
-    for j in range(1, n):
-        mn[j] = j - 1
-        while True:
-            mnj = mn[j]
-            mnmnj = mn[mnj]
-            if mnj == 0 or (x[j] - x[mnj]) * (mnj - mnmnj) < (x[mnj] - x[mnmnj]) * (j - mnj):
-                break
-            mn[j] = mnmnj
-    # touch indices for the least concave majorant fit
-    mj = np.zeros(n, dtype=np.int64)
-    mj[n - 1] = n - 1
-    for k in range(n - 2, -1, -1):
-        mj[k] = k + 1
-        while True:
-            mjk = mj[k]
-            mjmjk = mj[mjk]
-            if mjk == n - 1 or (x[k] - x[mjk]) * (mjk - mjmjk) < (x[mjk] - x[mjmjk]) * (k - mjk):
-                break
-            mj[k] = mjmjk
+    x = x.tolist()
+    mn = _minorant_touches(x)
+    # the concave majorant of x is the mirrored convex minorant of -x reversed;
+    # negation and reversal are exact, so the touch points are too
+    mj = [n - 1 - m for m in reversed(_minorant_touches([-v for v in reversed(x)]))]
 
     low, high = 0, n - 1
     dip = 0.0  # scaled by 2n until the final division
-    gcm = np.zeros(n, dtype=np.int64)
-    lcm = np.zeros(n, dtype=np.int64)
     while True:
-        gcm[0] = high
-        i = 0
-        while gcm[i] > low:
-            gcm[i + 1] = mn[gcm[i]]
-            i += 1
-        ig = l_gcm = i
-        ix = ig - 1
-        lcm[0] = low
-        i = 0
-        while lcm[i] < high:
-            lcm[i + 1] = mj[lcm[i]]
-            i += 1
-        ih = l_lcm = i
-        iv = 1
+        gcm = [high]  # minorant touch points from high down to low
+        while gcm[-1] > low:
+            gcm.append(mn[gcm[-1]])
+        lcm = [low]  # majorant touch points from low up to high
+        while lcm[-1] < high:
+            lcm.append(mj[lcm[-1]])
+        l_gcm, l_lcm = len(gcm) - 1, len(lcm) - 1
+        ig, ih, ix, iv = l_gcm, l_lcm, l_gcm - 1, 1
 
         d = 0.0
         if l_gcm != 1 or l_lcm != 1:
             while True:
-                gcmix = gcm[ix]
-                lcmiv = lcm[iv]
+                gcmix, lcmiv = gcm[ix], lcm[iv]
                 if gcmix > lcmiv:
                     gcmil = gcm[ix + 1]
                     dx = (lcmiv - gcmil + 1) - (x[lcmiv] - x[gcmil]) * (gcmix - gcmil) / (x[gcmix] - x[gcmil])
                     iv += 1
                     if dx >= d:
-                        d = dx
-                        ig = ix + 1
-                        ih = iv - 1
+                        d, ig, ih = dx, ix + 1, iv - 1
                 else:
                     lcmivl = lcm[iv - 1]
                     dx = (x[gcmix] - x[lcmivl]) * (lcmiv - lcmivl) / (x[lcmiv] - x[lcmivl]) - (gcmix - lcmivl - 1)
                     ix -= 1
                     if dx >= d:
-                        d = dx
-                        ig = ix + 1
-                        ih = iv
-                if ix < 0:
-                    ix = 0
-                if iv > l_lcm:
-                    iv = l_lcm
+                        d, ig, ih = dx, ix + 1, iv
+                ix, iv = max(ix, 0), min(iv, l_lcm)
                 if gcm[ix] == lcm[iv]:
                     break
         if d < dip:
             break
 
-        # largest deviation inside the convex-minorant segments
-        dip_l = 0.0
-        for j in range(ig, l_gcm):
-            max_t = 1.0
-            jb, je = gcm[j + 1], gcm[j]
-            if je - jb > 1 and x[je] != x[jb]:
-                c = (je - jb) / (x[je] - x[jb])
-                for jj in range(jb, je + 1):
-                    t = (jj - jb + 1) - (x[jj] - x[jb]) * c
-                    if max_t < t:
-                        max_t = t
-            if dip_l < max_t:
-                dip_l = max_t
-        # largest deviation inside the concave-majorant segments
-        dip_u = 0.0
-        for j in range(ih, l_lcm):
-            max_t = 1.0
-            jb, je = lcm[j], lcm[j + 1]
-            if je - jb > 1 and x[je] != x[jb]:
-                c = (je - jb) / (x[je] - x[jb])
-                for jj in range(jb, je + 1):
-                    t = (x[jj] - x[jb]) * c - (jj - jb - 1)
-                    if max_t < t:
-                        max_t = t
-            if dip_u < max_t:
-                dip_u = max_t
-
-        dip = max(dip, dip_l, dip_u)
+        # largest deviation inside the minorant and the majorant segments
+        dip = max(dip, _segment_gap(x, gcm[ig:][::-1], False), _segment_gap(x, lcm[ih:], True))
         if low == gcm[ig] and high == lcm[ih]:
             break
-        low = gcm[ig]
-        high = lcm[ih]
+        low, high = gcm[ig], lcm[ih]
 
     return max(dip / (2 * n), floor)
 

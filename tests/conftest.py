@@ -13,16 +13,34 @@ import pytest
 from tsdbscan.data_io import synth_blobs
 
 
-def brute_force_dbscan(x: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    """Transitive-closure DBSCAN oracle (euclidean only).
+def brute_force_distances(x: np.ndarray, metric: str = "euclidean") -> np.ndarray:
+    """All pairwise distances, each written from its definition.
+
+    Cosine distance 1 - cos is half the squared difference of the rows
+    scaled to unit length.
+    """
+    if metric == "cosine":
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    diff = x[:, None, :] - x[None, :, :]
+    if metric == "euclidean":
+        return np.sqrt((diff ** 2).sum(axis=2))
+    if metric == "manhattan":
+        return np.abs(diff).sum(axis=2)
+    if metric == "cosine":
+        return 0.5 * (diff ** 2).sum(axis=2)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def brute_force_dbscan(x: np.ndarray, eps: float, min_pts: int,
+                       metric: str = "euclidean") -> np.ndarray:
+    """Transitive-closure DBSCAN oracle.
 
     Clusters are connected components of the eps-graph over core points,
     numbered by smallest core index; a border point joins the earliest
     cluster among those with a core point in range.
     """
     n = len(x)
-    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
-    adj = d <= eps
+    adj = brute_force_distances(x, metric) <= eps
     core = adj.sum(axis=1) >= min_pts
     labels = np.full(n, -1, dtype=np.int64)
     cluster = 0

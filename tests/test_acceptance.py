@@ -52,6 +52,8 @@ from tsdbscan.data_io import load_matrix
 
 from conftest import brute_force_ari, brute_force_dbscan, brute_force_nmi
 
+pytestmark = pytest.mark.acceptance
+
 DATA_DIR = Path(__file__).parent / "data"
 
 # blob-suite tuning knobs shared by the sweep/search criteria; min_pts

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from tsdbscan import (
     NOISE,
     RunStats,
+    TuneConfig,
     approximate_diameter_ub,
     count_clusters,
     dbscan,
     distance,
     noise_fraction,
     region_query,
+    ts_clustering,
 )
 from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE
 
@@ -219,6 +222,11 @@ class TestCosineZeroVectors:
         with pytest.raises(ValueError, match="zero vectors"):
             dbscan(np.array([[1e-200, 0.0], [1.0, 0.0]]), 0.5, 2, metric="cosine")
 
+    def test_overflowing_norm_rejected(self):
+        # |x|^2 is inf, so scaling to unit length would zero the row
+        with pytest.raises(ValueError, match="overflows"):
+            dbscan(np.array([[1e200, 1e200], [1e200, -1e200]]), 0.5, 2, metric="cosine")
+
     def test_region_query_rejects(self):
         with pytest.raises(ValueError, match="zero vectors"):
             region_query(self.X, 1, 0.5, metric="cosine")
@@ -230,3 +238,24 @@ class TestCosineZeroVectors:
     def test_other_metrics_accept(self):
         for metric in ("euclidean", "manhattan"):
             assert count_clusters(dbscan(self.X, 0.5, 2, metric=metric)) == 2
+
+
+class TestCosineDuplicateRows:
+    @staticmethod
+    def row():
+        # a row whose cosine self-distance 1 - u.v/(|u||v|) is about 1e-16 in scipy, not 0
+        x = np.random.default_rng(0).normal(size=(2000, 5))
+        return next(r for r in x if cdist(r[None], r[None], "cosine")[0, 0] > 0)
+
+    def test_copies_are_neighbours(self):
+        copies = np.tile(self.row(), (5, 1))
+        assert distance(copies[0], copies[1], "cosine") == 0.0
+        assert region_query(copies, 0, 1e-300, "cosine").tolist() == [0, 1, 2, 3, 4]
+        for metric in ("cosine", "euclidean"):
+            assert count_clusters(dbscan(copies, 1e-300, 5, metric=metric)) == 1
+
+    def test_tuning_clusters_copies(self):
+        with pytest.warns(UserWarning, match="degenerate"):
+            _, lab = ts_clustering(np.tile(self.row(), (40, 1)), TuneConfig(min_pts=5, metric="cosine"))
+        assert count_clusters(lab) == 1
+        assert noise_fraction(lab) == 0.0

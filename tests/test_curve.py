@@ -21,6 +21,13 @@ DATA_DIR = Path(__file__).parent / "data"
 TWO_CLUSTERS_1D = np.array([0.0, 0.1, 0.2, 10.0, 10.1, 10.2])[:, None]
 
 
+def bell_curve_sample():
+    """A one-peaked k(eps) curve on a 100-point grid, histogram-expanded."""
+    eps = np.linspace(0.05, 5.0, 100)
+    k = np.round(20 * np.exp(-((eps - 1.5) / 0.8) ** 2)).astype(int)
+    return curve_to_sample([CurveSample(float(e), int(c), 0.0) for e, c in zip(eps, k)])
+
+
 class TestSweep:
     def test_boundary_laws(self):
         x = np.array([[0.0], [10.0], [20.0]])
@@ -92,6 +99,20 @@ class TestDipStatistic:
     def test_too_small_errors(self):
         with pytest.raises(ValueError):
             dip_statistic([1.0])
+
+    @pytest.mark.parametrize("sample, dip", [
+        (np.random.default_rng(10).random(567), 0.018575189014966385),
+        (np.round(np.random.default_rng(11).normal(size=400), 1), 0.02875),  # 50 distinct values
+        (bell_curve_sample(), 0.017761989342806393),
+    ])
+    def test_pinned_values(self, sample, dip):
+        # the dips of the reference two-loop AS 217 code, bit for bit
+        assert dip_statistic(sample) == dip
+
+    def test_reflection_invariance(self):
+        rng = np.random.default_rng(12)
+        for s in (rng.normal(size=300), np.round(rng.normal(size=300), 1), rng.standard_cauchy(50)):
+            assert dip_statistic(-s) == pytest.approx(dip_statistic(s))
 
 
 class TestDipPValue:

@@ -1,4 +1,5 @@
-"""Invariants of the diameter bound and the k(eps) probe, for every metric."""
+"""Invariants of the diameter bound and the k(eps) probe, and agreement
+with the brute-force oracle, for every metric."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from tsdbscan import approximate_diameter_ub, count_clusters, dbscan, distance, noise_fraction
 from tsdbscan.core import METRICS
+
+from conftest import brute_force_dbscan, brute_force_distances
 
 # the bound's approximation factor: 2 from the triangle inequality, 4
 # under cosine, where the triangle inequality holds only for angles
@@ -63,3 +66,27 @@ def test_noise_nonincreasing_in_epsilon(metric, data):
     radii = data.draw(st.lists(st.floats(1e-6, 4e3), min_size=2, max_size=6, unique=True))
     fracs = [noise_fraction(dbscan(x, eps, min_pts, metric=metric)) for eps in sorted(radii)]
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
+
+
+@st.composite
+def point_sets_with_duplicates(draw, metric):
+    # D <= 4 keeps numpy's sums in the oracle in scipy's order, so the
+    # distances, and the closed-ball tests at exact distances, agree bit
+    # for bit
+    x = draw(point_sets(metric))
+    copies = draw(st.lists(st.integers(0, len(x) - 1), max_size=4))
+    return np.vstack([x, x[copies]])
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_dbscan_matches_the_oracle(metric, data):
+    x = data.draw(point_sets_with_duplicates(metric))
+    min_pts = data.draw(st.integers(2, len(x) + 1))
+    exact = np.unique(brute_force_distances(x, metric))
+    exact = exact[exact > 0].tolist()
+    eps = data.draw(st.one_of(st.just(1e-300), st.floats(1e-6, 4e3),
+                              *([st.sampled_from(exact)] if exact else [])))
+    got = dbscan(x, eps, min_pts, metric=metric).labels
+    assert np.array_equal(got, brute_force_dbscan(x, eps, min_pts, metric))
