@@ -91,8 +91,18 @@ def _validate(points, metric: str) -> np.ndarray:
         if not np.all(_has_direction(x)):
             raise ValueError("cosine distance is undefined for zero vectors "
                              "(and for rows whose squared norm underflows or overflows)")
-        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        x = _unit_rows(x)
     return x
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length. Each row is first scaled by a power of two
+    that brings its largest entry into [0.5, 1): exact, so rows whose squares
+    are normal floats get the same result as x / |x|, while the squares of a
+    tiny row stay out of the subnormal range, where |x| loses precision."""
+    _, e = np.frexp(np.abs(x).max(axis=1, keepdims=True))
+    x = np.ldexp(x, -e)
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def distance(p, q, metric: str = "euclidean") -> float:

@@ -17,9 +17,12 @@ def brute_force_distances(x: np.ndarray, metric: str = "euclidean") -> np.ndarra
     """All pairwise distances, each written from its definition.
 
     Cosine distance 1 - cos is half the squared difference of the rows
-    scaled to unit length.
+    scaled to unit length. Each row is first scaled by a power of two, which
+    keeps its direction exactly and the squares of a tiny row out of the
+    subnormal range, where the norm loses precision.
     """
     if metric == "cosine":
+        x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True))[1])
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
     diff = x[:, None, :] - x[None, :, :]
     if metric == "euclidean":

@@ -259,3 +259,9 @@ class TestCosineDuplicateRows:
             _, lab = ts_clustering(np.tile(self.row(), (40, 1)), TuneConfig(min_pts=5, metric="cosine"))
         assert count_clusters(lab) == 1
         assert noise_fraction(lab) == 0.0
+
+    def test_tiny_row_has_an_exact_direction(self):
+        # the square of this row is subnormal, so x / |x| would be -1.0000000028
+        x = np.array([[1.0], [-2.0236432494005135e-158]])
+        assert distance(x[0], x[1], "cosine") == 2.0
+        assert approximate_diameter_ub(x, "cosine") == 2.0
