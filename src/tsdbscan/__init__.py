@@ -3,6 +3,7 @@
 from .core import (
     NOISE,
     CurveSample,
+    KCurve,
     Labeling,
     RunStats,
     approximate_diameter_ub,

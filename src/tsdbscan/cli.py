@@ -236,6 +236,7 @@ def run(args: argparse.Namespace) -> int:
         "results": results,
         "dbscan_invocations": stats.dbscan_invocations,
         "point_evaluations": stats.point_evaluations,
+        "curve_builds": stats.curve_builds,
         "wall_clock_seconds": time.perf_counter() - start,
     }
     atomic_write_text(outdir / "report.json", json.dumps(report, indent=2) + "\n")

@@ -4,6 +4,8 @@ Neighborhoods use the closed ball (d <= eps) and count the query point
 itself, so a point is core when its eps-neighborhood, including itself,
 holds at least ``min_pts`` points. Clusters are the connected components
 of the eps-graph over core points plus their in-radius border points.
+``KCurve`` gives the cluster count and noise fraction of that DBSCAN at
+every radius from one build.
 """
 
 from __future__ import annotations
@@ -35,10 +37,13 @@ class RunStats:
 
     ``point_evaluations`` counts data-matrix cells touched by region
     queries: each query against an N x D matrix touches N*D cells.
+    ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
+    and add to neither of the other two counters.
     """
 
     dbscan_invocations: int = 0
     point_evaluations: int = 0
+    curve_builds: int = 0
 
 
 @dataclass
@@ -197,6 +202,72 @@ def noise_fraction(labeling: Labeling) -> float:
     if labeling.n_points < 1:
         raise ValueError("empty labeling")
     return float(np.count_nonzero(labeling.labels == NOISE) / labeling.n_points)
+
+
+class KCurve:
+    """Exact k(eps) and noise(eps) of DBSCAN at every radius, from one build.
+
+    A point is core at eps once eps reaches its core distance, the distance
+    to its ``min_pts``-th nearest point (itself included), and two core
+    points within eps are joined. So k(eps) is the number of core distances
+    <= eps minus the number of edges <= eps of a minimum spanning tree over
+    the mutual-reachability weights max(d_ij, core_i, core_j) (OPTICS,
+    HDBSCAN). A point stops being noise once eps reaches its reach radius
+    min_j max(d_ij, core_j), where it first lies in a core point's ball (its
+    own included). The build compares the very distances ``dbscan`` does:
+    O(N^2) time, memory O(N) plus one ``_CHUNK``-row block.
+    """
+
+    def __init__(self, points, min_pts: int, metric: str = "euclidean"):
+        x = _validate(points, metric)
+        if min_pts < 2:
+            raise ValueError("min_pts must be at least 2")
+        n = len(x)
+        core = np.full(n, np.inf)
+        if min_pts <= n:
+            for s in range(0, n, _CHUNK):
+                block = _distance_block(x[s : s + _CHUNK], x, metric, None)
+                block.partition(min_pts - 1, axis=1)
+                core[s : s + _CHUNK] = block[:, min_pts - 1]
+
+        # dense Prim: scipy's sparse MST would drop the zero-weight edges
+        # between duplicate rows
+        reach = np.empty(n)
+        edges = np.empty(n - 1)
+        rest = np.arange(1, n)  # vertices not yet in the tree
+        key = np.full(n - 1, np.inf)  # lightest edge from the tree to each of rest
+        v = 0
+        for t in range(n):
+            m = np.maximum(_distance_block(x[v : v + 1], x, metric, None)[0], core)
+            reach[v] = m.min()
+            if t == n - 1:
+                break
+            np.minimum(key, np.maximum(m[rest], core[v]), out=key)
+            # argmin over rest only: when every key is inf, an argmin over
+            # masked full-length keys would pick a vertex already in the tree
+            i = int(np.argmin(key))
+            edges[t], v = key[i], rest[i]
+            rest, key = np.delete(rest, i), np.delete(key, i)
+
+        self.n_points = n
+        self._core = np.sort(core)
+        self._edges = np.sort(edges)
+        self._reach = np.sort(reach)
+
+    def k(self, epsilon: float) -> int:
+        """``count_clusters(dbscan(points, epsilon, min_pts, metric))``."""
+        return _count_at_most(self._core, epsilon) - _count_at_most(self._edges, epsilon)
+
+    def noise(self, epsilon: float) -> float:
+        """``noise_fraction(dbscan(points, epsilon, min_pts, metric))``."""
+        return (self.n_points - _count_at_most(self._reach, epsilon)) / self.n_points
+
+
+def _count_at_most(ascending: np.ndarray, epsilon: float) -> int:
+    """How many values are <= epsilon: the closed ball."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    return int(np.searchsorted(ascending, epsilon, side="right"))
 
 
 def approximate_diameter_ub(points, metric: str = "euclidean") -> float:

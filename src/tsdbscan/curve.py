@@ -1,6 +1,7 @@
 """Exhaustive k(eps) sweeps and unimodality testing.
 
-The sweep evaluates DBSCAN on an increasing radius grid; the resulting
+The sweep reads k(eps) off one exact curve build (``core.KCurve``) at
+every radius of an increasing grid; the resulting
 curve is expanded into an empirical sample over eps (each grid point
 repeated k times) and handed to Hartigan's dip test, whose null
 hypothesis is unimodality. A bootstrap against uniform samples of the
@@ -13,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CurveSample,
-    RunStats,
-    approximate_diameter_ub,
-    count_clusters,
-    dbscan,
-    noise_fraction,
-    validate_points,
-)
+from .core import CurveSample, KCurve, RunStats, approximate_diameter_ub
+# unused here, but the benchmark's tracer patches the name tsdbscan.curve.dbscan
+from .core import dbscan  # noqa: F401
 
 
 @dataclass
@@ -43,8 +38,8 @@ def epsilon_grid(x, grid_size: int, metric: str = "euclidean") -> np.ndarray:
 
 def sweep_curve(x, grid, min_pts: int, metric: str = "euclidean",
                 stats: RunStats | None = None) -> list[CurveSample]:
-    """Evaluate k(eps) independently at every grid radius."""
-    x = validate_points(x)
+    """k(eps) and noise at every grid radius, read off one :class:`KCurve`
+    build: the values of one DBSCAN run per radius, with no DBSCAN run."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("empty epsilon grid")
@@ -52,11 +47,10 @@ def sweep_curve(x, grid, min_pts: int, metric: str = "euclidean",
         raise ValueError("epsilon grid values must be positive")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("epsilon grid must be strictly increasing")
-    out = []
-    for eps in grid:
-        labeling = dbscan(x, float(eps), min_pts, metric=metric, stats=stats)
-        out.append(CurveSample(float(eps), count_clusters(labeling), noise_fraction(labeling)))
-    return out
+    curve = KCurve(x, min_pts, metric)
+    if stats is not None:
+        stats.curve_builds += 1
+    return [CurveSample(float(eps), curve.k(eps), curve.noise(eps)) for eps in grid]
 
 
 def curve_to_sample(curve: list[CurveSample]) -> np.ndarray:

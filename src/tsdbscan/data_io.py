@@ -86,11 +86,20 @@ def write_curve(path, curve: list[CurveSample]) -> None:
 
 
 def load_curve(path) -> list[CurveSample]:
-    """Read a curve CSV written by :func:`write_curve`."""
+    """Read a curve CSV written by :func:`write_curve`; a k that is not a
+    non-negative integer, or a noise fraction outside [0, 1], is an error
+    naming the data row (1-based, header excluded)."""
     x = load_matrix(path, "csv")
     if x.shape[1] != 3:
         raise ValueError(f"{path}: curve file must have 3 columns (epsilon,k,noise_fraction)")
-    return [CurveSample(float(e), int(k), float(nf)) for e, k, nf in x]
+    curve = []
+    for row, (e, k, nf) in enumerate(x.tolist(), start=1):
+        if not (k >= 0 and k.is_integer()):
+            raise ValueError(f"{path}: row {row}: k must be a non-negative integer, got {k!r}")
+        if not 0 <= nf <= 1:
+            raise ValueError(f"{path}: row {row}: noise fraction must lie in [0, 1], got {nf!r}")
+        curve.append(CurveSample(e, int(k), nf))
+    return curve
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from tsdbscan import (
     CurveSample,
+    RunStats,
     curve_to_sample,
     dip_p_value,
     dip_statistic,
@@ -47,6 +48,18 @@ class TestSweep:
             sweep_curve(TWO_CLUSTERS_1D, [1.0, 1.0], min_pts=2)
         with pytest.raises(ValueError):
             sweep_curve(TWO_CLUSTERS_1D, [-1.0, 1.0], min_pts=2)
+
+    def test_sweep_errors_of_the_build(self):
+        with pytest.raises(ValueError, match="min_pts"):
+            sweep_curve(TWO_CLUSTERS_1D, [1.0], min_pts=1)
+        with pytest.raises(ValueError, match="zero vectors"):
+            sweep_curve([[0.0, 0.0], [1.0, 0.0]], [1.0], min_pts=2, metric="cosine")
+
+    def test_one_build_and_no_dbscan_run(self):
+        stats = RunStats()
+        sweep_curve(TWO_CLUSTERS_1D, np.linspace(0.01, 40, 50), min_pts=2, stats=stats)
+        assert (stats.dbscan_invocations, stats.point_evaluations) == (0, 0)
+        assert stats.curve_builds == 1
 
 
 class TestCurveToSample:

@@ -4,9 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsdbscan import NOISE
+from tsdbscan import NOISE, CurveSample
 from tsdbscan.cli import main
-from tsdbscan.data_io import load_curve, load_labels, load_matrix, synth_blobs, write_labels
+from tsdbscan.data_io import (
+    load_curve,
+    load_labels,
+    load_matrix,
+    synth_blobs,
+    write_curve,
+    write_labels,
+)
 
 
 class TestLoadMatrix:
@@ -155,6 +162,40 @@ class TestCli:
         report = json.loads((dip_out / "report.json").read_text())
         assert 0 <= report["results"]["p_value"] <= 1
         assert report["results"]["dip"] > 0
+
+    def test_sweep_reports_one_build_and_no_dbscan_run(self, tmp_path, blob_files):
+        data, _ = blob_files
+        out = tmp_path / "sweep"
+        assert run_cli(["sweep", "--input", data, "--min-pts", 3,
+                        "--grid-size", 20, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["dbscan_invocations"] == 0
+        assert report["point_evaluations"] == 0
+        assert report["curve_builds"] == 1
+
+    @pytest.mark.parametrize("row,message", [
+        ("0.5,2.7,0.1", "k must be a non-negative integer, got 2.7"),
+        ("0.5,-0.5,0.1", "k must be a non-negative integer, got -0.5"),
+        ("0.5,-1,0.1", "k must be a non-negative integer, got -1.0"),
+        ("0.5,2,1.5", r"noise fraction must lie in \[0, 1\], got 1.5"),
+        ("0.5,2,-0.25", r"noise fraction must lie in \[0, 1\], got -0.25"),
+    ])
+    def test_bad_curve_rows_name_file_and_row(self, tmp_path, capsys, row, message):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"epsilon,k,noise_fraction\n0.25,1,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=f"curve.csv: row 2: {message}"):
+            load_curve(curve)
+        out = tmp_path / "dip"
+        assert run_cli(["dip", "--input", curve, "--n-boot", 5, "--out", out]) == 1
+        assert "row 2" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_written_curve_loads_unchanged(self, tmp_path):
+        curve = [CurveSample(0.1, 0, 1.0), CurveSample(0.30000000000000004, 7, 1 / 3),
+                 CurveSample(2.5e-300, 12, 0.0)]
+        path = tmp_path / "curve.csv"
+        write_curve(path, curve)
+        assert load_curve(path) == curve
 
     def test_eval_command(self, tmp_path, blob_files):
         data, truth = blob_files

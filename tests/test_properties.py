@@ -1,5 +1,6 @@
 """Invariants of the diameter bound and the k(eps) probe, and agreement
-with the brute-force oracle, for every metric."""
+with the brute-force oracle and of the exact curve engine with DBSCAN,
+for every metric."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsdbscan import approximate_diameter_ub, count_clusters, dbscan, distance, noise_fraction
-from tsdbscan.core import METRICS
+from tsdbscan.core import METRICS, KCurve
 
 from conftest import brute_force_dbscan, brute_force_distances
 
@@ -23,8 +24,8 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def point_sets(draw, metric):
-    n = draw(st.integers(2, 12))
+def point_sets(draw, metric, min_n=2):
+    n = draw(st.integers(min_n, 12))
     d = draw(st.integers(1, 4))
     x = draw(arrays(np.float64, (n, d),
                     elements=st.floats(-1e3, 1e3, allow_subnormal=False, width=64)))
@@ -69,11 +70,11 @@ def test_noise_nonincreasing_in_epsilon(metric, data):
 
 
 @st.composite
-def point_sets_with_duplicates(draw, metric):
+def point_sets_with_duplicates(draw, metric, min_n=2):
     # D <= 4 keeps numpy's sums in the oracle in scipy's order, so the
     # distances, and the closed-ball tests at exact distances, agree bit
     # for bit
-    x = draw(point_sets(metric))
+    x = draw(point_sets(metric, min_n))
     copies = draw(st.lists(st.integers(0, len(x) - 1), max_size=4))
     return np.vstack([x, x[copies]])
 
@@ -90,3 +91,49 @@ def test_dbscan_matches_the_oracle(metric, data):
                               *([st.sampled_from(exact)] if exact else [])))
     got = dbscan(x, eps, min_pts, metric=metric).labels
     assert np.array_equal(got, brute_force_dbscan(x, eps, min_pts, metric))
+
+
+def k_and_noise(x, eps, min_pts, metric):
+    lab = dbscan(x, eps, min_pts, metric=metric)
+    return count_clusters(lab), noise_fraction(lab)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_kcurve_matches_dbscan(metric, data):
+    # min_pts up to N + 1, and N down to 1, so no point may be core
+    x = data.draw(point_sets_with_duplicates(metric, min_n=1))
+    min_pts = data.draw(st.integers(2, len(x) + 1))
+    exact = np.unique(brute_force_distances(x, metric))
+    exact = exact[exact > 0]
+    below = np.nextafter(exact, 0)
+    radii = [1e-300, *exact.tolist(), *below[below > 0].tolist(),
+             *data.draw(st.lists(st.floats(1e-6, 4e3), max_size=4))]
+    curve = KCurve(x, min_pts, metric)
+    for eps in radii:
+        assert (curve.k(eps), curve.noise(eps)) == k_and_noise(x, eps, min_pts, metric), eps
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_kcurve_of_one_point(metric):
+    x = [[1.0, 2.0]]
+    curve = KCurve(x, 2, metric)
+    for eps in (1e-300, 1.0, 1e300):
+        assert (curve.k(eps), curve.noise(eps)) == (0, 1.0) == k_and_noise(x, eps, 2, metric)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_nothing_clusters_below_the_closest_pair(metric, data):
+    # distinct rows (in direction, under cosine): each ball holds only its centre
+    x = data.draw(point_sets(metric))
+    d = brute_force_distances(x, metric)[~np.eye(len(x), dtype=bool)]
+    assume(np.all(d > 0))
+    eps = d.min() / 2
+    assume(eps > 0)
+    min_pts = data.draw(st.integers(2, len(x) + 1))
+    curve = KCurve(x, min_pts, metric)
+    assert k_and_noise(x, eps, min_pts, metric) == (0, 1.0)
+    assert (curve.k(eps), curve.noise(eps)) == (0, 1.0)
