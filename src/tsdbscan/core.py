@@ -26,17 +26,26 @@ METRICS = ("euclidean", "manhattan", "cosine")
 # scipy spells Manhattan "cityblock"; cosine runs on unit rows (see _validate)
 _CDIST_NAME = {"euclidean": "euclidean", "manhattan": "cityblock", "cosine": "sqeuclidean"}
 
-# Row chunk size for pairwise-distance blocks; keeps memory bounded at
-# large N without changing any result.
-_CHUNK = 1024
+# Cells (float64) in one pairwise-distance block: 4 MiB, so a block stays
+# in cache for the pass that reads it back and its memory is reused rather
+# than mapped afresh. The block size changes no result.
+_BLOCK_CELLS = 1 << 19
+
+
+def _block_rows(cols: int) -> int:
+    """Rows of a block against ``cols`` columns."""
+    return max(1, _BLOCK_CELLS // cols)
 
 
 @dataclass
 class RunStats:
     """Accumulates work counters across DBSCAN invocations.
 
-    ``point_evaluations`` counts data-matrix cells touched by region
-    queries: each query against an N x D matrix touches N*D cells.
+    ``point_evaluations`` counts rows x cols x D over the distance blocks
+    a DBSCAN run computes. Its core-count pass computes only the blocks on
+    and below the diagonal, so each pair of rows in different blocks once
+    (N^2 cells for one block, N(N+1)/2 for one-row blocks), and its
+    expansion adds frontier x unassigned cells per step.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
     """
@@ -122,10 +131,13 @@ def distance(p, q, metric: str = "euclidean") -> float:
 
 def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunStats | None) -> np.ndarray:
     """Pairwise distances of rows from ``_validate``. Cosine 1 - cos = |u - v|^2 / 2
-    on unit rows, which is exactly 0 between identical rows."""
+    on unit rows, which is exactly 0 between identical rows and clipped to 2,
+    which rounding exceeds by an ulp on opposite rows. Symmetric bit for bit:
+    both orders of a pair sum the same per-dimension terms in the same order."""
     d = cdist(x_rows, x, metric=_CDIST_NAME[metric])
     if metric == "cosine":
         d *= 0.5
+        np.minimum(d, 2.0, out=d)
     if stats is not None:
         stats.point_evaluations += x_rows.shape[0] * x.shape[0] * x.shape[1]
     return d
@@ -136,7 +148,7 @@ def region_query(x: np.ndarray, i: int, epsilon: float, metric: str = "euclidean
     x = _validate(x, metric)
     if not 0 <= i < len(x):
         raise IndexError(f"point index {i} out of range for N={len(x)}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     d = _distance_block(x[i : i + 1], x, metric, None)[0]
     return np.flatnonzero(d <= epsilon)
@@ -151,7 +163,7 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     several clusters is claimed by the cluster discovered first.
     """
     x = _validate(points, metric)
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if min_pts < 2:
         raise ValueError("min_pts must be at least 2")
@@ -159,10 +171,16 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     if stats is not None:
         stats.dbscan_invocations += 1
 
-    counts = np.empty(n, dtype=np.int64)
-    for s in range(0, n, _CHUNK):
-        block = _distance_block(x[s : s + _CHUNK], x, metric, stats)
-        counts[s : s + _CHUNK] = np.count_nonzero(block <= epsilon, axis=1)
+    # distances are symmetric bit for bit, so rows [s, e) meet only columns
+    # [0, e): the row sums count their neighbours in [0, e), and the column
+    # sums of [:, :s] give rows [0, s) their neighbours in [s, e)
+    counts = np.zeros(n, dtype=np.int64)
+    step = _block_rows(n)
+    for s in range(0, n, step):
+        e = min(n, s + step)
+        near = _distance_block(x[s:e], x[:e], metric, stats) <= epsilon
+        counts[s:e] += np.count_nonzero(near, axis=1)
+        counts[:s] += np.count_nonzero(near[:, :s], axis=0)
     core = counts >= min_pts
 
     labels = np.full(n, NOISE, dtype=np.int64)
@@ -176,8 +194,9 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
         frontier = np.array([i], dtype=np.int64)
         while frontier.size and unassigned.size:
             grown = []
-            for s in range(0, frontier.size, _CHUNK):
-                block = _distance_block(x[frontier[s : s + _CHUNK]], x[unassigned], metric, stats)
+            step = _block_rows(unassigned.size)
+            for s in range(0, frontier.size, step):
+                block = _distance_block(x[frontier[s : s + step]], x[unassigned], metric, stats)
                 fresh = unassigned[(block <= epsilon).any(axis=0) & (labels[unassigned] == NOISE)]
                 labels[fresh] = cluster
                 grown.append(fresh[core[fresh]])
@@ -215,7 +234,7 @@ class KCurve:
     HDBSCAN). A point stops being noise once eps reaches its reach radius
     min_j max(d_ij, core_j), where it first lies in a core point's ball (its
     own included). The build compares the very distances ``dbscan`` does:
-    O(N^2) time, memory O(N) plus one ``_CHUNK``-row block.
+    O(N^2) time, memory O(N) plus one block of ``_BLOCK_CELLS`` cells.
     """
 
     def __init__(self, points, min_pts: int, metric: str = "euclidean"):
@@ -225,10 +244,11 @@ class KCurve:
         n = len(x)
         core = np.full(n, np.inf)
         if min_pts <= n:
-            for s in range(0, n, _CHUNK):
-                block = _distance_block(x[s : s + _CHUNK], x, metric, None)
+            step = _block_rows(n)
+            for s in range(0, n, step):
+                block = _distance_block(x[s : s + step], x, metric, None)
                 block.partition(min_pts - 1, axis=1)
-                core[s : s + _CHUNK] = block[:, min_pts - 1]
+                core[s : s + step] = block[:, min_pts - 1]
 
         # dense Prim: scipy's sparse MST would drop the zero-weight edges
         # between duplicate rows

@@ -81,7 +81,7 @@ def monte_carlo_expected_k(n: int, epsilon: float, trials: int, seed: int,
     clustered at min_pts=2."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if trials < 1:
         raise ValueError("trials must be positive")

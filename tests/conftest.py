@@ -17,9 +17,9 @@ def brute_force_distances(x: np.ndarray, metric: str = "euclidean") -> np.ndarra
     """All pairwise distances, each written from its definition.
 
     Cosine distance 1 - cos is half the squared difference of the rows
-    scaled to unit length. Each row is first scaled by a power of two, which
-    keeps its direction exactly and the squares of a tiny row out of the
-    subnormal range, where the norm loses precision.
+    scaled to unit length, at most 2. Each row is first scaled by a power of
+    two, which keeps its direction exactly and the squares of a tiny row out
+    of the subnormal range, where the norm loses precision.
     """
     if metric == "cosine":
         x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True))[1])
@@ -30,7 +30,7 @@ def brute_force_distances(x: np.ndarray, metric: str = "euclidean") -> np.ndarra
     if metric == "manhattan":
         return np.abs(diff).sum(axis=2)
     if metric == "cosine":
-        return 0.5 * (diff ** 2).sum(axis=2)
+        return np.minimum(0.5 * (diff ** 2).sum(axis=2), 2.0)
     raise ValueError(f"unknown metric {metric!r}")
 
 

@@ -7,6 +7,7 @@ from tsdbscan import (
     RunStats,
     TuneConfig,
     approximate_diameter_ub,
+    core,
     count_clusters,
     dbscan,
     distance,
@@ -66,6 +67,10 @@ class TestRegionQuery:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             region_query(self.X, 3, 1.0)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            region_query(self.X, 0, float("nan"))
 
 
 class TestDbscan:
@@ -138,6 +143,8 @@ class TestDbscan:
         with pytest.raises(ValueError):
             dbscan(x, -1.0, 2)
         with pytest.raises(ValueError):
+            dbscan(x, float("nan"), 2)
+        with pytest.raises(ValueError):
             dbscan(x, 1.0, 1)
         with pytest.raises(ValueError):
             dbscan(np.array([[np.nan]]), 1.0, 2)
@@ -147,6 +154,19 @@ class TestDbscan:
         dbscan(np.zeros((5, 2)), 1.0, 2, stats=stats)
         assert stats.dbscan_invocations == 1
         assert stats.point_evaluations >= 5 * 5 * 2
+
+    @pytest.mark.parametrize("cells, pairs", [
+        (1, 20 * 21 // 2),  # one-row blocks: the lower triangle and the diagonal
+        (200, 10 * 10 + 10 * 20),  # rows [0, 10) x [0, 10), then [10, 20) x [0, 20)
+        (400, 20 * 20),  # one block
+    ])
+    def test_counts_pass_computes_blocks_on_and_below_the_diagonal(self, monkeypatch, cells, pairs):
+        # no point is core, so the run is the counts pass alone
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        stats = RunStats()
+        lab = dbscan(np.arange(60.0).reshape(20, 3), 0.5, 2, stats=stats)
+        assert np.all(lab.labels == NOISE)
+        assert stats.point_evaluations == pairs * 3
 
 
 class TestCounting:
@@ -208,6 +228,12 @@ class TestDiameterBound:
     def test_cosine_opposite_vectors_cap_at_two(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         assert approximate_diameter_ub(x, "cosine") == pytest.approx(2.0)
+
+    def test_cosine_opposite_rows_lie_within_the_cap(self):
+        # |u - v|^2 / 2 of these unit rows rounds to 2.0000000000000004
+        x = np.array([[-3.0, -3.0], [1.5, 1.5]])
+        assert distance(x[0], x[1], "cosine") == 2.0
+        assert count_clusters(dbscan(x, approximate_diameter_ub(x, "cosine"), 2, metric="cosine")) == 1
 
 
 class TestCosineZeroVectors:

@@ -227,6 +227,24 @@ class TestCli:
         assert "zero vectors" in capsys.readouterr().err
         assert not (out / "labels.csv").exists()
 
+    def test_nan_epsilon_fails_without_outputs(self, tmp_path, capsys, blob_files):
+        data, _ = blob_files
+        out = tmp_path / "run"
+        code = run_cli(["dbscan", "--input", data, "--epsilon", "nan", "--min-pts", 3,
+                        "--out", out])
+        assert code == 1
+        assert "epsilon must be positive" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nan_separation_fails_without_outputs(self, tmp_path, capsys, k):
+        out = tmp_path / "synth"
+        code = run_cli(["synth", "--k", k, "--per-cluster", 5, "--dims", 2,
+                        "--separation", "nan", "--out", out])
+        assert code == 1
+        assert "separation must be positive" in capsys.readouterr().err
+        assert not (out / "data.csv").exists()
+
     def test_missing_input_fails_without_outputs(self, tmp_path):
         out = tmp_path / "missing"
         code = run_cli(["dbscan", "--input", tmp_path / "nope.csv", "--epsilon", 1,

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tsdbscan import approximate_diameter_ub, count_clusters, dbscan, distance, noise_fraction
-from tsdbscan.core import METRICS, KCurve
+from tsdbscan import approximate_diameter_ub, count_clusters, core, dbscan, distance, noise_fraction
+from tsdbscan.core import METRICS, KCurve, _distance_block, _validate
 
 from conftest import brute_force_dbscan, brute_force_distances
 
@@ -98,6 +98,14 @@ def k_and_noise(x, eps, min_pts, metric):
     return count_clusters(lab), noise_fraction(lab)
 
 
+def edge_radii(x, metric):
+    """Every exact pairwise distance, the float just below each, and 1e-300."""
+    exact = np.unique(brute_force_distances(x, metric))
+    exact = exact[exact > 0]
+    below = np.nextafter(exact, 0)
+    return [1e-300, *exact.tolist(), *below[below > 0].tolist()]
+
+
 @pytest.mark.parametrize("metric", METRICS)
 @SETTINGS
 @given(data=st.data())
@@ -105,14 +113,49 @@ def test_kcurve_matches_dbscan(metric, data):
     # min_pts up to N + 1, and N down to 1, so no point may be core
     x = data.draw(point_sets_with_duplicates(metric, min_n=1))
     min_pts = data.draw(st.integers(2, len(x) + 1))
-    exact = np.unique(brute_force_distances(x, metric))
-    exact = exact[exact > 0]
-    below = np.nextafter(exact, 0)
-    radii = [1e-300, *exact.tolist(), *below[below > 0].tolist(),
-             *data.draw(st.lists(st.floats(1e-6, 4e3), max_size=4))]
+    radii = [*edge_radii(x, metric), *data.draw(st.lists(st.floats(1e-6, 4e3), max_size=4))]
     curve = KCurve(x, min_pts, metric)
     for eps in radii:
         assert (curve.k(eps), curve.noise(eps)) == k_and_noise(x, eps, min_pts, metric), eps
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_distance_blocks_are_symmetric(metric, data):
+    # the core-count pass reads d_ji off the block that holds d_ij
+    d = data.draw(st.integers(1, 40))
+    rows = arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)),
+                  elements=st.floats(-1e6, 1e6, allow_subnormal=False, width=64))
+    a, b = data.draw(rows), data.draw(rows)
+    if metric == "cosine":
+        assume(np.all(np.einsum("ij,ij->i", a, a) > 0) and np.all(np.einsum("ij,ij->i", b, b) > 0))
+    a, b = _validate(a, metric), _validate(b, metric)
+    assert np.array_equal(_distance_block(a, b, metric, None), _distance_block(b, a, metric, None).T)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 7])
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_small_blocks_change_no_result(metric, cells, data):
+    # a budget of a few cells splits every pass into blocks of one row or a
+    # few, with ragged last blocks, so the column sums of the symmetric
+    # counts pass and the expansion's block edges all run
+    x = data.draw(point_sets_with_duplicates(metric, min_n=1))
+    min_pts = data.draw(st.integers(2, len(x) + 1))
+    radii = edge_radii(x, metric)
+    radii = [radii[0], *data.draw(st.lists(st.sampled_from(radii), max_size=6)),
+             *data.draw(st.lists(st.floats(1e-6, 4e3), max_size=2))]
+    whole = [dbscan(x, eps, min_pts, metric=metric) for eps in radii]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_CELLS", cells)
+        curve = KCurve(x, min_pts, metric)
+        for eps, ref in zip(radii, whole):
+            lab = dbscan(x, eps, min_pts, metric=metric)
+            assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, min_pts, metric)), eps
+            assert np.array_equal(lab.labels, ref.labels) and np.array_equal(lab.roles, ref.roles), eps
+            assert (curve.k(eps), curve.noise(eps)) == (count_clusters(lab), noise_fraction(lab)), eps
 
 
 @pytest.mark.parametrize("metric", METRICS)

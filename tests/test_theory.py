@@ -97,6 +97,10 @@ class TestMonteCarlo:
         mean, _ = monte_carlo_expected_k(n, np.log(2) / n, trials=50, seed=1)
         assert mean == pytest.approx(n / 4, rel=0.05)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            monte_carlo_expected_k(10, float("nan"), 3, 0)
+
     def test_deterministic(self):
         a = monte_carlo_expected_k(200, 0.005, trials=10, seed=3)
         b = monte_carlo_expected_k(200, 0.005, trials=10, seed=3)
