@@ -11,7 +11,6 @@ from .core import (
     dbscan,
     distance,
     noise_fraction,
-    region_query,
 )
 from .curve import (
     UnimodalityReport,
@@ -37,13 +36,11 @@ from .search import (
 )
 from .theory import (
     ConcentrationConfig,
-    UniformModel,
     concentration_experiment,
     concentration_thresholds,
     expected_k_closed_form,
     mode_epsilon_closed_form,
     monte_carlo_expected_k,
-    sample_uniform_dataset,
 )
 
 __version__ = "0.1.0"

@@ -6,11 +6,25 @@ holds at least ``min_pts`` points. Clusters are the connected components
 of the eps-graph over core points plus their in-radius border points.
 ``KCurve`` gives the cluster count and noise fraction of that DBSCAN at
 every radius from one build.
+
+``dbscan`` computes each pair of points once, in one pass over blocks of
+rows [s, e) against columns [0, e), which both counts the neighbours and
+builds the components (Schubert et al., "DBSCAN Revisited, Revisited",
+2017). Counts only grow, so a point whose running count has reached
+``min_pts`` is core for good, and each block joins its core rows with the
+core columns near them in a union-find forest over all N points, whose
+roots are each tree's smallest index. A pair seen while an end was not
+yet core is left out; that end records the end ``e`` of the last block in
+which it had a neighbour but was not yet core, and after the pass each
+point that ended up core is checked again against the core points below
+that mark. Border points then take the smallest cluster id among the core
+points in their ball, from one more pass of border rows against core
+columns. Memory is O(N) plus one block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -42,10 +56,12 @@ class RunStats:
     """Accumulates work counters across DBSCAN invocations.
 
     ``point_evaluations`` counts rows x cols x D over the distance blocks
-    a DBSCAN run computes. Its core-count pass computes only the blocks on
-    and below the diagonal, so each pair of rows in different blocks once
-    (N^2 cells for one block, N(N+1)/2 for one-row blocks), and its
-    expansion adds frontier x unassigned cells per step.
+    a DBSCAN run computes. Its one pass, which counts neighbours and joins
+    core points, computes only the blocks on and below the diagonal, so
+    each pair of rows in different blocks once (N^2 cells for one block,
+    N(N+1)/2 for one-row blocks). The late re-check adds late core points
+    x the core points below their mark, and the border pass non-core
+    points with a neighbour x all core points.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
     """
@@ -143,24 +159,14 @@ def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunSt
     return d
 
 
-def region_query(x: np.ndarray, i: int, epsilon: float, metric: str = "euclidean") -> np.ndarray:
-    """Indices of the closed eps-ball around point ``i`` (always includes i)."""
-    x = _validate(x, metric)
-    if not 0 <= i < len(x):
-        raise IndexError(f"point index {i} out of range for N={len(x)}")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    d = _distance_block(x[i : i + 1], x, metric, None)[0]
-    return np.flatnonzero(d <= epsilon)
-
-
 def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
            stats: RunStats | None = None) -> Labeling:
     """Run DBSCAN and return the labeling.
 
     Deterministic for a fixed point order: clusters are numbered by the
     index of their first core point and a border point reachable from
-    several clusters is claimed by the cluster discovered first.
+    several clusters takes the smallest cluster id, the cluster an
+    expansion in index order would discover first.
     """
     x = _validate(points, metric)
     if not epsilon > 0:
@@ -175,39 +181,113 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     # [0, e): the row sums count their neighbours in [0, e), and the column
     # sums of [:, :s] give rows [0, s) their neighbours in [s, e)
     counts = np.zeros(n, dtype=np.int64)
+    core = np.zeros(n, dtype=bool)
+    parent = np.arange(n)  # the forest of core components; each root is its tree's smallest index
+    late = np.zeros(n, dtype=np.int64)  # end of the last block with a neighbour while not yet core
     step = _block_rows(n)
     for s in range(0, n, step):
         e = min(n, s + step)
         near = _distance_block(x[s:e], x[:e], metric, stats) <= epsilon
-        counts[s:e] += np.count_nonzero(near, axis=1)
-        counts[:s] += np.count_nonzero(near[:, :s], axis=0)
-    core = counts >= min_pts
+        row_counts = _count_true(near, axis=1)
+        col_counts = _count_true(near[:, :s], axis=0)
+        counts[s:e] += row_counts
+        counts[:s] += col_counts
+        # counts only grow, so these points are core for good; a pair with an
+        # end not yet core is joined later, from that end's late mark
+        core[:e] = counts[:e] >= min_pts
+        late[s:e][(row_counts > 1) & ~core[s:e]] = e
+        late[:s][(col_counts > 0) & ~core[:s]] = e
+        rows = np.flatnonzero(core[s:e])
+        if rows.size:
+            if rows.size < e - s:
+                near = near[rows]
+            if not core[:e].all():
+                near &= core[:e]
+            _join(parent[:e], rows + s, np.arange(e), near)
 
-    labels = np.full(n, NOISE, dtype=np.int64)
-    unassigned = np.arange(n, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != NOISE or not core[i]:
+    # each late core point meets the core points below its mark again, for
+    # the pairs the pass left out; not needed once those points (the late
+    # ones among them) form one tree
+    cores = np.flatnonzero(core)
+    marks = np.unique(late[cores])
+    for mark in marks[marks > 0]:
+        cols = cores[cores < mark]
+        _jump(parent[:mark])
+        if np.all(parent[cols] == parent[cols[0]]):
             continue
-        labels[i] = cluster
-        unassigned = unassigned[labels[unassigned] == NOISE]
-        frontier = np.array([i], dtype=np.int64)
-        while frontier.size and unassigned.size:
-            grown = []
-            step = _block_rows(unassigned.size)
-            for s in range(0, frontier.size, step):
-                block = _distance_block(x[frontier[s : s + step]], x[unassigned], metric, stats)
-                fresh = unassigned[(block <= epsilon).any(axis=0) & (labels[unassigned] == NOISE)]
-                labels[fresh] = cluster
-                grown.append(fresh[core[fresh]])
-            unassigned = unassigned[labels[unassigned] == NOISE]
-            frontier = np.concatenate(grown) if grown else np.empty(0, dtype=np.int64)
-        cluster += 1
+        rows = cores[late[cores] == mark]
+        step = _block_rows(cols.size)
+        for s in range(0, rows.size, step):
+            block = rows[s : s + step]
+            near = _distance_block(x[block], x[cols], metric, stats) <= epsilon
+            _join(parent[:mark], block, cols, near)
+
+    # clusters are numbered by root, their first core point; a border point
+    # takes the smallest id among the core points in its ball, the cluster
+    # an expansion in index order would reach first
+    _jump(parent)
+    labels = np.full(n, NOISE, dtype=np.int64)
+    _, labels[cores] = np.unique(parent[cores], return_inverse=True)
+    by_id = cores[np.argsort(labels[cores], kind="stable")]
+    # (with no core point, no point is a border point)
+    border = np.flatnonzero(~core & (counts > 1)) if cores.size else cores
+    step = _block_rows(max(1, by_id.size))
+    for s in range(0, border.size, step):
+        block = border[s : s + step]
+        near = _distance_block(x[block], x[by_id], metric, stats) <= epsilon
+        hit = near.any(axis=1)
+        labels[block[hit]] = labels[by_id[near.argmax(axis=1)[hit]]]
 
     roles = np.full(n, ROLE_NOISE, dtype=np.int8)
     roles[labels != NOISE] = ROLE_BORDER
     roles[core] = ROLE_CORE
     return Labeling(labels=labels, roles=roles)
+
+
+def _count_true(near: np.ndarray, axis: int) -> np.ndarray:
+    """``np.count_nonzero(near, axis)``, summed in the narrowest unsigned type
+    that holds the count, which saves numpy a widening pass over the block."""
+    return np.add.reduce(near.view(np.uint8), axis=axis, dtype=np.min_scalar_type(near.shape[axis]))
+
+
+def _join(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, near: np.ndarray) -> None:
+    """Union core point ``rows[i]`` with every core point ``cols[j]`` where
+    ``near[i, j]``; each row is among the columns, so it is near one. Keeps
+    one edge per row and tree: the row's first near column, then, if the
+    near columns lie in several trees, one for each tree the row meets."""
+    _union(parent, rows, cols[near.argmax(axis=1)])
+    touched = np.flatnonzero(near.any(axis=0))
+    roots = parent[cols[touched]]
+    if np.all(roots == roots[0]):
+        return
+    order = np.argsort(roots, kind="stable")
+    roots = roots[order]
+    starts = np.flatnonzero(np.r_[True, roots[1:] != roots[:-1]])
+    i, g = np.nonzero(np.logical_or.reduceat(near[:, touched[order]], starts, axis=1))
+    _union(parent, rows[i], roots[starts[g]])
+
+
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the trees of ``a[i]`` and ``b[i]``: hook each larger root under
+    the smaller and jump pointers, until every pair shares a root. Leaves
+    every node pointing at its root."""
+    _jump(parent)
+    while a.size:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        _jump(parent)
+
+
+def _jump(parent: np.ndarray) -> None:
+    """Point every node of the forest straight at its root. Every parent
+    index is at most its node's, so any prefix of the forest is a forest."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return
+        parent[:] = up
 
 
 def count_clusters(labeling: Labeling) -> int:

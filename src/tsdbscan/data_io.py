@@ -119,8 +119,8 @@ def synth_blobs(k: int, per_cluster: int, dims: int, separation: float,
     """
     if k < 1 or per_cluster < 1 or dims < 1:
         raise ValueError("k, per_cluster, and dims must be positive")
-    if not separation > 0:
-        raise ValueError("separation must be positive")
+    if not 0 < separation < math.inf:
+        raise ValueError("separation must be positive and finite")
     rng = np.random.default_rng(seed)
     side = separation * max(2.0, 1.5 * math.ceil(k ** (1.0 / dims)))
     centers = []

@@ -20,15 +20,6 @@ PROBE_MARGIN = 0.1  # relative distance of a concentration probe beyond its thre
 
 
 @dataclass
-class UniformModel:
-    """Sampling setting: n iid points from U[0,1]^dims."""
-
-    n: int
-    dims: int = 1
-    seed: int = 0
-
-
-@dataclass
 class ConcentrationConfig:
     """Parameters of the concentration statements."""
 
@@ -65,14 +56,6 @@ def mode_epsilon_closed_form(n: int) -> float:
         raise ValueError("closed form requires n >= 3")
     a = ((2 * n - 2) / (n - 2)) ** (1.0 / (n - 1))
     return (a - 1) / (2 * a - 1)
-
-
-def sample_uniform_dataset(model: UniformModel) -> np.ndarray:
-    """Deterministic n x dims matrix of U[0,1] draws."""
-    if model.n < 1 or model.dims < 1:
-        raise ValueError("n and dims must be positive")
-    rng = np.random.default_rng(model.seed)
-    return rng.random((model.n, model.dims))
 
 
 def monte_carlo_expected_k(n: int, epsilon: float, trials: int, seed: int,

@@ -12,7 +12,6 @@ from tsdbscan import (
     dbscan,
     distance,
     noise_fraction,
-    region_query,
     ts_clustering,
 )
 from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE
@@ -46,31 +45,41 @@ class TestDistance:
 
 
 class TestRegionQuery:
+    """The region query of DBSCAN: the closed eps-ball, its centre included,
+    seen through the roles and labels of ``dbscan``."""
+
     X = np.array([[0.0], [0.5], [2.0]])
 
     def test_closed_ball_boundary(self):
-        assert region_query(self.X, 0, 0.5).tolist() == [0, 1]
+        lab = dbscan(self.X, 0.5, 2)
+        assert lab.labels.tolist() == [0, 0, NOISE]
+        assert lab.roles.tolist() == [ROLE_CORE, ROLE_CORE, ROLE_NOISE]
+        assert np.all(dbscan(self.X, np.nextafter(0.5, 0), 2).labels == NOISE)
 
     def test_isolated(self):
-        assert region_query(self.X, 0, 0.1).tolist() == [0]
+        assert np.all(dbscan(self.X, 0.1, 2).labels == NOISE)
 
     def test_all_within(self):
-        assert region_query(self.X, 1, 1.5).tolist() == [0, 1, 2]
+        # only the middle ball holds all three points
+        lab = dbscan(self.X, 1.5, 3)
+        assert lab.labels.tolist() == [0, 0, 0]
+        assert lab.roles.tolist() == [ROLE_BORDER, ROLE_CORE, ROLE_BORDER]
 
     def test_self_membership(self):
+        # a point whose ball holds m others is core at min_pts m + 1, not m + 2
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 3))
+        d = np.linalg.norm(x[:, None] - x[None], axis=2)
         for eps in (1e-9, 0.5, 10.0):
             for i in range(20):
-                assert i in region_query(x, i, eps)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            region_query(self.X, 3, 1.0)
+                others = int(np.count_nonzero(d[i] <= eps)) - 1
+                if others:
+                    assert dbscan(x, eps, others + 1).roles[i] == ROLE_CORE
+                assert dbscan(x, eps, others + 2).roles[i] != ROLE_CORE
 
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
-            region_query(self.X, 0, float("nan"))
+            dbscan(self.X, float("nan"), 2)
 
 
 class TestDbscan:
@@ -168,6 +177,52 @@ class TestDbscan:
         assert np.all(lab.labels == NOISE)
         assert stats.point_evaluations == pairs * 3
 
+    @pytest.mark.parametrize("cells", [1, 4, 7, 8, 16])
+    @pytest.mark.parametrize("x, roles", [
+        # 0 and 1 are near but both short of min_pts when their pair is computed
+        ([0.0, 0.4, -0.4, 0.8], [ROLE_CORE, ROLE_CORE, ROLE_BORDER, ROLE_BORDER]),
+        # 1 and 2 are near; 2 is core by then, but 1 only as a later row's column
+        ([0.8, 0.0, 0.4, -0.4], [ROLE_BORDER, ROLE_CORE, ROLE_CORE, ROLE_BORDER]),
+    ])
+    def test_first_block_points_become_core_through_later_columns(self, monkeypatch, cells, x, roles):
+        # no later pair joins the two core points, so only the late re-check does
+        x = np.array(x)[:, None]
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        lab = dbscan(x, 0.45, 3)
+        assert lab.labels.tolist() == brute_force_dbscan(x, 0.45, 3).tolist() == [0, 0, 0, 0]
+        assert lab.roles.tolist() == roles
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 5, 9, 20, 50, 1 << 19])
+    @pytest.mark.parametrize("border_at", [0, 8])
+    @pytest.mark.parametrize("left_first", [True, False])
+    def test_border_point_takes_the_smaller_cluster_id(self, monkeypatch, cells, border_at, left_first):
+        # two clusters 2 apart whose inner core points, 0 and 2, are within
+        # eps of the border point 1; it has too few neighbours to be core
+        left, right = [-1.0, -1.0, -1.0, 0.0], [2.0, 3.0, 3.0, 3.0]
+        rows = left + right if left_first else right + left
+        x = np.insert(rows, border_at, 1.0)[:, None]
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        lab = dbscan(x, 1.0, 4)
+        assert lab.labels.tolist() == brute_force_dbscan(x, 1.0, 4).tolist()
+        assert count_clusters(lab) == 2
+        assert lab.labels[border_at] == 0 and lab.roles[border_at] == ROLE_BORDER
+
+    @pytest.mark.parametrize("eps, k", [(0.5, 10), (1.0, 1)])
+    @pytest.mark.parametrize("cells, pairs", [
+        (40, 2 * sum(range(2, 21, 2))),  # two-row blocks: rows [s, s + 2) x [0, s + 2)
+        (400, 20 * 20),  # one block
+    ])
+    def test_points_core_in_their_own_block_compute_no_pair_twice(self, monkeypatch, eps, k, cells, pairs):
+        # each block holds a point and its copy, so every point is core by
+        # the end of its own block: the run is the counts pass alone
+        x = np.repeat(np.arange(10.0), 2)[:, None]
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        stats = RunStats()
+        lab = dbscan(x, eps, 2, stats=stats)
+        assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 2))
+        assert count_clusters(lab) == k and np.all(lab.roles == ROLE_CORE)
+        assert stats.point_evaluations == pairs
+
 
 class TestCounting:
     def test_all_noise(self):
@@ -253,10 +308,6 @@ class TestCosineZeroVectors:
         with pytest.raises(ValueError, match="overflows"):
             dbscan(np.array([[1e200, 1e200], [1e200, -1e200]]), 0.5, 2, metric="cosine")
 
-    def test_region_query_rejects(self):
-        with pytest.raises(ValueError, match="zero vectors"):
-            region_query(self.X, 1, 0.5, metric="cosine")
-
     def test_diameter_bound_rejects(self):
         with pytest.raises(ValueError, match="zero vectors"):
             approximate_diameter_ub(self.X, "cosine")
@@ -276,9 +327,9 @@ class TestCosineDuplicateRows:
     def test_copies_are_neighbours(self):
         copies = np.tile(self.row(), (5, 1))
         assert distance(copies[0], copies[1], "cosine") == 0.0
-        assert region_query(copies, 0, 1e-300, "cosine").tolist() == [0, 1, 2, 3, 4]
         for metric in ("cosine", "euclidean"):
-            assert count_clusters(dbscan(copies, 1e-300, 5, metric=metric)) == 1
+            lab = dbscan(copies, 1e-300, 5, metric=metric)
+            assert np.all(lab.labels == 0) and np.all(lab.roles == ROLE_CORE)
 
     def test_tuning_clusters_copies(self):
         with pytest.warns(UserWarning, match="degenerate"):

@@ -99,6 +99,13 @@ class TestSynthBlobs:
             for j in range(i + 1, 5):
                 assert np.linalg.norm(centers[i] - centers[j]) > 40
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("separation", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_separation_that_is_not_positive_and_finite(self, k, separation):
+        # an infinite separation gave one blob of inf rows, or 10,000 failed placements
+        with pytest.raises(ValueError, match="separation must be positive and finite"):
+            synth_blobs(k, 5, 2, separation, seed=0)
+
 
 def run_cli(args):
     return main([str(a) for a in args])
@@ -243,6 +250,15 @@ class TestCli:
                         "--separation", "nan", "--out", out])
         assert code == 1
         assert "separation must be positive" in capsys.readouterr().err
+        assert not (out / "data.csv").exists()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_infinite_separation_fails_without_outputs(self, tmp_path, capsys, k):
+        out = tmp_path / "synth"
+        code = run_cli(["synth", "--k", k, "--per-cluster", 5, "--dims", 2,
+                        "--separation", "inf", "--out", out])
+        assert code == 1
+        assert "separation must be positive and finite" in capsys.readouterr().err
         assert not (out / "data.csv").exists()
 
     def test_missing_input_fails_without_outputs(self, tmp_path):

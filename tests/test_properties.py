@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from tsdbscan import approximate_diameter_ub, count_clusters, core, dbscan, distance, noise_fraction
-from tsdbscan.core import METRICS, KCurve, _distance_block, _validate
+from tsdbscan.core import METRICS, KCurve, RunStats, _distance_block, _validate
 
 from conftest import brute_force_dbscan, brute_force_distances
 
@@ -141,7 +142,8 @@ def test_distance_blocks_are_symmetric(metric, data):
 def test_small_blocks_change_no_result(metric, cells, data):
     # a budget of a few cells splits every pass into blocks of one row or a
     # few, with ragged last blocks, so the column sums of the symmetric
-    # counts pass and the expansion's block edges all run
+    # counts pass, the joins of points that turn core in a later block and
+    # the block edges of the late re-check and the border pass all run
     x = data.draw(point_sets_with_duplicates(metric, min_n=1))
     min_pts = data.draw(st.integers(2, len(x) + 1))
     radii = edge_radii(x, metric)
@@ -156,6 +158,30 @@ def test_small_blocks_change_no_result(metric, cells, data):
             assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, min_pts, metric)), eps
             assert np.array_equal(lab.labels, ref.labels) and np.array_equal(lab.roles, ref.roles), eps
             assert (curve.k(eps), curve.noise(eps)) == (count_clusters(lab), noise_fraction(lab)), eps
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_point_evaluations_count_the_kernel_cells(metric, data):
+    # every distance dbscan computes goes through _distance_block with its
+    # stats: the counter is rows x cols x D summed over the kernel's calls
+    x = data.draw(point_sets_with_duplicates(metric, min_n=1))
+    min_pts = data.draw(st.integers(2, len(x) + 1))
+    eps = data.draw(st.sampled_from(edge_radii(x, metric)))
+    calls = []
+
+    def counted_cdist(a, b, *args, **kwargs):
+        calls.append(a.shape[0] * b.shape[0] * a.shape[1])
+        return cdist(a, b, *args, **kwargs)
+
+    stats = RunStats()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 3, 7, 50])))
+        mp.setattr(core, "cdist", counted_cdist)
+        lab = dbscan(x, eps, min_pts, metric=metric, stats=stats)
+    assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, min_pts, metric))
+    assert (stats.dbscan_invocations, stats.point_evaluations) == (1, sum(calls))
 
 
 @pytest.mark.parametrize("metric", METRICS)

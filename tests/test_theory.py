@@ -3,13 +3,11 @@ import pytest
 
 from tsdbscan import (
     ConcentrationConfig,
-    UniformModel,
     concentration_experiment,
     concentration_thresholds,
     expected_k_closed_form,
     mode_epsilon_closed_form,
     monte_carlo_expected_k,
-    sample_uniform_dataset,
 )
 
 
@@ -59,27 +57,6 @@ class TestModeEpsilon:
         vals = [expected_k_closed_form(n, e) for e in grid]
         best = grid[int(np.argmax(vals))]
         assert mode_epsilon_closed_form(n) == pytest.approx(best, abs=grid[1] - grid[0])
-
-
-class TestUniformSampling:
-    def test_support(self):
-        x = sample_uniform_dataset(UniformModel(n=500, dims=3, seed=1))
-        assert x.shape == (500, 3)
-        assert np.all((x >= 0) & (x <= 1))
-
-    def test_deterministic(self):
-        a = sample_uniform_dataset(UniformModel(n=50, dims=2, seed=4))
-        b = sample_uniform_dataset(UniformModel(n=50, dims=2, seed=4))
-        assert np.array_equal(a, b)
-
-    def test_mean_within_three_sigma(self):
-        x = sample_uniform_dataset(UniformModel(n=2000, dims=4, seed=2))
-        se = np.sqrt(1 / 12) / np.sqrt(x.size)
-        assert abs(x.mean() - 0.5) <= 3 * se
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sample_uniform_dataset(UniformModel(n=0, dims=1))
 
 
 class TestMonteCarlo:
