@@ -1,4 +1,4 @@
-"""Exact brute-force DBSCAN with deterministic border assignment.
+"""Exact DBSCAN with deterministic border assignment.
 
 Neighborhoods use the closed ball (d <= eps) and count the query point
 itself, so a point is core when its eps-neighborhood, including itself,
@@ -7,19 +7,29 @@ of the eps-graph over core points plus their in-radius border points.
 ``KCurve`` gives the cluster count and noise fraction of that DBSCAN at
 every radius from one build.
 
-``dbscan`` computes each pair of points once, in one pass over blocks of
-rows [s, e) against columns [0, e), which both counts the neighbours and
-builds the components (Schubert et al., "DBSCAN Revisited, Revisited",
-2017). Counts only grow, so a point whose running count has reached
-``min_pts`` is core for good, and each block joins its core rows with the
-core columns near them in a union-find forest over all N points, whose
-roots are each tree's smallest index. A pair seen while an end was not
-yet core is left out; that end records the end ``e`` of the last block in
-which it had a neighbour but was not yet core, and after the pass each
+``dbscan`` first sorts the rows by their widest coordinate. The kernel
+sums non-negative per-dimension terms and rounding is monotone, so the
+kernel on that one coordinate is a lower bound, bit for bit, of the kernel
+on all of them, and it grows with the gap between two rows in sorted
+order. So each block of sorted rows [s, e) meets only the columns [lo, e),
+from the first column within ``epsilon`` of row s on that coordinate,
+found with the kernel itself on the one column. Within the windows, one
+pass computes each pair of points once, and both counts the neighbours
+and builds the components (Schubert et al., "DBSCAN Revisited,
+Revisited", 2017). Counts only grow, so a point whose running count has
+reached ``min_pts`` is core for good, and each block joins its core rows
+with the core columns near them in a union-find forest over all N points,
+whose roots are each tree's smallest index. A pair seen while an end was
+not yet core is left out; that end records the end ``e`` of the last block
+in which it had a neighbour but was not yet core, and after the pass each
 point that ended up core is checked again against the core points below
 that mark. Border points then take the smallest cluster id among the core
 points in their ball, from one more pass of border rows against core
-columns. Memory is O(N) plus one block.
+columns. The blocks of both later passes meet only the core columns that
+the block's first and last rows leave within ``epsilon`` on the sort
+coordinate. Clusters are numbered by the smallest caller index among
+their core points, and labels and roles are returned in the caller's
+order. Memory is O(N) plus one block.
 """
 
 from __future__ import annotations
@@ -57,11 +67,16 @@ class RunStats:
 
     ``point_evaluations`` counts rows x cols x D over the distance blocks
     a DBSCAN run computes. Its one pass, which counts neighbours and joins
-    core points, computes only the blocks on and below the diagonal, so
-    each pair of rows in different blocks once (N^2 cells for one block,
-    N(N+1)/2 for one-row blocks). The late re-check adds late core points
-    x the core points below their mark, and the border pass non-core
-    points with a neighbour x all core points.
+    core points, runs on the rows sorted by their widest coordinate and
+    computes only the blocks on and below the diagonal, each cut to its
+    window: rows [s, e) x [0, e) when the window rules no column out (N^2
+    cells for one block, N(N+1)/2 for one-row blocks). The late re-check
+    adds late core points x the core points below their mark, and the
+    border pass non-core points with a neighbour x all core points, each
+    cut to its block's window. Finding a window adds one row x the
+    candidate columns at D = 1: row s x [0, s) in the pass, and in the
+    later passes the block's first row x the candidates below it and its
+    last row x those above it.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
     """
@@ -164,9 +179,13 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     """Run DBSCAN and return the labeling.
 
     Deterministic for a fixed point order: clusters are numbered by the
-    index of their first core point and a border point reachable from
-    several clusters takes the smallest cluster id, the cluster an
-    expansion in index order would discover first.
+    smallest caller index among their core points and a border point
+    reachable from several clusters takes the smallest cluster id, the
+    cluster an expansion in index order would discover first. The passes
+    run on the rows sorted by their widest coordinate, and each block of
+    rows meets only the window of columns that the kernel on that one
+    coordinate leaves within ``epsilon``; the window's one-column blocks
+    count in ``stats`` at D = 1.
     """
     x = _validate(points, metric)
     if not epsilon > 0:
@@ -177,9 +196,16 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     if stats is not None:
         stats.dbscan_invocations += 1
 
+    # every pass below runs on the rows in order of the sort key; the
+    # results are scattered back through ``order`` at the end
+    widest = int(np.argmax(np.ptp(x, axis=0)))
+    order = np.argsort(x[:, widest], kind="stable")
+    x = x[order]
+    key = x[:, [widest]]
+
     # distances are symmetric bit for bit, so rows [s, e) meet only columns
-    # [0, e): the row sums count their neighbours in [0, e), and the column
-    # sums of [:, :s] give rows [0, s) their neighbours in [s, e)
+    # [lo, e): the row sums count their neighbours there, and the column
+    # sums of [:, :s - lo] give rows [lo, s) their neighbours in [s, e)
     counts = np.zeros(n, dtype=np.int64)
     core = np.zeros(n, dtype=bool)
     parent = np.arange(n)  # the forest of core components; each root is its tree's smallest index
@@ -187,23 +213,24 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     step = _block_rows(n)
     for s in range(0, n, step):
         e = min(n, s + step)
-        near = _distance_block(x[s:e], x[:e], metric, stats) <= epsilon
+        lo, _ = _window(key, s, e - 1, np.arange(e), epsilon, metric, stats)
+        near = _distance_block(x[s:e], x[lo:e], metric, stats) <= epsilon
         row_counts = _count_true(near, axis=1)
-        col_counts = _count_true(near[:, :s], axis=0)
+        col_counts = _count_true(near[:, : s - lo], axis=0)
         counts[s:e] += row_counts
-        counts[:s] += col_counts
+        counts[lo:s] += col_counts
         # counts only grow, so these points are core for good; a pair with an
         # end not yet core is joined later, from that end's late mark
-        core[:e] = counts[:e] >= min_pts
+        core[lo:e] = counts[lo:e] >= min_pts
         late[s:e][(row_counts > 1) & ~core[s:e]] = e
-        late[:s][(col_counts > 0) & ~core[:s]] = e
+        late[lo:s][(col_counts > 0) & ~core[lo:s]] = e
         rows = np.flatnonzero(core[s:e])
         if rows.size:
             if rows.size < e - s:
                 near = near[rows]
-            if not core[:e].all():
-                near &= core[:e]
-            _join(parent[:e], rows + s, np.arange(e), near)
+            if not core[lo:e].all():
+                near &= core[lo:e]
+            _join(parent[:e], rows + s, np.arange(lo, e), near)
 
     # each late core point meets the core points below its mark again, for
     # the pairs the pass left out; not needed once those points (the late
@@ -219,21 +246,27 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
         step = _block_rows(cols.size)
         for s in range(0, rows.size, step):
             block = rows[s : s + step]
-            near = _distance_block(x[block], x[cols], metric, stats) <= epsilon
-            _join(parent[:mark], block, cols, near)
+            lo, hi = _window(key, block[0], block[-1], cols, epsilon, metric, stats)
+            near = _distance_block(x[block], x[cols[lo:hi]], metric, stats) <= epsilon
+            _join(parent[:mark], block, cols[lo:hi], near)
 
-    # clusters are numbered by root, their first core point; a border point
-    # takes the smallest id among the core points in its ball, the cluster
-    # an expansion in index order would reach first
+    # clusters are numbered by the smallest caller index among their core
+    # points; a border point takes the smallest id among the core points in
+    # its ball, the cluster an expansion in index order would reach first
     _jump(parent)
+    first = np.full(n, n)
+    np.minimum.at(first, parent[cores], order[cores])
     labels = np.full(n, NOISE, dtype=np.int64)
-    _, labels[cores] = np.unique(parent[cores], return_inverse=True)
-    by_id = cores[np.argsort(labels[cores], kind="stable")]
+    _, labels[cores] = np.unique(first[parent[cores]], return_inverse=True)
     # (with no core point, no point is a border point)
     border = np.flatnonzero(~core & (counts > 1)) if cores.size else cores
-    step = _block_rows(max(1, by_id.size))
+    step = _block_rows(max(1, cores.size))
     for s in range(0, border.size, step):
         block = border[s : s + step]
+        lo, hi = _window(key, block[0], block[-1], cores, epsilon, metric, stats)
+        if lo == hi:
+            continue
+        by_id = cores[lo:hi][np.argsort(labels[cores[lo:hi]], kind="stable")]
         near = _distance_block(x[block], x[by_id], metric, stats) <= epsilon
         hit = near.any(axis=1)
         labels[block[hit]] = labels[by_id[near.argmax(axis=1)[hit]]]
@@ -241,7 +274,25 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     roles = np.full(n, ROLE_NOISE, dtype=np.int8)
     roles[labels != NOISE] = ROLE_BORDER
     roles[core] = ROLE_CORE
-    return Labeling(labels=labels, roles=roles)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    return Labeling(labels=labels[rank], roles=roles[rank])
+
+
+def _window(key: np.ndarray, first: int, last: int, cols: np.ndarray, epsilon: float,
+            metric: str, stats: RunStats | None) -> tuple[int, int]:
+    """The positions [lo, hi) of the ascending indices ``cols`` that rows
+    ``first`` to ``last`` of the ascending one-column ``key`` can be within
+    ``epsilon`` of. The kernel sums non-negative per-dimension terms and
+    rounding is monotone, so the kernel on the key column alone bounds the
+    full kernel from below, and it grows with the gap in the key: the
+    columns below ``first`` that are too far from it, and those above
+    ``last`` too far from it, are too far from every row between."""
+    lo = np.searchsorted(cols, first)
+    hi = np.searchsorted(cols, last, side="right")
+    below = _distance_block(key[first : first + 1], key[cols[:lo]], metric, stats)[0]
+    above = _distance_block(key[last : last + 1], key[cols[hi:]], metric, stats)[0]
+    return np.count_nonzero(below > epsilon), cols.size - np.count_nonzero(above > epsilon)
 
 
 def _count_true(near: np.ndarray, axis: int) -> np.ndarray:

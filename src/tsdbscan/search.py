@@ -114,7 +114,8 @@ def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
                    stats: RunStats | None = None) -> float:
     """Contract ``bounds`` for ``cfg.itr`` iterations; return the final midpoint.
 
-    Exactly 2*itr DBSCAN probes. The result lies inside the initial bounds.
+    At most 2*itr DBSCAN probes, fewer only when the interval collapses to
+    float resolution. The result lies inside the initial bounds.
     Under cosine, rows with no direction (zero rows) count as noise.
     """
     x = validate_points(x)
@@ -214,9 +215,9 @@ def _tune(x, cfg: TuneConfig, stats: RunStats | None, final_stage) -> tuple[floa
 def ts_clustering(x, cfg: TuneConfig, stats: RunStats | None = None) -> tuple[float, Labeling]:
     """Full pipeline: bounds, ternary search, final clustering.
 
-    Three ternary searches (upper bound, lower bound, final) cost
-    6*itr DBSCAN probes; the returned labeling is one extra run at the
-    tuned radius.
+    Three ternary searches (upper bound, lower bound, final) cost at most
+    6*itr DBSCAN probes, fewer only when an interval collapses to float
+    resolution; the returned labeling is one extra run at the tuned radius.
     """
     return _tune(x, cfg, stats, ternary_search)
 

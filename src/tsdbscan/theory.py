@@ -94,6 +94,8 @@ def concentration_experiment(cfg: ConcentrationConfig, dims: int, n: int,
     each threshold. The experiment passes when each regime shows up in
     at least a 1-delta fraction of trials.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     min_pts = max(2, round(cfg.rho * n))
     eps_low, eps_high = concentration_thresholds(cfg, dims)
     probe_high = eps_high * (1 + PROBE_MARGIN)

@@ -170,12 +170,46 @@ class TestDbscan:
         (400, 20 * 20),  # one block
     ])
     def test_counts_pass_computes_blocks_on_and_below_the_diagonal(self, monkeypatch, cells, pairs):
-        # no point is core, so the run is the counts pass alone
+        # the rows 0.3 e_i are 0.3 sqrt(2) > eps apart, so no point is core
+        # and the run is the counts pass alone; every coordinate spans
+        # 0.3 <= eps, so the window of rows [s, e) keeps all of [0, e), and
+        # finding it costs row s against [0, s) on one coordinate: s cells
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         stats = RunStats()
-        lab = dbscan(np.arange(60.0).reshape(20, 3), 0.5, 2, stats=stats)
+        lab = dbscan(0.3 * np.eye(20), 0.4, 2, stats=stats)
         assert np.all(lab.labels == NOISE)
-        assert stats.point_evaluations == pairs * 3
+        window = sum(range(0, 20, max(1, cells // 20)))
+        assert stats.point_evaluations == pairs * 20 + window
+
+    @pytest.mark.parametrize("x, eps, min_pts, cells, evaluations", [
+        # no point of the line is core (at most 3 points in a ball), so the
+        # run is the counts pass alone. Window of rows [s, e): s cells, and
+        # it starts at s - 1, the only earlier point within 1.5
+        (np.arange(20.0), 1.5, 4, 1, sum(range(20)) + 1 + 19 * 2),  # [s, s + 1) x [s - 1, s + 1)
+        (np.arange(20.0), 1.5, 4, 40, sum(range(0, 20, 2)) + 2 * 2 + 9 * 2 * 3),  # [s, s + 2) x [s - 1, s + 2)
+        (np.arange(20.0), 1.5, 4, 1 << 19, 20 * 20),  # one block: no column to rule out
+        # points 1..18 are core, each only once its next neighbour's row is
+        # seen, so the counts pass (as above) joins no pair. The late
+        # re-check meets point m - 1 with the core points 1..m-1 below its
+        # mark m, for m = 3..19 (at m = 2 there is one core point): a
+        # window of m - 2 cells, then a block of 1 x 2. The border points 0
+        # and 19 each find their window among the 18 core points in 18
+        # cells and meet one core point
+        (np.arange(20.0), 1.0, 3, 1, sum(range(20)) + 1 + 19 * 2 + sum(range(1, 18)) + 17 * 2 + 2 * (18 + 1)),
+        # a point and its copy in each two-row block [s, s + 2), each core by
+        # the block's end: a window of s cells that starts at the block
+        # (eps 0.5) or at the copies of the point below (eps 1.0)
+        (np.repeat(np.arange(10.0), 2), 0.5, 2, 40, sum(range(0, 20, 2)) + 10 * 2 * 2),
+        (np.repeat(np.arange(10.0), 2), 1.0, 2, 40, sum(range(0, 20, 2)) + 2 * 2 + 9 * 2 * 4),
+    ])
+    def test_window_leaves_out_points_far_on_the_sort_coordinate(self, monkeypatch, x, eps, min_pts, cells,
+                                                                 evaluations):
+        x = x[:, None]
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        stats = RunStats()
+        lab = dbscan(x, eps, min_pts, stats=stats)
+        assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, min_pts))
+        assert stats.point_evaluations == evaluations
 
     @pytest.mark.parametrize("cells", [1, 4, 7, 8, 16])
     @pytest.mark.parametrize("x, roles", [
@@ -207,6 +241,17 @@ class TestDbscan:
         assert count_clusters(lab) == 2
         assert lab.labels[border_at] == 0 and lab.roles[border_at] == ROLE_BORDER
 
+    @pytest.mark.parametrize("cells", [1, 2, 3, 5, 9, 20, 50, 1 << 19])
+    def test_clusters_are_numbered_in_caller_order(self, monkeypatch, cells):
+        # rows in descending order of the sort key, so the sort reverses the
+        # clusters: the right one, first in the caller's order, is number 0,
+        # and so is the border point 1 between them
+        x = np.array([3.0, 3.0, 3.0, 2.0, 1.0, 0.0, -1.0, -1.0, -1.0])[:, None]
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        lab = dbscan(x, 1.0, 4)
+        assert lab.labels.tolist() == brute_force_dbscan(x, 1.0, 4).tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 1]
+        assert lab.roles[4] == ROLE_BORDER
+
     @pytest.mark.parametrize("eps, k", [(0.5, 10), (1.0, 1)])
     @pytest.mark.parametrize("cells, pairs", [
         (40, 2 * sum(range(2, 21, 2))),  # two-row blocks: rows [s, s + 2) x [0, s + 2)
@@ -214,14 +259,18 @@ class TestDbscan:
     ])
     def test_points_core_in_their_own_block_compute_no_pair_twice(self, monkeypatch, eps, k, cells, pairs):
         # each block holds a point and its copy, so every point is core by
-        # the end of its own block: the run is the counts pass alone
-        x = np.repeat(np.arange(10.0), 2)[:, None]
+        # the end of its own block: the run is the counts pass alone. The
+        # rows 0.4 e_i are 0.4 sqrt(2) apart, so in 10 clusters at eps 0.5
+        # and one at 1.0, and every coordinate spans 0.4 <= eps, so the
+        # window of rows [s, e) keeps all of [0, e) and costs s cells
+        x = np.repeat(0.4 * np.eye(10), 2, axis=0)
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         stats = RunStats()
         lab = dbscan(x, eps, 2, stats=stats)
         assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 2))
         assert count_clusters(lab) == k and np.all(lab.roles == ROLE_CORE)
-        assert stats.point_evaluations == pairs
+        window = sum(range(0, 20, max(1, cells // 20)))
+        assert stats.point_evaluations == pairs * 10 + window
 
 
 class TestCounting:

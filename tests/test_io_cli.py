@@ -224,6 +224,14 @@ class TestCli:
         assert "closed_form_mode_epsilon" in report["results"]
         assert report["results"]["concentration"][0]["dims"] == 1
 
+    def test_oracle_without_concentration_trials_fails_without_outputs(self, tmp_path, capsys):
+        out = tmp_path / "oracle"
+        code = run_cli(["oracle", "--n", 300, "--trials", 5, "--conc-n", 1000,
+                        "--conc-trials", 0, "--dims", 1, "--out", out])
+        assert code == 1
+        assert "trials must be positive" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_cosine_zero_vector_fails_with_message(self, tmp_path, capsys):
         data = tmp_path / "zero.csv"
         data.write_text("0,0\n1,0\n1,0.01\n0,0\n")

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from tsdbscan import approximate_diameter_ub, count_clusters, core, dbscan, distance, noise_fraction
-from tsdbscan.core import METRICS, KCurve, RunStats, _distance_block, _validate
+from tsdbscan.core import METRICS, KCurve, RunStats, _distance_block, _has_direction, _validate
 
 from conftest import brute_force_dbscan, brute_force_distances
 
@@ -80,11 +80,26 @@ def point_sets_with_duplicates(draw, metric, min_n=2):
     return np.vstack([x, x[copies]])
 
 
+# a row scaled by 1e-160 has differences whose squares underflow; one
+# scaled by 1e150 has squares near overflow
+SCALES = st.sampled_from([1.0, 1e-160, 1e150])
+
+
+@st.composite
+def scaled_rows(draw, metric, x):
+    """The rows of ``x``, each scaled by one of SCALES."""
+    x = x * np.array(draw(st.lists(SCALES, min_size=len(x), max_size=len(x))))[:, None]
+    if metric == "cosine":
+        assume(np.all(_has_direction(x)))
+    return x
+
+
 @pytest.mark.parametrize("metric", METRICS)
 @SETTINGS
 @given(data=st.data())
 def test_dbscan_matches_the_oracle(metric, data):
     x = data.draw(point_sets_with_duplicates(metric))
+    x = data.draw(scaled_rows(metric, x))
     min_pts = data.draw(st.integers(2, len(x) + 1))
     exact = np.unique(brute_force_distances(x, metric))
     exact = exact[exact > 0].tolist()
@@ -135,6 +150,22 @@ def test_distance_blocks_are_symmetric(metric, data):
     assert np.array_equal(_distance_block(a, b, metric, None), _distance_block(b, a, metric, None).T)
 
 
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_one_coordinate_bounds_the_kernel_from_below(metric, data):
+    # dbscan's window rests on this: the kernel on one column of the rows
+    # never exceeds the kernel on all of them, also where squares underflow
+    d = data.draw(st.integers(1, 40))
+    x = data.draw(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)),
+                         elements=st.floats(-1e3, 1e3, allow_subnormal=False, width=64)))
+    x = np.vstack([x, x[data.draw(st.lists(st.integers(0, len(x) - 1), max_size=3))]])
+    x = _validate(data.draw(scaled_rows(metric, x)), metric)
+    full = _distance_block(x, x, metric, None)
+    for c in range(d):
+        assert np.all(_distance_block(x[:, [c]], x[:, [c]], metric, None) <= full), c
+
+
 @pytest.mark.parametrize("cells", [1, 3, 7])
 @pytest.mark.parametrize("metric", METRICS)
 @SETTINGS
@@ -143,8 +174,10 @@ def test_small_blocks_change_no_result(metric, cells, data):
     # a budget of a few cells splits every pass into blocks of one row or a
     # few, with ragged last blocks, so the column sums of the symmetric
     # counts pass, the joins of points that turn core in a later block and
-    # the block edges of the late re-check and the border pass all run
+    # the block edges and windows of the late re-check and the border pass
+    # all run
     x = data.draw(point_sets_with_duplicates(metric, min_n=1))
+    x = data.draw(scaled_rows(metric, x))
     min_pts = data.draw(st.integers(2, len(x) + 1))
     radii = edge_radii(x, metric)
     radii = [radii[0], *data.draw(st.lists(st.sampled_from(radii), max_size=6)),

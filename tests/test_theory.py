@@ -111,6 +111,11 @@ class TestConcentration:
         with pytest.raises(ValueError):
             ConcentrationConfig(rho=0.1, beta=2.0, delta=0.0)
 
+    def test_experiment_rejects_no_trials(self):
+        cfg = ConcentrationConfig(rho=0.1, beta=2.0, delta=0.2)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            concentration_experiment(cfg, dims=1, n=100, trials=0, seed=0)
+
     def test_small_scale_experiment(self):
         cfg = ConcentrationConfig(rho=0.1, beta=2.0, delta=0.2)
         rep = concentration_experiment(cfg, dims=1, n=3000, trials=5, seed=0)
