@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_probe(p)
         p.add_argument("--itr", type=int, default=6)
         p.add_argument("--alpha", type=float, default=0.2)
-        p.add_argument("--m", type=int, default=30)
+        if name == "tse":
+            p.add_argument("--m", type=int, default=30)
 
     p = sub.add_parser("sweep", help="evaluate k(eps) on an even grid")
     _add_common(p)
@@ -127,8 +128,9 @@ def _run_dbscan(args, outdir: Path, stats: RunStats) -> dict:
 
 def _run_tune(args, outdir: Path, stats: RunStats) -> dict:
     x = load_matrix(args.input, args.format)
+    # only tse takes --m
     cfg = TuneConfig(min_pts=args.min_pts, itr=args.itr, alpha=args.alpha,
-                     m=args.m, seed=args.seed, metric=args.metric)
+                     m=getattr(args, "m", TuneConfig.m), seed=args.seed, metric=args.metric)
     runner = tse_clustering if args.command == "tse" else ts_clustering
     epsilon, labeling = runner(x, cfg, stats=stats)
     return {"epsilon_star": epsilon, **_write_labeling(outdir, x, labeling)}

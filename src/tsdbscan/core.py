@@ -20,16 +20,15 @@ Revisited", 2017). Counts only grow, so a point whose running count has
 reached ``min_pts`` is core for good, and each block joins its core rows
 with the core columns near them in a union-find forest over all N points,
 whose roots are each tree's smallest index. A pair seen while an end was
-not yet core is left out; that end records the end ``e`` of the last block
-in which it had a neighbour but was not yet core, and after the pass each
-point that ended up core is checked again against the core points below
-that mark. Border points then take the smallest cluster id among the core
-points in their ball, from one more pass of border rows against core
-columns. The blocks of both later passes meet only the core columns that
-the block's first and last rows leave within ``epsilon`` on the sort
-coordinate. Clusters are numbered by the smallest caller index among
-their core points, and labels and roles are returned in the caller's
-order. Memory is O(N) plus one block.
+not yet core is left out, and that end is late: it had a neighbour while
+not yet core. After the pass, unless the core points already form one
+tree, each late core point meets the core points in its window once more.
+Border points then take the smallest cluster id among the core points in
+their ball. These two passes share one block routine: blocks of rows
+against the core columns that the block's first and last rows leave
+within ``epsilon`` on the sort coordinate. Clusters are numbered by the
+smallest caller index among their core points, and labels and roles are
+returned in the caller's order. Memory is O(N) plus one block.
 """
 
 from __future__ import annotations
@@ -71,12 +70,12 @@ class RunStats:
     computes only the blocks on and below the diagonal, each cut to its
     window: rows [s, e) x [0, e) when the window rules no column out (N^2
     cells for one block, N(N+1)/2 for one-row blocks). The late re-check
-    adds late core points x the core points below their mark, and the
-    border pass non-core points with a neighbour x all core points, each
-    cut to its block's window. Finding a window adds one row x the
-    candidate columns at D = 1: row s x [0, s) in the pass, and in the
-    later passes the block's first row x the candidates below it and its
-    last row x those above it.
+    adds late core points x their window of the core points, unless the
+    core points already form one tree, and the border pass non-core points
+    with a neighbour x their window of the core points. Finding a window
+    adds one row x the candidate columns at D = 1: row s x [0, s) in the
+    pass, and in the later passes the block's first row x the core points
+    below it and its last row x those above it.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
     """
@@ -208,22 +207,26 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     # sums of [:, :s - lo] give rows [lo, s) their neighbours in [s, e)
     counts = np.zeros(n, dtype=np.int64)
     core = np.zeros(n, dtype=bool)
-    parent = np.arange(n)  # the forest of core components; each root is its tree's smallest index
-    late = np.zeros(n, dtype=np.int64)  # end of the last block with a neighbour while not yet core
+    # the forest of core components; each root is its tree's smallest index,
+    # and _union leaves every node pointing at its root
+    parent = np.arange(n)
+    late = np.zeros(n, dtype=bool)  # had a neighbour while not yet core
     step = _block_rows(n)
     for s in range(0, n, step):
         e = min(n, s + step)
-        lo, _ = _window(key, s, e - 1, np.arange(e), epsilon, metric, stats)
+        # the columns below row s too far from it on the key are a prefix
+        # (see _core_blocks), and too far from every later row
+        lo = np.count_nonzero(_distance_block(key[s : s + 1], key[:s], metric, stats)[0] > epsilon)
         near = _distance_block(x[s:e], x[lo:e], metric, stats) <= epsilon
         row_counts = _count_true(near, axis=1)
         col_counts = _count_true(near[:, : s - lo], axis=0)
         counts[s:e] += row_counts
         counts[lo:s] += col_counts
         # counts only grow, so these points are core for good; a pair with an
-        # end not yet core is joined later, from that end's late mark
+        # end not yet core is left out, and that end is late
         core[lo:e] = counts[lo:e] >= min_pts
-        late[s:e][(row_counts > 1) & ~core[s:e]] = e
-        late[lo:s][(col_counts > 0) & ~core[lo:s]] = e
+        late[s:e] |= (row_counts > 1) & ~core[s:e]
+        late[lo:s] |= (col_counts > 0) & ~core[lo:s]
         rows = np.flatnonzero(core[s:e])
         if rows.size:
             if rows.size < e - s:
@@ -232,44 +235,24 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
                 near &= core[lo:e]
             _join(parent[:e], rows + s, np.arange(lo, e), near)
 
-    # each late core point meets the core points below its mark again, for
-    # the pairs the pass left out; not needed once those points (the late
-    # ones among them) form one tree
+    # each late core point meets the core points in its window again, for
+    # the pairs the pass left out, unless those already form one tree
     cores = np.flatnonzero(core)
-    marks = np.unique(late[cores])
-    for mark in marks[marks > 0]:
-        cols = cores[cores < mark]
-        _jump(parent[:mark])
-        if np.all(parent[cols] == parent[cols[0]]):
-            continue
-        rows = cores[late[cores] == mark]
-        step = _block_rows(cols.size)
-        for s in range(0, rows.size, step):
-            block = rows[s : s + step]
-            lo, hi = _window(key, block[0], block[-1], cols, epsilon, metric, stats)
-            near = _distance_block(x[block], x[cols[lo:hi]], metric, stats) <= epsilon
-            _join(parent[:mark], block, cols[lo:hi], near)
+    if np.any(parent[cores] != parent[cores[:1]]):
+        for rows, cols, near in _core_blocks(x, key, cores[late[cores]], cores, epsilon, metric, stats):
+            _join(parent, rows, cols, near)
 
     # clusters are numbered by the smallest caller index among their core
     # points; a border point takes the smallest id among the core points in
     # its ball, the cluster an expansion in index order would reach first
-    _jump(parent)
     first = np.full(n, n)
     np.minimum.at(first, parent[cores], order[cores])
     labels = np.full(n, NOISE, dtype=np.int64)
     _, labels[cores] = np.unique(first[parent[cores]], return_inverse=True)
-    # (with no core point, no point is a border point)
-    border = np.flatnonzero(~core & (counts > 1)) if cores.size else cores
-    step = _block_rows(max(1, cores.size))
-    for s in range(0, border.size, step):
-        block = border[s : s + step]
-        lo, hi = _window(key, block[0], block[-1], cores, epsilon, metric, stats)
-        if lo == hi:
-            continue
-        by_id = cores[lo:hi][np.argsort(labels[cores[lo:hi]], kind="stable")]
-        near = _distance_block(x[block], x[by_id], metric, stats) <= epsilon
-        hit = near.any(axis=1)
-        labels[block[hit]] = labels[by_id[near.argmax(axis=1)[hit]]]
+    border = np.flatnonzero(~core & (counts > 1))
+    for rows, cols, near in _core_blocks(x, key, border, cores, epsilon, metric, stats):
+        ids = np.where(near, labels[cols], n).min(axis=1)
+        labels[rows[ids < n]] = ids[ids < n]
 
     roles = np.full(n, ROLE_NOISE, dtype=np.int8)
     roles[labels != NOISE] = ROLE_BORDER
@@ -279,20 +262,25 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     return Labeling(labels=labels[rank], roles=roles[rank])
 
 
-def _window(key: np.ndarray, first: int, last: int, cols: np.ndarray, epsilon: float,
-            metric: str, stats: RunStats | None) -> tuple[int, int]:
-    """The positions [lo, hi) of the ascending indices ``cols`` that rows
-    ``first`` to ``last`` of the ascending one-column ``key`` can be within
-    ``epsilon`` of. The kernel sums non-negative per-dimension terms and
-    rounding is monotone, so the kernel on the key column alone bounds the
-    full kernel from below, and it grows with the gap in the key: the
-    columns below ``first`` that are too far from it, and those above
-    ``last`` too far from it, are too far from every row between."""
-    lo = np.searchsorted(cols, first)
-    hi = np.searchsorted(cols, last, side="right")
-    below = _distance_block(key[first : first + 1], key[cols[:lo]], metric, stats)[0]
-    above = _distance_block(key[last : last + 1], key[cols[hi:]], metric, stats)[0]
-    return np.count_nonzero(below > epsilon), cols.size - np.count_nonzero(above > epsilon)
+def _core_blocks(x: np.ndarray, key: np.ndarray, rows: np.ndarray, cores: np.ndarray, epsilon: float,
+                 metric: str, stats: RunStats | None):
+    """Blocks of the ascending indices ``rows`` against the core points
+    ``cores`` (ascending) they can be within ``epsilon`` of: yields each
+    block, its window of ``cores`` and the block's ``near`` mask, and skips
+    an empty window. The kernel sums non-negative per-dimension terms and
+    rounding is monotone, so the kernel on the ascending one-column ``key``
+    alone bounds the full kernel from below, and it grows with the gap in
+    the key: the columns below a block's first row that are too far from
+    it, and those above its last row too far from it, are too far from
+    every row between."""
+    step = _block_rows(max(1, cores.size))
+    for s in range(0, rows.size, step):
+        block = rows[s : s + step]
+        below = _distance_block(key[block[:1]], key[cores[cores < block[0]]], metric, stats)[0]
+        above = _distance_block(key[block[-1:]], key[cores[cores > block[-1]]], metric, stats)[0]
+        cols = cores[np.count_nonzero(below > epsilon) : cores.size - np.count_nonzero(above > epsilon)]
+        if cols.size:
+            yield block, cols, _distance_block(x[block], x[cols], metric, stats) <= epsilon
 
 
 def _count_true(near: np.ndarray, axis: int) -> np.ndarray:
@@ -430,12 +418,16 @@ def approximate_diameter_ub(points, metric: str = "euclidean") -> float:
     point (capped at pi); there diameter <= result <= 4 * diameter.
     Returns 0 when every point coincides with the first (in direction,
     under cosine); callers must substitute a positive floor in that case.
+    Raises ValueError when the bound overflows.
     """
     x = _validate(points, metric)
     if len(x) < 2:
         raise ValueError("need at least 2 points for a diameter bound")
     if metric != "cosine":
-        return float(2.0 * _distance_block(x[:1], x, metric, None)[0].max())
+        bound = 2.0 * float(_distance_block(x[:1], x, metric, None)[0].max())
+        if not np.isfinite(bound):
+            raise ValueError("the diameter bound overflows; rescale the data")
+        return bound
     # the chord of the unit rows keeps small angles exact, unlike arccos
     chord = _distance_block(x[:1], x, "euclidean", None)[0].max()
     theta = min(np.pi, 4.0 * np.arcsin(min(1.0, 0.5 * chord)))

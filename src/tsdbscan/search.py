@@ -115,11 +115,12 @@ def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
     """Contract ``bounds`` for ``cfg.itr`` iterations; return the final midpoint.
 
     At most 2*itr DBSCAN probes, fewer only when the interval collapses to
-    float resolution. The result lies inside the initial bounds.
+    float resolution (relative to its upper end, so the data's scale does
+    not matter). The result lies inside the initial bounds.
     Under cosine, rows with no direction (zero rows) count as noise.
     """
     x = validate_points(x)
-    if bounds.width <= np.finfo(np.float64).eps * max(1.0, abs(bounds.upper)):
+    if bounds.width <= np.finfo(np.float64).eps * bounds.upper:
         warnings.warn("degenerate search interval; returning its midpoint")
         return 0.5 * (bounds.lower + bounds.upper)
     m_l = m_r = 0.5 * (bounds.lower + bounds.upper)

@@ -189,18 +189,24 @@ class TestDbscan:
         (np.arange(20.0), 1.5, 4, 40, sum(range(0, 20, 2)) + 2 * 2 + 9 * 2 * 3),  # [s, s + 2) x [s - 1, s + 2)
         (np.arange(20.0), 1.5, 4, 1 << 19, 20 * 20),  # one block: no column to rule out
         # points 1..18 are core, each only once its next neighbour's row is
-        # seen, so the counts pass (as above) joins no pair. The late
-        # re-check meets point m - 1 with the core points 1..m-1 below its
-        # mark m, for m = 3..19 (at m = 2 there is one core point): a
-        # window of m - 2 cells, then a block of 1 x 2. The border points 0
-        # and 19 each find their window among the 18 core points in 18
-        # cells and meet one core point
-        (np.arange(20.0), 1.0, 3, 1, sum(range(20)) + 1 + 19 * 2 + sum(range(1, 18)) + 17 * 2 + 2 * (18 + 1)),
+        # seen, so the counts pass (as above) joins no pair, and all 18 are
+        # late. The re-check meets each in a one-row block with the core
+        # points in its window: 17 cells to find it among the 18 core points
+        # (those below and above the row), then 1 x 2 (points 1 and 18) or
+        # 1 x 3. The border points 0 and 19 each find their window among the
+        # 18 core points in 18 cells and meet one core point
+        (np.arange(20.0), 1.0, 3, 1,
+         sum(range(20)) + 1 + 19 * 2 + 18 * 17 + 2 * 2 + 16 * 3 + 2 * (18 + 1)),
         # a point and its copy in each two-row block [s, s + 2), each core by
         # the block's end: a window of s cells that starts at the block
         # (eps 0.5) or at the copies of the point below (eps 1.0)
         (np.repeat(np.arange(10.0), 2), 0.5, 2, 40, sum(range(0, 20, 2)) + 10 * 2 * 2),
         (np.repeat(np.arange(10.0), 2), 1.0, 2, 40, sum(range(0, 20, 2)) + 2 * 2 + 9 * 2 * 4),
+        # 0 and 1 are late (a neighbour while short of min_pts) until row 2
+        # turns all three core and joins them in one tree. Nothing is checked
+        # again, which would add 2 + 3 and 1 + 1 + 3 cells for the windows
+        # and blocks of 0 and 1: windows of 0 + 1 + 2 cells, blocks of 1 + 2 + 3
+        (np.array([0.0, 0.1, 0.2]), 1.0, 3, 1, (0 + 1 + 2) + (1 + 2 + 3)),
     ])
     def test_window_leaves_out_points_far_on_the_sort_coordinate(self, monkeypatch, x, eps, min_pts, cells,
                                                                  evaluations):
@@ -225,6 +231,18 @@ class TestDbscan:
         lab = dbscan(x, 0.45, 3)
         assert lab.labels.tolist() == brute_force_dbscan(x, 0.45, 3).tolist() == [0, 0, 0, 0]
         assert lab.roles.tolist() == roles
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 5, 8, 1 << 19])
+    def test_a_point_that_had_a_neighbour_only_as_a_column_is_late(self, monkeypatch, cells):
+        # in sorted order (the far point 5 makes x the widest coordinate)
+        # row 3 turns core with 0, 1 and 2 in its ball; 0 had no neighbour
+        # as a row and turns core only with row 4, which stays a border
+        # point, so only the late re-check of 0 joins 0 and 3
+        x = np.array([[0.0, 0.0], [0.2, -0.7], [0.25, -0.8], [0.3, -0.35], [0.35, 0.35], [10.0, 0.0]])
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        lab = dbscan(x, 0.5, 3)
+        assert lab.labels.tolist() == brute_force_dbscan(x, 0.5, 3).tolist() == [0, 0, 0, 0, 0, NOISE]
+        assert lab.roles.tolist() == [ROLE_CORE] * 4 + [ROLE_BORDER, ROLE_NOISE]
 
     @pytest.mark.parametrize("cells", [1, 2, 3, 5, 9, 20, 50, 1 << 19])
     @pytest.mark.parametrize("border_at", [0, 8])
@@ -318,6 +336,12 @@ class TestDiameterBound:
     def test_single_point_errors(self):
         with pytest.raises(ValueError):
             approximate_diameter_ub(np.array([[1.0]]))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_overflow_is_rejected(self, metric):
+        # the rows are finite, but their distance overflows to inf
+        with pytest.raises(ValueError, match="diameter bound overflows"):
+            approximate_diameter_ub(np.array([[0.0], [1e308], [-1e308]]), metric)
 
     def test_cosine_bounds_the_widest_angle(self):
         # the first vector sits between the other two, so the widest

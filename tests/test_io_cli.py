@@ -151,10 +151,22 @@ class TestCli:
         cfg = report["config"]
         second = tmp_path / "b"
         assert run_cli(["tune", "--input", cfg["input"], "--min-pts", cfg["min-pts"],
-                        "--itr", cfg["itr"], "--alpha", cfg["alpha"], "--m", cfg["m"],
+                        "--itr", cfg["itr"], "--alpha", cfg["alpha"],
                         "--seed", cfg["seed"], "--metric", cfg["metric"],
                         "--out", second]) == 0
         assert (first / "labels.csv").read_bytes() == (second / "labels.csv").read_bytes()
+
+    def test_only_tse_takes_m(self, tmp_path, blob_files):
+        # ts_clustering reads no m, so tune has no --m to ignore
+        data, _ = blob_files
+        with pytest.raises(SystemExit):
+            run_cli(["tune", "--input", data, "--min-pts", 3, "--m", 5, "--out", tmp_path / "tune"])
+        assert run_cli(["tse", "--input", data, "--min-pts", 3, "--itr", 2, "--m", 2,
+                        "--out", tmp_path / "tse"]) == 0
+        report = json.loads((tmp_path / "tse" / "report.json").read_text())
+        assert report["config"]["m"] == 2
+        # the two bounds, then m final searches, of 2 * itr probes each
+        assert report["dbscan_invocations"] == (2 + 2) * 2 * 2
 
     def test_sweep_then_dip(self, tmp_path, blob_files):
         data, _ = blob_files
@@ -231,6 +243,17 @@ class TestCli:
         assert code == 1
         assert "trials must be positive" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["tune", "tse", "sweep"])
+    def test_overflowing_distances_fail_without_outputs(self, tmp_path, capsys, command):
+        data = tmp_path / "huge.csv"
+        points, _ = synth_blobs(5, 40, 2, 20.0, 0)
+        np.savetxt(data, np.ldexp(points, 1000), delimiter=",", fmt="%.17g")
+        out = tmp_path / command
+        code = run_cli([command, "--input", data, "--min-pts", 4, "--out", out])
+        assert code == 1
+        assert "diameter bound overflows" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_cosine_zero_vector_fails_with_message(self, tmp_path, capsys):
         data = tmp_path / "zero.csv"

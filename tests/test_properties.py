@@ -229,8 +229,12 @@ def test_kcurve_of_one_point(metric):
 @SETTINGS
 @given(data=st.data())
 def test_nothing_clusters_below_the_closest_pair(metric, data):
-    # distinct rows (in direction, under cosine): each ball holds only its centre
-    x = data.draw(point_sets(metric))
+    # distinct rows (in direction, under cosine): each ball holds only its
+    # centre. Dropping repeated rows first leaves the assume to discard only
+    # sets with fewer than two distinct rows, parallel rows under cosine and
+    # distances that underflow to 0
+    x = np.unique(data.draw(point_sets(metric)), axis=0)
+    assume(len(x) >= 2)
     d = brute_force_distances(x, metric)[~np.eye(len(x), dtype=bool)]
     assume(np.all(d > 0))
     eps = d.min() / 2

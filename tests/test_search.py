@@ -22,6 +22,7 @@ from tsdbscan import (
     tse_clustering,
     tse_estimate,
 )
+from tsdbscan.data_io import synth_blobs
 
 TWO_CLUSTERS_1D = np.array([0.0, 0.1, 0.2, 10.0, 10.1, 10.2])[:, None]
 
@@ -193,6 +194,28 @@ class TestTsClustering:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="inside the search"):
                 ts_clustering(x, TuneConfig(min_pts=3, seed=0))
+
+    @pytest.mark.parametrize("tune", [ts_clustering, tse_clustering])
+    @pytest.mark.parametrize("power", [-60, -70, -200])
+    def test_scaling_the_data_by_a_power_of_two_scales_the_radius(self, tune, power):
+        # scaling by 2^power is exact, so every probe sees the same k and
+        # the radius scales exactly; a degenerate-interval check with an
+        # absolute floor of eps skipped every probe on such data
+        x, _ = synth_blobs(5, 40, 2, 20.0, 0)
+        cfg = TuneConfig(min_pts=4, seed=0)
+        eps, lab = tune(x, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small_eps, small_lab = tune(np.ldexp(x, power), cfg)
+        assert small_eps == np.ldexp(eps, power)
+        assert np.array_equal(small_lab.labels, lab.labels)
+        assert count_clusters(lab) == 5
+
+    def test_overflowing_distances_are_rejected(self):
+        # an infinite diameter bound gave eps = inf and one cluster
+        x, _ = synth_blobs(5, 40, 2, 20.0, 0)
+        with pytest.raises(ValueError, match="diameter bound overflows"):
+            ts_clustering(np.ldexp(x, 1000), TuneConfig(min_pts=4, seed=0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
