@@ -1,9 +1,10 @@
 """Command-line surface: clustering, tuning, sweeps, dip tests, theory
 checks, evaluation, and synthetic data.
 
-Every run writes a report.json echoing the resolved configuration and
-seed, so any run can be replayed bit-for-bit from its report. Output
-files are written atomically (temp file + rename).
+Each command declares only the options it reads, so the report.json
+every run writes echoes exactly the configuration (seed included) that
+replays it bit-for-bit. Output files are written atomically (temp file
++ rename).
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from .theory import (
 REPORT_VERSION = "1"
 
 
-def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
+def _add_common(p: argparse.ArgumentParser, *, matrix_input: bool, seed: bool) -> None:
+    if matrix_input:
         p.add_argument("--input", required=True, help="input CSV/TSV matrix path")
         p.add_argument("--format", choices=["csv", "tsv"], default="csv")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def _add_probe(p: argparse.ArgumentParser) -> None:
@@ -55,36 +57,41 @@ def _add_probe(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tsdbscan",
+    # no prefixes: an option added later must not change what an old one means
+    parser = argparse.ArgumentParser(prog="tsdbscan", allow_abbrev=False,
                                      description="DBSCAN with ternary-search radius tuning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dbscan", help="cluster at a fixed radius")
-    _add_common(p)
+    def command(name: str, text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=text, allow_abbrev=False)
+
+    p = command("dbscan", "cluster at a fixed radius")
+    _add_common(p, matrix_input=True, seed=False)
     p.add_argument("--epsilon", type=float, required=True)
     _add_probe(p)
 
     for name, text in (("tune", "tune the radius with ternary search and cluster"),
                        ("tse", "tune with the subsampled estimator and cluster")):
-        p = sub.add_parser(name, help=text)
-        _add_common(p)
+        p = command(name, text)
+        _add_common(p, matrix_input=True, seed=True)
         _add_probe(p)
         p.add_argument("--itr", type=int, default=6)
         p.add_argument("--alpha", type=float, default=0.2)
         if name == "tse":
             p.add_argument("--m", type=int, default=30)
 
-    p = sub.add_parser("sweep", help="evaluate k(eps) on an even grid")
-    _add_common(p)
+    p = command("sweep", "evaluate k(eps) on an even grid")
+    _add_common(p, matrix_input=True, seed=False)
     _add_probe(p)
     p.add_argument("--grid-size", type=int, default=100)
 
-    p = sub.add_parser("dip", help="dip-test a sweep curve CSV")
-    _add_common(p)
+    p = command("dip", "dip-test a sweep curve CSV")
+    p.add_argument("--input", required=True, help="sweep curve CSV path")
+    _add_common(p, matrix_input=False, seed=True)
     p.add_argument("--n-boot", type=int, default=1000)
 
-    p = sub.add_parser("oracle", help="check the uniform-data theory empirically")
-    _add_common(p, needs_input=False)
+    p = command("oracle", "check the uniform-data theory empirically")
+    _add_common(p, matrix_input=False, seed=True)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--rho", type=float, default=0.1)
@@ -94,13 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conc-n", type=int, default=5000)
     p.add_argument("--conc-trials", type=int, default=10)
 
-    p = sub.add_parser("eval", help="score predicted labels against ground truth")
-    _add_common(p, needs_input=False)
+    p = command("eval", "score predicted labels against ground truth")
+    _add_common(p, matrix_input=False, seed=False)
     p.add_argument("--input", required=True, help="predicted labels CSV (one per line)")
     p.add_argument("--labels", required=True, help="ground-truth labels CSV (one per line)")
 
-    p = sub.add_parser("synth", help="generate Gaussian blob data with labels")
-    _add_common(p, needs_input=False)
+    p = command("synth", "generate Gaussian blob data with labels")
+    _add_common(p, matrix_input=False, seed=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--per-cluster", type=int, default=100)
     p.add_argument("--dims", type=int, default=8)
@@ -227,7 +234,7 @@ def run(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         results = _RUNNERS[args.command](args, outdir, stats)
-    except (ValueError, IndexError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {

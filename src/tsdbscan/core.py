@@ -308,25 +308,16 @@ def _join(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, near: np.ndarr
 
 def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Join the trees of ``a[i]`` and ``b[i]``: hook each larger root under
-    the smaller and jump pointers, until every pair shares a root. Leaves
-    every node pointing at its root."""
-    _jump(parent)
+    the smaller and jump pointers, until every pair shares a root. Takes and
+    leaves every node pointing at its root. Every parent index is at most
+    its node's, so any prefix of the forest is a forest."""
     while a.size:
         ra, rb = parent[a], parent[b]
         apart = ra != rb
         a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        _jump(parent)
-
-
-def _jump(parent: np.ndarray) -> None:
-    """Point every node of the forest straight at its root. Every parent
-    index is at most its node's, so any prefix of the forest is a forest."""
-    while True:
-        up = parent[parent]
-        if np.array_equal(up, parent):
-            return
-        parent[:] = up
+        while not np.array_equal(up := parent[parent], parent):
+            parent[:] = up
 
 
 def count_clusters(labeling: Labeling) -> int:

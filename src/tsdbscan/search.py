@@ -112,27 +112,31 @@ def _probe(x: np.ndarray, epsilon: float, cfg: TuneConfig, stats: RunStats | Non
 
 def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
                    stats: RunStats | None = None) -> float:
-    """Contract ``bounds`` for ``cfg.itr`` iterations; return the final midpoint.
+    """Contract ``bounds`` for ``cfg.itr`` iterations; return the midpoint
+    of the last probed pair.
 
-    At most 2*itr DBSCAN probes, fewer only when the interval collapses to
-    float resolution (relative to its upper end, so the data's scale does
-    not matter). The result lies inside the initial bounds.
+    A trisection pair is probed only when ``lower < m_l < m_r < upper``;
+    once float resolution breaks that, the search stops, so the interval
+    never empties. If no pair was probed, it warns and returns the
+    interval's midpoint. So at most 2*itr DBSCAN probes, and whenever one
+    ran the result lies strictly inside the initial bounds.
     Under cosine, rows with no direction (zero rows) count as noise.
     """
     x = validate_points(x)
-    if bounds.width <= np.finfo(np.float64).eps * bounds.upper:
-        warnings.warn("degenerate search interval; returning its midpoint")
-        return 0.5 * (bounds.lower + bounds.upper)
-    m_l = m_r = 0.5 * (bounds.lower + bounds.upper)
+    mid = None
     for _ in range(cfg.itr):
         m_l = (2 * bounds.lower + bounds.upper) / 3
         m_r = (bounds.lower + 2 * bounds.upper) / 3
-        if m_l <= 0 or m_l >= m_r:  # interval collapsed to float resolution
+        if not bounds.lower < m_l < m_r < bounds.upper:  # collapsed to float resolution
             break
         k_l = effective_k(_probe(x, m_l, cfg, stats))
         k_r = effective_k(_probe(x, m_r, cfg, stats))
         bounds = cond(bounds, m_l, m_r, k_l, k_r)
-    return 0.5 * (m_l + m_r)
+        mid = 0.5 * (m_l + m_r)
+    if mid is None:
+        warnings.warn("degenerate search interval; returning its midpoint")
+        mid = 0.5 * (bounds.lower + bounds.upper)
+    return mid
 
 
 def _row_sample_fits(n: int, cfg: TuneConfig) -> bool:
@@ -195,13 +199,8 @@ def _resolve_bounds(x: np.ndarray, cfg: TuneConfig, stats: RunStats | None) -> S
     else:
         warnings.warn("subsample too small for the upper-bound heuristic; using the trivial bound")
         ub = ub0
-    lb = estimate_lower_bound(x, ub, cfg, stats=stats)
-    if lb >= ub:
-        # sampling noise inverted the bounds: widen, clipped to (0, ub0)
-        lb, ub = 0.5 * lb, min(2.0 * ub, ub0)
-        if lb >= ub:
-            lb, ub = 0.0, ub0
-    return SearchBounds(lb, ub)
+    # the lower-bound search runs strictly inside (0, ub), so lb < ub
+    return SearchBounds(estimate_lower_bound(x, ub, cfg, stats=stats), ub)
 
 
 def _tune(x, cfg: TuneConfig, stats: RunStats | None, final_stage) -> tuple[float, Labeling]:

@@ -85,10 +85,6 @@ def suite_artifacts(blob_suite):
         arg = np.flatnonzero(ks == k_star)
         ub = estimate_upper_bound(x, cfg, ub0=ub0)
         lb = estimate_lower_bound(x, ub, cfg)
-        if lb >= ub:
-            lb, ub = 0.5 * lb, min(2.0 * ub, ub0)
-            if lb >= ub:
-                lb, ub = 0.0, ub0
         bounds = SearchBounds(lb, ub)
         ts_stats = RunStats()
         eps_ts = ternary_search(x, bounds, cfg, ts_stats)

@@ -219,17 +219,21 @@ class TestDbscan:
 
     @pytest.mark.parametrize("cells", [1, 4, 7, 8, 16])
     @pytest.mark.parametrize("x, roles", [
-        # 0 and 1 are near but both short of min_pts when their pair is computed
+        # 0.0 and 0.4 are near but both short of min_pts when their pair is
+        # computed, and each turns core only as a later row's column
         ([0.0, 0.4, -0.4, 0.8], [ROLE_CORE, ROLE_CORE, ROLE_BORDER, ROLE_BORDER]),
-        # 1 and 2 are near; 2 is core by then, but 1 only as a later row's column
-        ([0.8, 0.0, 0.4, -0.4], [ROLE_BORDER, ROLE_CORE, ROLE_CORE, ROLE_BORDER]),
+        # 0.0 is core by its own row, but 0.4, short of min_pts when its row
+        # meets 0.0, turns core only as the column of row 0.8
+        ([0.4, -0.3, 0.8, 0.0, -0.2, -0.1],
+         [ROLE_CORE, ROLE_CORE, ROLE_BORDER, ROLE_CORE, ROLE_CORE, ROLE_CORE]),
     ])
     def test_first_block_points_become_core_through_later_columns(self, monkeypatch, cells, x, roles):
-        # no later pair joins the two core points, so only the late re-check does
+        # in one-row blocks no pair of the pass joins 0.4 to 0.0, so only the
+        # late re-check does, and 0.4 is late by its own row's pairs
         x = np.array(x)[:, None]
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         lab = dbscan(x, 0.45, 3)
-        assert lab.labels.tolist() == brute_force_dbscan(x, 0.45, 3).tolist() == [0, 0, 0, 0]
+        assert lab.labels.tolist() == brute_force_dbscan(x, 0.45, 3).tolist() == [0] * len(x)
         assert lab.roles.tolist() == roles
 
     @pytest.mark.parametrize("cells", [1, 2, 3, 5, 8, 1 << 19])

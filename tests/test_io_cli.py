@@ -156,6 +156,58 @@ class TestCli:
                         "--out", second]) == 0
         assert (first / "labels.csv").read_bytes() == (second / "labels.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["dbscan", "tune", "tse", "sweep", "dip", "oracle",
+                                         "eval", "synth"])
+    def test_every_command_replays_from_its_report(self, tmp_path, blob_files, command):
+        data, truth = blob_files
+        curve, predicted = tmp_path / "curve.csv", tmp_path / "predicted.csv"
+        write_curve(curve, [CurveSample(0.5 * i, k, 0.0) for i, k in enumerate([0, 2, 3, 2, 1], 1)])
+        write_labels(predicted, np.r_[load_labels(truth)[:-10], np.full(10, NOISE)])
+        args = {
+            "dbscan": ["--input", data, "--epsilon", 5.0, "--min-pts", 3],
+            "tune": ["--input", data, "--min-pts", 3, "--itr", 3, "--seed", 4],
+            "tse": ["--input", data, "--min-pts", 3, "--itr", 2, "--m", 2, "--seed", 4],
+            "sweep": ["--input", data, "--min-pts", 3, "--grid-size", 20],
+            "dip": ["--input", curve, "--n-boot", 20, "--seed", 5],
+            "oracle": ["--n", 300, "--trials", 5, "--conc-n", 1000, "--conc-trials", 2,
+                       "--dims", 1, 2, "--seed", 6],
+            "eval": ["--input", predicted, "--labels", truth],
+            "synth": ["--k", 2, "--per-cluster", 5, "--dims", 2, "--seed", 7],
+        }[command]
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run_cli([command, *args, "--out", first]) == 0
+        report = json.loads((first / "report.json").read_text())
+        replay = []
+        for key, value in report["config"].items():
+            if key != "out":
+                replay += [f"--{key}", *(value if isinstance(value, list) else [value])]
+        assert run_cli([command, *replay, "--out", second]) == 0
+        again = json.loads((second / "report.json").read_text())
+        assert {**again["config"], "out": str(first)} == report["config"]
+        for key in ("results", "dbscan_invocations", "point_evaluations", "curve_builds"):
+            assert again[key] == report[key]
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            if name != "report.json":
+                assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("command,args", [
+        # options the command never read, so its report echoed them for nothing
+        ("dbscan", ["--input", "d.csv", "--epsilon", 1, "--min-pts", 2, "--seed", 1]),
+        ("sweep", ["--input", "d.csv", "--min-pts", 2, "--seed", 1]),
+        ("eval", ["--input", "p.csv", "--labels", "t.csv", "--seed", 1]),
+        ("dip", ["--input", "c.csv", "--format", "csv"]),
+        # prefixes of --alpha and --seed
+        ("tune", ["--input", "d.csv", "--min-pts", 2, "--alp", 0.5]),
+        ("tune", ["--input", "d.csv", "--min-pts", 2, "--se", 3]),
+    ])
+    def test_options_a_command_does_not_declare_exit_2(self, tmp_path, command, args):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *args, "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_only_tse_takes_m(self, tmp_path, blob_files):
         # ts_clustering reads no m, so tune has no --m to ignore
         data, _ = blob_files

@@ -118,6 +118,59 @@ class TestTernarySearch:
         assert count_clusters(dbscan(x, eps, 3)) == sweep_max_k(x, 3, 0.005, 30.0) == 3
 
 
+class TestCollapsedInterval:
+    # a trisection point can round onto an end of a 1-ulp interval; were it
+    # probed, cond could build an empty SearchBounds and the run would fail
+
+    def test_long_tse_run_on_small_blobs(self):
+        # `tsdbscan synth --k 3 --per-cluster 30 --dims 2 --separation 30
+        # --seed 8`, then `tse --min-pts 3 --itr 30 --seed 8`, exited 1 with
+        # "need 0 <= lower < upper"
+        x, _ = synth_blobs(3, 30, 2, 30.0, 8)
+        eps, lab = tse_clustering(x, TuneConfig(min_pts=3, itr=30, seed=8))
+        assert eps > 0
+        assert len(lab.labels) == len(x)
+
+    def test_long_searches_stay_strictly_inside_their_bounds(self, monkeypatch):
+        probes, searches, resolved = [], [], []
+        real_probe = tsdbscan.search._probe
+        real_search = tsdbscan.search.ternary_search
+        real_resolve = tsdbscan.search._resolve_bounds
+
+        def counted_probe(*args):
+            probes.append(1)
+            return real_probe(*args)
+
+        def checked_search(x, bounds, cfg, stats=None):
+            before = len(probes)
+            eps = real_search(x, bounds, cfg, stats)
+            searches.append((bounds.lower, eps, bounds.upper, len(probes) > before))
+            return eps
+
+        def checked_resolve(*args):
+            bounds = real_resolve(*args)
+            resolved.append((bounds.lower, bounds.upper))
+            return bounds
+
+        monkeypatch.setattr(tsdbscan.search, "_probe", counted_probe)
+        monkeypatch.setattr(tsdbscan.search, "ternary_search", checked_search)
+        monkeypatch.setattr(tsdbscan.search, "_resolve_bounds", checked_resolve)
+        rng = np.random.default_rng(0)
+        blobs, _ = synth_blobs(3, 4, 2, 30.0, 0)
+        for x in (rng.random((12, 2)), blobs):
+            for itr in (30, 100, 200):
+                for alpha in (0.5, 1.0):
+                    for metric in ("euclidean", "manhattan", "cosine"):
+                        cfg = TuneConfig(min_pts=3, itr=itr, alpha=alpha, m=2, metric=metric)
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore")
+                            ts_clustering(x, cfg)
+                            tse_clustering(x, cfg)
+        assert len(resolved) == 2 * 2 * 3 * 2 * 3
+        assert all(lb < ub for lb, ub in resolved)
+        assert all(lower < eps < upper for lower, eps, upper, probed in searches if probed)
+
+
 class TestBoundEstimators:
     def test_alpha_one_upper_reduces_to_full_search(self):
         cfg = TuneConfig(min_pts=2, alpha=1.0, seed=3)
