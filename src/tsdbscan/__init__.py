@@ -12,16 +12,9 @@ from .core import (
     distance,
     noise_fraction,
 )
-from .curve import (
-    UnimodalityReport,
-    curve_to_sample,
-    dip_p_value,
-    dip_statistic,
-    sweep_curve,
-    unimodality_report,
-)
+from .curve import curve_to_sample, dip_p_value, dip_statistic, sweep_curve
 from .data_io import load_labels, load_matrix, synth_blobs
-from .metrics import approximation_ratio, ari, exclude_noise, nmi
+from .metrics import ari, exclude_noise, nmi
 from .search import (
     SearchBounds,
     TuneConfig,

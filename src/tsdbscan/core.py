@@ -407,8 +407,8 @@ def approximate_diameter_ub(points, metric: str = "euclidean") -> float:
     linear time. Cosine distance 1 - cos(theta) is no metric, but the
     angle theta is, so the bound doubles the widest angle from the first
     point (capped at pi); there diameter <= result <= 4 * diameter.
-    Returns 0 when every point coincides with the first (in direction,
-    under cosine); callers must substitute a positive floor in that case.
+    Returns 0 when the points coincide (in direction, under cosine) or
+    their distances underflow; callers must substitute a positive floor.
     Raises ValueError when the bound overflows.
     """
     x = _validate(points, metric)

@@ -10,8 +10,6 @@ same size calibrates the p-value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import CurveSample, KCurve, RunStats, approximate_diameter_ub
@@ -19,20 +17,12 @@ from .core import CurveSample, KCurve, RunStats, approximate_diameter_ub
 from .core import dbscan  # noqa: F401
 
 
-@dataclass
-class UnimodalityReport:
-    dip: float
-    p_value: float
-    mode_epsilon: float
-    mode_k: int
-    n_boot: int
-
-
 def epsilon_grid(x, grid_size: int, metric: str = "euclidean") -> np.ndarray:
     """Default sweep grid: ``grid_size`` even radii from UB0/1000 to the diameter bound UB0."""
     ub0 = approximate_diameter_ub(x, metric=metric)
     if ub0 <= 0:
-        raise ValueError("degenerate dataset: all points coincide with the first")
+        raise ValueError("degenerate dataset: the diameter bound is 0, because the points "
+                         "coincide or their distances underflow")
     return np.linspace(ub0 / 1000, ub0, grid_size)
 
 
@@ -196,18 +186,3 @@ def count_strict_local_maxima(curve: list[CurveSample]) -> int:
             peaks += 1
     return peaks
 
-
-def unimodality_report(x, grid_size: int, min_pts: int, metric: str = "euclidean",
-                       n_boot: int = 1000, seed: int = 0,
-                       stats: RunStats | None = None) -> UnimodalityReport:
-    """Sweep a default grid, dip-test the curve, and report the mode."""
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    grid = epsilon_grid(x, grid_size, metric)
-    curve = sweep_curve(x, grid, min_pts, metric=metric, stats=stats)
-    sample = curve_to_sample(curve)
-    dip = dip_statistic(sample)
-    p = dip_p_value(sample, n_boot, seed)
-    mode = max(curve, key=lambda c: c.k)  # the first on ties
-    return UnimodalityReport(dip=dip, p_value=p, mode_epsilon=mode.epsilon,
-                             mode_k=mode.k, n_boot=n_boot)

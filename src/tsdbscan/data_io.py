@@ -62,15 +62,16 @@ def load_matrix(path, fmt: str = "csv") -> np.ndarray:
 def load_labels(path) -> np.ndarray:
     """One integer per line; -1 is noise, as it is in memory (``NOISE``)."""
     path = Path(path)
-    lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
+    numbered = [(i, ln) for i, ln in enumerate(path.read_text().splitlines(), start=1)
+                if ln.strip()]
+    if not numbered:
         raise ValueError(f"{path}: empty label file")
-    labels = np.empty(len(lines), dtype=np.int64)
-    for i, line in enumerate(lines):
+    labels = np.empty(len(numbered), dtype=np.int64)
+    for i, (lineno, line) in enumerate(numbered):
         try:
             labels[i] = int(line)
         except ValueError:
-            raise ValueError(f"{path}: non-integer label at line {i + 1}") from None
+            raise ValueError(f"{path}: non-integer label at line {lineno}") from None
     return labels
 
 

@@ -1,4 +1,4 @@
-"""Noise-aware external clustering evaluation: NMI, ARI, k/k*.
+"""Noise-aware external clustering evaluation: NMI and ARI.
 
 Noise-labeled points are excluded before scoring so the metrics measure
 clustering quality rather than noise prediction. NMI normalizes mutual
@@ -85,11 +85,3 @@ def ari(truth, predicted) -> float:
         return 1.0
     return float((index - expected) / (maximum - expected))
 
-
-def approximation_ratio(k: int, k_star: int) -> float:
-    """Achieved over best cluster count, k / k*."""
-    if k_star < 1:
-        raise ValueError("k_star must be positive")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return k / k_star

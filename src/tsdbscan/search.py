@@ -46,10 +46,6 @@ class SearchBounds:
         if not (0 <= self.lower < self.upper):
             raise ValueError(f"need 0 <= lower < upper, got [{self.lower}, {self.upper}]")
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass
 class TuneConfig:
@@ -154,12 +150,13 @@ def _sample_dims(d: int, cfg: TuneConfig, rng: np.random.Generator) -> np.ndarra
     return np.sort(rng.choice(d, size=size, replace=False))
 
 
-def estimate_upper_bound(x, cfg: TuneConfig, ub0: float | None = None,
+def estimate_upper_bound(x, cfg: TuneConfig, ub0: float,
                          stats: RunStats | None = None) -> float:
     """Heuristic upper bound for the mode of k(eps).
 
     A row subsample is sparser than the full data, so its best radius is
-    larger; ternary search on the subsample over (0, UB0) yields an UB.
+    larger; ternary search on the subsample over (0, ub0), with ub0 the
+    diameter bound, yields an UB.
     """
     x = validate_points(x)
     n = len(x)
@@ -168,8 +165,6 @@ def estimate_upper_bound(x, cfg: TuneConfig, ub0: float | None = None,
             f"subsample of ceil({cfg.alpha} * {n}) points is too small for "
             f"min_pts={cfg.min_pts}; fall back to the trivial bound"
         )
-    if ub0 is None:
-        ub0 = approximate_diameter_ub(x, metric=cfg.metric)
     rng = np.random.default_rng([cfg.seed, _SEED_ROWS])
     sub = x[_sample_rows(n, cfg, rng)]
     return ternary_search(sub, SearchBounds(0.0, ub0), cfg, stats)
@@ -189,10 +184,12 @@ def estimate_lower_bound(x, ub: float, cfg: TuneConfig,
 
 
 def _resolve_bounds(x: np.ndarray, cfg: TuneConfig, stats: RunStats | None) -> SearchBounds:
-    """Shared bound-estimation prologue."""
+    """Shared bound-estimation prologue: the one place the diameter bound
+    UB0 is computed, and floored when it is 0."""
     ub0 = approximate_diameter_ub(x, metric=cfg.metric)
     if ub0 <= 0:
-        warnings.warn("degenerate dataset: all points coincide with the first")
+        warnings.warn("degenerate dataset: the diameter bound is 0, because the points "
+                      "coincide or their distances underflow")
         ub0 = np.finfo(np.float64).eps
     if _row_sample_fits(len(x), cfg):
         ub = estimate_upper_bound(x, cfg, ub0=ub0, stats=stats)

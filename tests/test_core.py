@@ -14,7 +14,7 @@ from tsdbscan import (
     noise_fraction,
     ts_clustering,
 )
-from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE
+from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE, KCurve, Labeling, validate_points
 
 from conftest import brute_force_dbscan
 
@@ -302,18 +302,35 @@ class TestCounting:
         assert noise_fraction(lab) == 1.0
 
     def test_direct_count(self):
-        from tsdbscan.core import Labeling
-
         lab = Labeling(labels=np.array([0, 0, 1, 1, NOISE]),
                        roles=np.array([ROLE_CORE, ROLE_CORE, ROLE_CORE, ROLE_CORE, ROLE_NOISE]))
         assert count_clusters(lab) == 2
         assert noise_fraction(lab) == pytest.approx(0.2)
 
     def test_noise_fraction_third(self):
-        from tsdbscan.core import Labeling
-
         lab = Labeling(labels=np.array([0, 0, NOISE, 1, 1, NOISE]), roles=np.zeros(6, np.int8))
         assert noise_fraction(lab) == pytest.approx(1 / 3)
+
+
+def test_1d_points_become_a_column():
+    assert validate_points([1.0, 2.0, 3.0]).tolist() == [[1.0], [2.0], [3.0]]
+
+
+CURVE = KCurve([[0.0], [1.0], [5.0]], 2)
+
+
+@pytest.mark.parametrize("func,arg,message", [
+    pytest.param(validate_points, np.zeros((2, 2, 2)), "nonempty 2-D", id="points-3d"),
+    pytest.param(validate_points, np.zeros((0, 2)), "nonempty 2-D", id="points-no-rows"),
+    pytest.param(validate_points, [], "nonempty 2-D", id="points-empty-1d"),
+    pytest.param(noise_fraction, Labeling(np.array([], np.int64), np.array([], np.int8)),
+                 "empty labeling", id="noise_fraction-empty"),
+    *(pytest.param(getattr(CURVE, f), eps, "epsilon must be positive", id=f"KCurve.{f}-{eps}")
+      for f in ("k", "noise") for eps in (0.0, -1.0, float("nan"))),
+])
+def test_rejects_bad_input(func, arg, message):
+    with pytest.raises(ValueError, match=message):
+        func(arg)
 
 
 class TestDiameterBound:

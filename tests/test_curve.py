@@ -10,10 +10,9 @@ from tsdbscan import (
     dip_p_value,
     dip_statistic,
     sweep_curve,
-    unimodality_report,
 )
-from tsdbscan.curve import count_strict_local_maxima
-from tsdbscan.data_io import load_matrix, synth_blobs
+from tsdbscan.curve import count_strict_local_maxima, epsilon_grid
+from tsdbscan.data_io import load_matrix
 
 from conftest import brute_force_dip
 
@@ -27,6 +26,17 @@ def bell_curve_sample():
     eps = np.linspace(0.05, 5.0, 100)
     k = np.round(20 * np.exp(-((eps - 1.5) / 0.8) ** 2)).astype(int)
     return curve_to_sample([CurveSample(float(e), int(c), 0.0) for e, c in zip(eps, k)])
+
+
+class TestEpsilonGrid:
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.ones((5, 2)), id="coincident"),
+        pytest.param(np.array([[0.0], [5e-324], [1e-323], [0.0]]), id="underflow"),
+    ])
+    def test_zero_diameter_bound_errors(self, x):
+        with pytest.raises(ValueError, match="diameter bound is 0, because the points "
+                                             "coincide or their distances underflow"):
+            epsilon_grid(x, 10)
 
 
 class TestSweep:
@@ -77,6 +87,16 @@ class TestCurveToSample:
     def test_all_zero_errors(self):
         with pytest.raises(ValueError):
             curve_to_sample([CurveSample(1, 0, 1.0)])
+
+
+@pytest.mark.parametrize("func,arg,message", [
+    pytest.param(curve_to_sample, [CurveSample(1.0, 2, 0.0), CurveSample(2.0, -1, 0.0)],
+                 "negative cluster counts", id="curve_to_sample-negative-k"),
+    pytest.param(dip_statistic, [0.0, float("nan"), 1.0], "NaN or Inf", id="dip_statistic-nan"),
+])
+def test_rejects_bad_input(func, arg, message):
+    with pytest.raises(ValueError, match=message):
+        func(arg)
 
 
 class TestDipStatistic:
@@ -159,29 +179,6 @@ class TestDipPValue:
             ps.append(dip_p_value(s, 100, seed=9))
         order = np.argsort(dips)
         assert all(ps[order[i]] >= ps[order[i + 1]] for i in range(len(order) - 1))
-
-
-class TestUnimodalityReport:
-    def test_blob_dataset_insignificant(self):
-        # grids much coarser than the default leave large tie atoms in the
-        # expanded sample, which the dip test reads as multimodality
-        x, _ = synth_blobs(k=20, per_cluster=25, dims=8, separation=20.0, seed=0)
-        rep = unimodality_report(x, grid_size=100, min_pts=3, n_boot=100, seed=0)
-        assert rep.p_value > 0.05
-        assert rep.n_boot == 100
-
-    def test_mode_matches_sweep_argmax(self):
-        rep = unimodality_report(TWO_CLUSTERS_1D, grid_size=100, min_pts=2,
-                                 n_boot=100, seed=0)
-        assert rep.mode_k == 2
-
-    def test_degenerate_dataset_errors(self):
-        with pytest.raises(ValueError):
-            unimodality_report(np.ones((5, 2)), grid_size=10, min_pts=2)
-
-    def test_grid_size_floor(self):
-        with pytest.raises(ValueError):
-            unimodality_report(TWO_CLUSTERS_1D, grid_size=2, min_pts=2)
 
 
 class TestNonUnimodalFixture:

@@ -69,10 +69,12 @@ class TestLabels:
         assert load_labels(p).tolist() == [2, 2, 2]
 
     def test_non_integer_errors(self, tmp_path):
+        # the line number counts blank lines, as load_matrix's does
         p = tmp_path / "l.csv"
-        p.write_text("0\nx\n")
-        with pytest.raises(ValueError, match="line 2"):
-            load_labels(p)
+        for text, line in (("0\nx\n", 2), ("0\n\n\nx\n", 4)):
+            p.write_text(text)
+            with pytest.raises(ValueError, match=f"non-integer label at line {line}$"):
+                load_labels(p)
 
     def test_round_trip(self, tmp_path):
         p = tmp_path / "l.csv"
@@ -105,6 +107,30 @@ class TestSynthBlobs:
         # an infinite separation gave one blob of inf rows, or 10,000 failed placements
         with pytest.raises(ValueError, match="separation must be positive and finite"):
             synth_blobs(k, 5, 2, separation, seed=0)
+
+
+SYNTH_SIZES = "k, per_cluster, and dims must be positive"
+
+
+@pytest.mark.parametrize("text,call,message", [
+    pytest.param("0,0\n", lambda p: load_matrix(p, "json"), "unknown format 'json'",
+                 id="load_matrix-unknown-format"),
+    pytest.param("x,y\n\n", load_matrix, "no data rows after header", id="load_matrix-header-only"),
+    pytest.param("0,0\n1,nan\n", load_matrix, "NaN or Inf", id="load_matrix-nan-cell"),
+    pytest.param("epsilon,k\n0.5,2\n", load_curve, "curve file must have 3 columns",
+                 id="load_curve-two-columns"),
+    pytest.param("epsilon,k,noise_fraction,x\n0.5,2,0.0,1\n", load_curve,
+                 "curve file must have 3 columns", id="load_curve-four-columns"),
+    pytest.param("", lambda p: synth_blobs(0, 5, 2, 10.0, seed=0), SYNTH_SIZES, id="synth_blobs-k"),
+    pytest.param("", lambda p: synth_blobs(2, 0, 2, 10.0, seed=0), SYNTH_SIZES,
+                 id="synth_blobs-per-cluster"),
+    pytest.param("", lambda p: synth_blobs(2, 5, 0, 10.0, seed=0), SYNTH_SIZES, id="synth_blobs-dims"),
+])
+def test_outside_input_rejected(tmp_path, text, call, message):
+    p = tmp_path / "in.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        call(p)
 
 
 def run_cli(args):
@@ -233,6 +259,14 @@ class TestCli:
         report = json.loads((dip_out / "report.json").read_text())
         assert 0 <= report["results"]["p_value"] <= 1
         assert report["results"]["dip"] > 0
+        # both report the first grid radius where k is largest; the curve
+        # ties there, so a later maximum would differ
+        ks = [c.k for c in curve]
+        first = curve[ks.index(max(ks))]
+        assert ks.count(max(ks)) > 1
+        for out in (sweep_out, dip_out):
+            results = json.loads((out / "report.json").read_text())["results"]
+            assert (results["mode_epsilon"], results["mode_k"]) == (first.epsilon, first.k)
 
     def test_sweep_reports_one_build_and_no_dbscan_run(self, tmp_path, blob_files):
         data, _ = blob_files

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsdbscan import NOISE, approximation_ratio, ari, exclude_noise, nmi
+from tsdbscan import NOISE, ari, exclude_noise, nmi
 
 from conftest import brute_force_ari, brute_force_nmi
 
@@ -97,13 +97,7 @@ class TestOracleEquivalence:
             assert ari(a, b) <= 1.0
 
 
-class TestApproximationRatio:
-    def test_equal(self):
-        assert approximation_ratio(10, 10) == 1.0
-
-    def test_nine_tenths(self):
-        assert approximation_ratio(9, 10) == 0.9
-
-    def test_zero_k_star_errors(self):
-        with pytest.raises(ValueError):
-            approximation_ratio(1, 0)
+@pytest.mark.parametrize("score", [exclude_noise, nmi, ari])
+def test_empty_labels_error(score):
+    with pytest.raises(ValueError, match="empty label array"):
+        score([], [])

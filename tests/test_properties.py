@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from tsdbscan import approximate_diameter_ub, count_clusters, core, dbscan, distance, noise_fraction
-from tsdbscan.core import METRICS, KCurve, RunStats, _distance_block, _has_direction, _validate
+from tsdbscan.core import METRICS, KCurve, RunStats, _distance_block, _validate
 
 from conftest import brute_force_dbscan, brute_force_distances
 
@@ -30,9 +30,14 @@ def point_sets(draw, metric, min_n=2):
     d = draw(st.integers(1, 4))
     x = draw(arrays(np.float64, (n, d),
                     elements=st.floats(-1e3, 1e3, allow_subnormal=False, width=64)))
-    if metric == "cosine":
-        # a row whose squares all vanish gets a direction, so no draw is discarded
-        x[np.einsum("ij,ij->i", x, x) == 0, 0] = 1.0
+    return with_direction(x) if metric == "cosine" else x
+
+
+def with_direction(x):
+    """``x`` with 1.0 in the first coordinate of each row whose squares all
+    vanish: every row has a direction under cosine, so no draw is discarded."""
+    x = x.copy()
+    x[np.einsum("ij,ij->i", x, x) == 0, 0] = 1.0
     return x
 
 
@@ -88,11 +93,16 @@ SCALES = st.sampled_from([1.0, 1e-160, 1e150])
 
 @st.composite
 def scaled_rows(draw, metric, x):
-    """The rows of ``x``, each scaled by one of SCALES."""
-    x = x * np.array(draw(st.lists(SCALES, min_size=len(x), max_size=len(x))))[:, None]
+    """The rows of ``x``, each scaled by one of SCALES.
+
+    Under cosine, an exact power of two first brings each row's largest
+    entry into [0.5, 1), as the unit-row scaling does, so its direction is
+    unchanged, and under every scale its squared norm stays positive
+    (subnormal at 1e-160) and finite."""
     if metric == "cosine":
-        assume(np.all(_has_direction(x)))
-    return x
+        x = with_direction(x)
+        x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1))[1][:, None])
+    return x * np.array(draw(st.lists(SCALES, min_size=len(x), max_size=len(x))))[:, None]
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -146,7 +156,7 @@ def test_distance_blocks_are_symmetric(metric, data):
                   elements=st.floats(-1e6, 1e6, allow_subnormal=False, width=64))
     a, b = data.draw(rows), data.draw(rows)
     if metric == "cosine":
-        assume(np.all(np.einsum("ij,ij->i", a, a) > 0) and np.all(np.einsum("ij,ij->i", b, b) > 0))
+        a, b = with_direction(a), with_direction(b)
     a, b = _validate(a, metric), _validate(b, metric)
     assert np.array_equal(_distance_block(a, b, metric, None), _distance_block(b, a, metric, None).T)
 

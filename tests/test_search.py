@@ -9,6 +9,7 @@ from tsdbscan import (
     RunStats,
     SearchBounds,
     TuneConfig,
+    approximate_diameter_ub,
     cond,
     count_clusters,
     dbscan,
@@ -67,7 +68,7 @@ class TestCond:
             m_r = (lo + 2 * hi) / 3
             out = cond(b, m_l, m_r, int(rng.integers(0, 6)), int(rng.integers(0, 6)))
             assert out.lower >= lo - 1e-12 and out.upper <= hi + 1e-12
-            ratio = out.width / b.width
+            ratio = (out.upper - out.lower) / (hi - lo)
             assert ratio == pytest.approx(1 / 3) or ratio == pytest.approx(2 / 3)
 
 
@@ -195,7 +196,8 @@ class TestBoundEstimators:
         rng = np.random.default_rng(5)
         x = rng.random((60, 4))
         cfg = TuneConfig(min_pts=3, seed=11)
-        assert estimate_upper_bound(x, cfg) == estimate_upper_bound(x, cfg)
+        ub0 = approximate_diameter_ub(x)
+        assert estimate_upper_bound(x, cfg, ub0) == estimate_upper_bound(x, cfg, ub0)
         assert estimate_lower_bound(x, 1.0, cfg) == estimate_lower_bound(x, 1.0, cfg)
 
     def test_lower_bound_rejects_empty_interval(self):
@@ -205,7 +207,7 @@ class TestBoundEstimators:
     def test_subsample_too_small_raises(self):
         x = np.random.default_rng(6).random((10, 2))
         with pytest.raises(ValueError):
-            estimate_upper_bound(x, TuneConfig(min_pts=5, alpha=0.2))
+            estimate_upper_bound(x, TuneConfig(min_pts=5, alpha=0.2), approximate_diameter_ub(x))
 
 
 class TestTsClustering:
@@ -228,6 +230,20 @@ class TestTsClustering:
         with pytest.warns(UserWarning):
             eps, lab = ts_clustering(x, TuneConfig(min_pts=2, seed=2))
         assert eps > 0
+
+    def test_underflowing_distances_warn_of_a_zero_diameter_bound(self):
+        # distinct points, but every distance between them underflows to 0;
+        # alpha 1 keeps the upper-bound search, so this is the only warning
+        x = np.array([[0.0], [5e-324], [1e-323], [0.0]])
+        with pytest.warns(UserWarning, match="diameter bound is 0, because the points "
+                                             "coincide or their distances underflow"):
+            eps, lab = ts_clustering(x, TuneConfig(min_pts=2, alpha=1.0))
+        assert eps > 0
+
+    @pytest.mark.parametrize("tune", [ts_clustering, tse_clustering])
+    def test_fewer_points_than_min_pts_errors(self, tune):
+        with pytest.raises(ValueError, match="need at least min_pts=5 points, got 4"):
+            tune(np.random.default_rng(12).random((4, 2)), TuneConfig(min_pts=5))
 
     def test_search_errors_propagate(self, monkeypatch):
         # only a too-small row subsample falls back to the trivial bound;

@@ -123,3 +123,16 @@ class TestConcentration:
         assert rep["fraction_single_cluster"] >= 0.8
         assert rep["fraction_no_cluster"] >= 0.8
         assert rep["passed"]
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: mode_epsilon_closed_form(2), "n >= 3", id="mode_epsilon-n"),
+    pytest.param(lambda: monte_carlo_expected_k(1, 0.1, 3, 0), "n must be at least 2", id="monte_carlo-n"),
+    pytest.param(lambda: monte_carlo_expected_k(10, 0.1, 0, 0), "trials must be positive",
+                 id="monte_carlo-trials"),
+    pytest.param(lambda: concentration_thresholds(ConcentrationConfig(0.1, 2.0, 0.05), dims=0),
+                 "dims must be positive", id="thresholds-dims"),
+])
+def test_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,10 +1,7 @@
 """The benchmark's tracer patches module-level names of tsdbscan from
-outside; every name it patches must still exist, or traced runs break.
-
-This guards only against removed names. It cannot tell whether the
-program still calls a function through the name that is patched: a name
-that resolves but is no longer on the call path passes here while its
-span silently times less than it did."""
+outside; every name it patches must still exist, or traced runs break,
+and the program must still call through it, or its span silently times
+less than it did."""
 
 import importlib
 import importlib.util
@@ -12,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from tsdbscan.cli import main
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# patched names that no command calls through; the benchmark's tracer
+# should patch tsdbscan.curve.approximate_diameter_ub and drop the other
+STALE = {("tsdbscan.core", "approximate_diameter_ub"), ("tsdbscan.curve", "dbscan")}
 
 
 def load_patches():
@@ -22,6 +25,49 @@ def load_patches():
     return module.PATCHES
 
 
-@pytest.mark.parametrize("module_name,attr", [p[:2] for p in load_patches()])
+PATCHES = [p[:2] for p in load_patches()]
+PATCHED = sorted(set(PATCHES))
+
+
+@pytest.mark.parametrize("module_name,attr", PATCHES)
 def test_patched_name_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+@pytest.fixture(scope="module")
+def calls(tmp_path_factory):
+    """Calls through each patched name in a tiny run of every traced command."""
+    counts = dict.fromkeys(PATCHED, 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    out = tmp_path_factory.mktemp("calls")
+    data = out / "synth" / "data.csv"
+    commands = [
+        ["synth", "--k", 3, "--per-cluster", 30, "--dims", 4, "--separation", 30, "--seed", 2],
+        ["tune", "--input", data, "--min-pts", 3, "--itr", 2],
+        ["tse", "--input", data, "--min-pts", 3, "--itr", 2, "--m", 2],
+        ["sweep", "--input", data, "--min-pts", 3, "--grid-size", 20],
+        ["dip", "--input", out / "sweep" / "curve.csv", "--n-boot", 5],
+        ["oracle", "--n", 300, "--trials", 2, "--conc-n", 500, "--conc-trials", 1, "--dims", 1],
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        for module_name, attr in PATCHED:
+            module = importlib.import_module(module_name)
+            mp.setattr(module, attr, counted((module_name, attr), getattr(module, attr)))
+        for args in commands:
+            assert main([str(a) for a in [*args, "--out", out / args[0]]]) == 0
+    return counts
+
+
+@pytest.mark.parametrize("module_name,attr", [
+    pytest.param(*p, marks=pytest.mark.xfail(strict=True, reason="stale patch, ROADMAP item 1"))
+    if p in STALE else p
+    for p in PATCHED
+])
+def test_patched_name_is_on_the_call_path(calls, module_name, attr):
+    assert calls[module_name, attr] > 0
