@@ -259,8 +259,18 @@ class TestCli:
         report = json.loads((dip_out / "report.json").read_text())
         assert 0 <= report["results"]["p_value"] <= 1
         assert report["results"]["dip"] > 0
+
+    def test_sweep_and_dip_report_the_first_maximum_of_k(self, tmp_path, blob_files):
+        data, _ = blob_files
+        sweep_out = tmp_path / "sweep"
+        assert run_cli(["sweep", "--input", data, "--min-pts", 3,
+                        "--grid-size", 40, "--out", sweep_out]) == 0
+        dip_out = tmp_path / "dip"
+        assert run_cli(["dip", "--input", sweep_out / "curve.csv", "--n-boot", 5,
+                        "--seed", 0, "--out", dip_out]) == 0
         # both report the first grid radius where k is largest; the curve
         # ties there, so a later maximum would differ
+        curve = load_curve(sweep_out / "curve.csv")
         ks = [c.k for c in curve]
         first = curve[ks.index(max(ks))]
         assert ks.count(max(ks)) > 1
