@@ -42,13 +42,21 @@ from .theory import (
 REPORT_VERSION = "1"
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse type: numpy's seed sequences take no negative entropy."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *, matrix_input: bool, seed: bool) -> None:
     if matrix_input:
         p.add_argument("--input", required=True, help="input CSV/TSV matrix path")
         p.add_argument("--format", choices=["csv", "tsv"], default="csv")
     p.add_argument("--out", required=True, help="output directory")
     if seed:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
 
 
 def _add_probe(p: argparse.ArgumentParser) -> None:

@@ -33,6 +33,7 @@ returned in the caller's order. Memory is O(N) plus one block.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -407,8 +408,9 @@ def approximate_diameter_ub(points, metric: str = "euclidean") -> float:
     linear time. Cosine distance 1 - cos(theta) is no metric, but the
     angle theta is, so the bound doubles the widest angle from the first
     point (capped at pi); there diameter <= result <= 4 * diameter.
-    Returns 0 when the points coincide (in direction, under cosine) or
-    their distances underflow; callers must substitute a positive floor.
+    The bracket holds except that a zero bound, when the points coincide
+    (in direction, under cosine) or their distances underflow, warns and
+    returns float64 eps, so every radius up to the bound is positive.
     Raises ValueError when the bound overflows.
     """
     x = _validate(points, metric)
@@ -418,8 +420,13 @@ def approximate_diameter_ub(points, metric: str = "euclidean") -> float:
         bound = 2.0 * float(_distance_block(x[:1], x, metric, None)[0].max())
         if not np.isfinite(bound):
             raise ValueError("the diameter bound overflows; rescale the data")
-        return bound
-    # the chord of the unit rows keeps small angles exact, unlike arccos
-    chord = _distance_block(x[:1], x, "euclidean", None)[0].max()
-    theta = min(np.pi, 4.0 * np.arcsin(min(1.0, 0.5 * chord)))
-    return float(2.0 * np.sin(0.5 * theta) ** 2)
+    else:
+        # the chord of the unit rows keeps small angles exact, unlike arccos
+        chord = _distance_block(x[:1], x, "euclidean", None)[0].max()
+        theta = min(np.pi, 4.0 * np.arcsin(min(1.0, 0.5 * chord)))
+        bound = float(2.0 * np.sin(0.5 * theta) ** 2)
+    if bound == 0:
+        warnings.warn("degenerate dataset: the diameter bound is 0, because the points "
+                      "coincide or their distances underflow; using float64 eps")
+        return float(np.finfo(np.float64).eps)
+    return bound

@@ -18,11 +18,11 @@ from .core import dbscan  # noqa: F401
 
 
 def epsilon_grid(x, grid_size: int, metric: str = "euclidean") -> np.ndarray:
-    """Default sweep grid: ``grid_size`` even radii from UB0/1000 to the diameter bound UB0."""
+    """Default sweep grid: ``grid_size`` >= 2 even radii from UB0/1000 to the
+    diameter bound UB0, which is float64 eps when the points coincide."""
+    if grid_size < 2:
+        raise ValueError(f"grid size must be at least 2, got {grid_size}")
     ub0 = approximate_diameter_ub(x, metric=metric)
-    if ub0 <= 0:
-        raise ValueError("degenerate dataset: the diameter bound is 0, because the points "
-                         "coincide or their distances underflow")
     return np.linspace(ub0 / 1000, ub0, grid_size)
 
 

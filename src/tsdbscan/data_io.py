@@ -87,14 +87,21 @@ def write_curve(path, curve: list[CurveSample]) -> None:
 
 
 def load_curve(path) -> list[CurveSample]:
-    """Read a curve CSV written by :func:`write_curve`; a k that is not a
-    non-negative integer, or a noise fraction outside [0, 1], is an error
-    naming the data row (1-based, header excluded)."""
+    """Read a curve CSV written by :func:`write_curve`; a radius that is not
+    positive or not above the row before, a k that is not a non-negative
+    integer, or a noise fraction outside [0, 1], is an error naming the
+    data row (1-based, header excluded), as :func:`curve.sweep_curve`
+    rejects such a grid."""
     x = load_matrix(path, "csv")
     if x.shape[1] != 3:
         raise ValueError(f"{path}: curve file must have 3 columns (epsilon,k,noise_fraction)")
     curve = []
     for row, (e, k, nf) in enumerate(x.tolist(), start=1):
+        if not e > 0:
+            raise ValueError(f"{path}: row {row}: epsilon must be positive, got {e!r}")
+        if curve and not e > curve[-1].epsilon:
+            raise ValueError(f"{path}: row {row}: epsilon must exceed the previous row's "
+                             f"{curve[-1].epsilon!r}, got {e!r}")
         if not (k >= 0 and k.is_integer()):
             raise ValueError(f"{path}: row {row}: k must be a non-negative integer, got {k!r}")
         if not 0 <= nf <= 1:

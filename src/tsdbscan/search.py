@@ -135,19 +135,10 @@ def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
     return mid
 
 
-def _row_sample_fits(n: int, cfg: TuneConfig) -> bool:
-    """Whether a row subsample of n points can hold a cluster."""
-    return math.ceil(cfg.alpha * n) >= cfg.min_pts + 1
-
-
-def _sample_rows(n: int, cfg: TuneConfig, rng: np.random.Generator) -> np.ndarray:
-    size = math.ceil(cfg.alpha * n)
+def _subsample(n: int, cfg: TuneConfig, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of ceil(alpha * n) of range(n), at least one."""
+    size = max(1, math.ceil(cfg.alpha * n))
     return np.sort(rng.choice(n, size=size, replace=False))
-
-
-def _sample_dims(d: int, cfg: TuneConfig, rng: np.random.Generator) -> np.ndarray:
-    size = max(1, math.ceil(cfg.alpha * d))
-    return np.sort(rng.choice(d, size=size, replace=False))
 
 
 def estimate_upper_bound(x, cfg: TuneConfig, ub0: float,
@@ -156,18 +147,16 @@ def estimate_upper_bound(x, cfg: TuneConfig, ub0: float,
 
     A row subsample is sparser than the full data, so its best radius is
     larger; ternary search on the subsample over (0, ub0), with ub0 the
-    diameter bound, yields an UB.
+    diameter bound, yields an UB. A subsample of ceil(alpha * N) <= min_pts
+    rows cannot hold a cluster; then it warns and returns ub0.
     """
     x = validate_points(x)
     n = len(x)
-    if not _row_sample_fits(n, cfg):
-        raise ValueError(
-            f"subsample of ceil({cfg.alpha} * {n}) points is too small for "
-            f"min_pts={cfg.min_pts}; fall back to the trivial bound"
-        )
+    if math.ceil(cfg.alpha * n) <= cfg.min_pts:
+        warnings.warn("subsample too small for the upper-bound heuristic; using the trivial bound")
+        return ub0
     rng = np.random.default_rng([cfg.seed, _SEED_ROWS])
-    sub = x[_sample_rows(n, cfg, rng)]
-    return ternary_search(sub, SearchBounds(0.0, ub0), cfg, stats)
+    return ternary_search(x[_subsample(n, cfg, rng)], SearchBounds(0.0, ub0), cfg, stats)
 
 
 def estimate_lower_bound(x, ub: float, cfg: TuneConfig,
@@ -179,24 +168,14 @@ def estimate_lower_bound(x, ub: float, cfg: TuneConfig,
     """
     x = validate_points(x)
     rng = np.random.default_rng([cfg.seed, _SEED_DIMS])
-    proj = x[:, _sample_dims(x.shape[1], cfg, rng)]
+    proj = x[:, _subsample(x.shape[1], cfg, rng)]
     return ternary_search(proj, SearchBounds(0.0, ub), cfg, stats)
 
 
 def _resolve_bounds(x: np.ndarray, cfg: TuneConfig, stats: RunStats | None) -> SearchBounds:
-    """Shared bound-estimation prologue: the one place the diameter bound
-    UB0 is computed, and floored when it is 0."""
-    ub0 = approximate_diameter_ub(x, metric=cfg.metric)
-    if ub0 <= 0:
-        warnings.warn("degenerate dataset: the diameter bound is 0, because the points "
-                      "coincide or their distances underflow")
-        ub0 = np.finfo(np.float64).eps
-    if _row_sample_fits(len(x), cfg):
-        ub = estimate_upper_bound(x, cfg, ub0=ub0, stats=stats)
-    else:
-        warnings.warn("subsample too small for the upper-bound heuristic; using the trivial bound")
-        ub = ub0
-    # the lower-bound search runs strictly inside (0, ub), so lb < ub
+    """Shared bound-estimation prologue: UB from the diameter bound UB0, then
+    LB strictly inside (0, UB), so LB < UB."""
+    ub = estimate_upper_bound(x, cfg, approximate_diameter_ub(x, metric=cfg.metric), stats)
     return SearchBounds(estimate_lower_bound(x, ub, cfg, stats=stats), ub)
 
 
@@ -232,8 +211,8 @@ def tse_estimate(x, bounds: SearchBounds, cfg: TuneConfig,
     estimates = np.empty(cfg.m)
     for r in range(cfg.m):
         rng = np.random.default_rng([cfg.seed, _SEED_REPEAT, r])
-        rows = _sample_rows(len(x), cfg, rng)
-        dims = _sample_dims(x.shape[1], cfg, rng)
+        rows = _subsample(len(x), cfg, rng)
+        dims = _subsample(x.shape[1], cfg, rng)
         estimates[r] = ternary_search(x[np.ix_(rows, dims)], bounds, cfg, stats)
     return float(estimates.mean())
 

@@ -337,8 +337,10 @@ class TestDiameterBound:
     def test_direct(self):
         assert approximate_diameter_ub(np.array([[0.0], [3.0], [10.0]])) == 20.0
 
-    def test_duplicates_give_zero(self):
-        assert approximate_diameter_ub(np.array([[5.0], [5.0]])) == 0.0
+    def test_duplicates_warn_and_give_float64_eps(self):
+        with pytest.warns(UserWarning, match="diameter bound is 0, .*; using float64 eps"):
+            ub = approximate_diameter_ub(np.array([[5.0], [5.0]]))
+        assert ub == np.finfo(np.float64).eps
 
     def test_triangle(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -33,10 +33,13 @@ class TestEpsilonGrid:
         pytest.param(np.ones((5, 2)), id="coincident"),
         pytest.param(np.array([[0.0], [5e-324], [1e-323], [0.0]]), id="underflow"),
     ])
-    def test_zero_diameter_bound_errors(self, x):
-        with pytest.raises(ValueError, match="diameter bound is 0, because the points "
+    def test_zero_diameter_bound_warns_and_ends_at_float64_eps(self, x):
+        with pytest.warns(UserWarning, match="diameter bound is 0, because the points "
                                              "coincide or their distances underflow"):
-            epsilon_grid(x, 10)
+            grid = epsilon_grid(x, 10)
+        assert len(grid) == 10
+        assert grid[-1] == np.finfo(np.float64).eps
+        assert grid[0] > 0
 
 
 class TestSweep:

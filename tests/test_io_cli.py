@@ -121,6 +121,11 @@ SYNTH_SIZES = "k, per_cluster, and dims must be positive"
                  id="load_curve-two-columns"),
     pytest.param("epsilon,k,noise_fraction,x\n0.5,2,0.0,1\n", load_curve,
                  "curve file must have 3 columns", id="load_curve-four-columns"),
+    pytest.param("epsilon,k,noise_fraction\n3.0,1,0.0\n-1.0,2,0.0\n2.0,1,0.0\n", load_curve,
+                 "row 2: epsilon must be positive, got -1.0", id="load_curve-negative-radius"),
+    pytest.param("epsilon,k,noise_fraction\n3.0,1,0.0\n2.0,2,0.0\n", load_curve,
+                 "row 2: epsilon must exceed the previous row's 3.0, got 2.0",
+                 id="load_curve-decreasing-radius"),
     pytest.param("", lambda p: synth_blobs(0, 5, 2, 10.0, seed=0), SYNTH_SIZES, id="synth_blobs-k"),
     pytest.param("", lambda p: synth_blobs(2, 0, 2, 10.0, seed=0), SYNTH_SIZES,
                  id="synth_blobs-per-cluster"),
@@ -278,6 +283,50 @@ class TestCli:
             results = json.loads((out / "report.json").read_text())["results"]
             assert (results["mode_epsilon"], results["mode_k"]) == (first.epsilon, first.k)
 
+    def test_sweep_on_coincident_rows_gives_one_cluster_everywhere(self, tmp_path):
+        data = tmp_path / "same.csv"
+        data.write_text("1,2\n" * 5)
+        out = tmp_path / "sweep"
+        with pytest.warns(UserWarning, match="diameter bound is 0"):
+            code = run_cli(["sweep", "--input", data, "--min-pts", 3, "--grid-size", 10,
+                            "--out", out])
+        assert code == 0
+        curve = load_curve(out / "curve.csv")
+        assert len(curve) == 10
+        assert curve[-1].epsilon == np.finfo(np.float64).eps
+        assert all((c.k, c.noise) == (1, 0.0) for c in curve)
+
+    @pytest.mark.parametrize("grid_size", [1, 0, -3])
+    def test_sweep_grid_size_below_two_fails_without_a_curve(self, tmp_path, capsys, blob_files,
+                                                             grid_size):
+        data, _ = blob_files
+        out = tmp_path / "sweep"
+        code = run_cli(["sweep", "--input", data, "--min-pts", 3, f"--grid-size={grid_size}",
+                        "--out", out])
+        assert code == 1
+        assert f"grid size must be at least 2, got {grid_size}" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["tune", "tse", "dip", "oracle", "synth"])
+    def test_negative_seed_exits_2_without_outputs(self, tmp_path, capsys, blob_files, command):
+        data, _ = blob_files
+        curve = tmp_path / "curve.csv"
+        write_curve(curve, [CurveSample(0.5 * i, k, 0.0) for i, k in enumerate([0, 2, 3, 2, 1], 1)])
+        args = {
+            "tune": ["--input", data, "--min-pts", 3, "--itr", 2],
+            "tse": ["--input", data, "--min-pts", 3, "--itr", 2, "--m", 2],
+            "dip": ["--input", curve, "--n-boot", 5],
+            "oracle": ["--n", 300, "--trials", 2, "--conc-n", 500, "--conc-trials", 1,
+                       "--dims", 1],
+            "synth": ["--k", 2, "--per-cluster", 5, "--dims", 2],
+        }[command]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *args, "--seed", -1, "--out", out])
+        assert exc.value.code == 2
+        assert "--seed: must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_reports_one_build_and_no_dbscan_run(self, tmp_path, blob_files):
         data, _ = blob_files
         out = tmp_path / "sweep"
@@ -306,8 +355,9 @@ class TestCli:
         assert not (out / "report.json").exists()
 
     def test_written_curve_loads_unchanged(self, tmp_path):
-        curve = [CurveSample(0.1, 0, 1.0), CurveSample(0.30000000000000004, 7, 1 / 3),
-                 CurveSample(2.5e-300, 12, 0.0)]
+        # radii ascend, as load_curve requires
+        curve = [CurveSample(2.5e-300, 0, 1.0), CurveSample(0.1, 7, 1 / 3),
+                 CurveSample(0.30000000000000004, 12, 0.0)]
         path = tmp_path / "curve.csv"
         write_curve(path, curve)
         assert load_curve(path) == curve

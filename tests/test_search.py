@@ -204,10 +204,13 @@ class TestBoundEstimators:
         with pytest.raises(ValueError):
             estimate_lower_bound(TWO_CLUSTERS_1D, 0.0, TuneConfig(min_pts=2))
 
-    def test_subsample_too_small_raises(self):
+    def test_subsample_too_small_warns_and_returns_ub0(self):
         x = np.random.default_rng(6).random((10, 2))
-        with pytest.raises(ValueError):
-            estimate_upper_bound(x, TuneConfig(min_pts=5, alpha=0.2), approximate_diameter_ub(x))
+        stats = RunStats()
+        with pytest.warns(UserWarning, match="subsample too small for the upper-bound heuristic"):
+            ub = estimate_upper_bound(x, TuneConfig(min_pts=5, alpha=0.2), 3.5, stats)
+        assert ub == 3.5
+        assert stats.dbscan_invocations == 0
 
 
 class TestTsClustering:
@@ -239,6 +242,20 @@ class TestTsClustering:
                                              "coincide or their distances underflow"):
             eps, lab = ts_clustering(x, TuneConfig(min_pts=2, alpha=1.0))
         assert eps > 0
+
+    @pytest.mark.parametrize("tune", [ts_clustering, tse_clustering])
+    def test_each_fallback_warns_once(self, tune):
+        # 10 coincident rows: UB0 is 0, and ceil(0.2 * 10) = 2 rows cannot
+        # hold a cluster at min_pts=2; each rule fires at its one site
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            eps, lab = tune(np.ones((10, 2)), TuneConfig(min_pts=2, m=3, seed=2))
+        messages = [str(w.message) for w in caught]
+        assert sum("diameter bound is 0" in m for m in messages) == 1
+        assert sum("subsample too small" in m for m in messages) == 1
+        assert 0 < eps < np.finfo(np.float64).eps
+        assert count_clusters(lab) == 1
+        assert noise_fraction(lab) == 0.0
 
     @pytest.mark.parametrize("tune", [ts_clustering, tse_clustering])
     def test_fewer_points_than_min_pts_errors(self, tune):
