@@ -237,7 +237,6 @@ _RUNNERS = {
 
 def run(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     stats = RunStats()
     start = time.perf_counter()
     try:

@@ -29,6 +29,16 @@ against the core columns that the block's first and last rows leave
 within ``epsilon`` on the sort coordinate. Clusters are numbered by the
 smallest caller index among their core points, and labels and roles are
 returned in the caller's order. Memory is O(N) plus one block.
+
+With one column the window is the ball itself. Each ball is a run
+[lo_i, hi_i] of sorted rows: hi_i is guessed from the keys and fixed up
+with the kernel on the pairs at the run's end, and by symmetry lo_i is
+the first row whose run reaches i. A point's count is the run's length.
+The clusters are the runs of core points each within ``epsilon`` of the
+one before, and a border point takes the smaller id of the nearest core
+point on each side within ``epsilon``. This path computes no distance
+block; each kernel value is that of its pair bit for bit, from the
+pair's difference (see ``_gap_kernel``), and counts as one cell.
 """
 
 from __future__ import annotations
@@ -76,7 +86,9 @@ class RunStats:
     with a neighbour x their window of the core points. Finding a window
     adds one row x the candidate columns at D = 1: row s x [0, s) in the
     pass, and in the later passes the block's first row x the core points
-    below it and its last row x those above it.
+    below it and its last row x those above it. On one column no block is
+    computed: each pair whose kernel the ball ends are checked on counts
+    as one cell at D = 1, about 2N cells a run.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
     """
@@ -185,7 +197,10 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     run on the rows sorted by their widest coordinate, and each block of
     rows meets only the window of columns that the kernel on that one
     coordinate leaves within ``epsilon``; the window's one-column blocks
-    count in ``stats`` at D = 1.
+    count in ``stats`` at D = 1. With one column the window is the ball
+    itself, so no distance block is computed: each ball is a run of sorted
+    rows, whose end is checked with the kernel on single pairs, and each
+    pair checked counts in ``stats`` as one cell at D = 1.
     """
     x = _validate(points, metric)
     if not epsilon > 0:
@@ -201,8 +216,39 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     widest = int(np.argmax(np.ptp(x, axis=0)))
     order = np.argsort(x[:, widest], kind="stable")
     x = x[order]
-    key = x[:, [widest]]
+    if x.shape[1] == 1:
+        core, parent, border_blocks = _one_column(x[:, 0], epsilon, min_pts, metric, stats)
+    else:
+        core, parent, border_blocks = _windowed(x, x[:, [widest]], epsilon, min_pts, metric, stats)
 
+    # clusters are numbered by the smallest caller index among their core
+    # points; a border point takes the smallest id among the core points in
+    # its ball, the cluster an expansion in index order would reach first
+    cores = np.flatnonzero(core)
+    first = np.full(n, n)
+    np.minimum.at(first, parent[cores], order[cores])
+    labels = np.full(n, NOISE, dtype=np.int64)
+    _, labels[cores] = np.unique(first[parent[cores]], return_inverse=True)
+    for rows, cols, near in border_blocks:
+        ids = np.where(near, labels[cols], n).min(axis=1)
+        labels[rows[ids < n]] = ids[ids < n]
+
+    roles = np.full(n, ROLE_NOISE, dtype=np.int8)
+    roles[labels != NOISE] = ROLE_BORDER
+    roles[core] = ROLE_CORE
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    return Labeling(labels=labels[rank], roles=roles[rank])
+
+
+def _windowed(x: np.ndarray, key: np.ndarray, epsilon: float, min_pts: int, metric: str,
+              stats: RunStats | None):
+    """The counts pass and the late re-check on the rows ``x`` sorted by the
+    one column ``key``. Returns the core mask, the forest of the core
+    components (each core point's root is its tree's smallest index), and
+    the border blocks: each non-core row with a neighbour against the core
+    points in its window (see ``_core_blocks``)."""
+    n = len(x)
     # distances are symmetric bit for bit, so rows [s, e) meet only columns
     # [lo, e): the row sums count their neighbours there, and the column
     # sums of [:, :s - lo] give rows [lo, s) their neighbours in [s, e)
@@ -242,25 +288,73 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     if np.any(parent[cores] != parent[cores[:1]]):
         for rows, cols, near in _core_blocks(x, key, cores[late[cores]], cores, epsilon, metric, stats):
             _join(parent, rows, cols, near)
-
-    # clusters are numbered by the smallest caller index among their core
-    # points; a border point takes the smallest id among the core points in
-    # its ball, the cluster an expansion in index order would reach first
-    first = np.full(n, n)
-    np.minimum.at(first, parent[cores], order[cores])
-    labels = np.full(n, NOISE, dtype=np.int64)
-    _, labels[cores] = np.unique(first[parent[cores]], return_inverse=True)
     border = np.flatnonzero(~core & (counts > 1))
-    for rows, cols, near in _core_blocks(x, key, border, cores, epsilon, metric, stats):
-        ids = np.where(near, labels[cols], n).min(axis=1)
-        labels[rows[ids < n]] = ids[ids < n]
+    return core, parent, _core_blocks(x, key, border, cores, epsilon, metric, stats)
 
-    roles = np.full(n, ROLE_NOISE, dtype=np.int8)
-    roles[labels != NOISE] = ROLE_BORDER
-    roles[core] = ROLE_CORE
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n)
-    return Labeling(labels=labels[rank], roles=roles[rank])
+
+def _one_column(key: np.ndarray, epsilon: float, min_pts: int, metric: str, stats: RunStats | None):
+    """The exact engine on one ascending column ``key``, with the returns of
+    ``_windowed``. The kernel grows with the gap in sorted order, so each
+    ball is a run [lo_i, hi_i] of rows, and a row's count is its length.
+    Two core points within ``epsilon`` are within it of every core point
+    between them, so the clusters are the runs of core points each in the
+    ball of the one before, rooted at their first. The core points within
+    ``epsilon`` on one side of a row are in one cluster, so the one border
+    block meets each border row with the nearest core point on each side."""
+    n = key.size
+    hi = _ball_ends(key, epsilon, metric, stats)
+    # the kernel is symmetric bit for bit, so row j <= i lies in the ball of
+    # i exactly when i lies in the ball of j; and hi never decreases
+    lo = np.searchsorted(hi, np.arange(n))
+    counts = hi - lo + 1
+    core = counts >= min_pts
+    cores = np.flatnonzero(core)
+    starts = np.ones(cores.size, dtype=bool)
+    starts[1:] = hi[cores[:-1]] < cores[1:]
+    parent = np.arange(n)
+    parent[cores] = cores[starts][np.cumsum(starts) - 1]
+    if not cores.size:
+        return core, parent, []
+    border = np.flatnonzero(~core & (counts > 1))
+    at = np.searchsorted(cores, border)
+    left, right = cores[np.maximum(at - 1, 0)], cores[np.minimum(at, cores.size - 1)]
+    near = np.stack(((at > 0) & (left >= lo[border]), (at < cores.size) & (right <= hi[border])), axis=1)
+    return core, parent, [(border, np.stack((left, right), axis=1), near)]
+
+
+def _ball_ends(key: np.ndarray, epsilon: float, metric: str, stats: RunStats | None) -> np.ndarray:
+    """The last row within ``epsilon`` of each row of the ascending ``key``:
+    a guess from the keys alone, then a fix-up with the kernel on the
+    boundary pairs, back while the end is too far and forward while the
+    next row is near. Rows with equal keys are equally far, so each step
+    crosses a whole run of them. A sum or gap that overflows is inf, as
+    cdist's difference of the pair is, so it warns of nothing."""
+    n = key.size
+    with np.errstate(over="ignore"):
+        hi = np.searchsorted(key, key + epsilon, side="right") - 1
+        far = _gap_kernel(key - key[hi], metric, stats) > epsilon
+        rows = np.flatnonzero(far)
+        while rows.size:
+            hi[rows] = np.searchsorted(key, key[hi[rows]]) - 1
+            rows = rows[_gap_kernel(key[rows] - key[hi[rows]], metric, stats) > epsilon]
+        rows = np.flatnonzero(~far & (hi < n - 1))
+        while rows.size:
+            rows = rows[_gap_kernel(key[rows] - key[hi[rows] + 1], metric, stats) <= epsilon]
+            hi[rows] = np.searchsorted(key, key[hi[rows] + 1], side="right") - 1
+            rows = rows[hi[rows] < n - 1]
+    return hi
+
+
+# the one row of a block of one-column differences: each cell is a gap minus 0
+_ORIGIN = np.zeros((1, 1))
+
+
+def _gap_kernel(gaps: np.ndarray, metric: str, stats: RunStats | None) -> np.ndarray:
+    """The kernel of the one-column pairs whose differences are ``gaps``.
+    With one column the kernel is a function of the difference alone, and
+    cdist subtracts 0 exactly, so each value is its pair's bit for bit and
+    counts in ``stats`` as one cell at D = 1."""
+    return _distance_block(gaps[:, None], _ORIGIN, metric, stats)[:, 0]
 
 
 def _core_blocks(x: np.ndarray, key: np.ndarray, rows: np.ndarray, cores: np.ndarray, epsilon: float,

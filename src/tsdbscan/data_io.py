@@ -111,8 +111,11 @@ def load_curve(path) -> list[CurveSample]:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file and rename; never leaves partial output."""
+    """Write via a temp file and rename; never leaves partial output. Makes
+    the parent directory first, so a run that fails before its first write
+    leaves no directory behind."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)

@@ -82,6 +82,11 @@ class TestRegionQuery:
             dbscan(self.X, float("nan"), 2)
 
 
+# two clusters, in descending order of the sort key, with the border point
+# 1 between them
+LINE = np.array([3.0, 3.0, 3.0, 2.0, 1.0, 0.0, -1.0, -1.0, -1.0])
+
+
 class TestDbscan:
     def test_all_noise_below_min_spacing(self):
         lab = dbscan(np.array([[0.0], [10.0], [20.0]]), 1.0, 2)
@@ -182,12 +187,16 @@ class TestDbscan:
         assert stats.point_evaluations == pairs * 20 + window
 
     @pytest.mark.parametrize("x, eps, min_pts, cells, evaluations", [
-        # no point of the line is core (at most 3 points in a ball), so the
+        # each line runs as np.c_[x, 0 * x], which takes the windowed path
+        # with the sort key and kernel bits of x alone: each pair of a call
+        # that finds a window counts one cell (D = 1), and each pair of a
+        # block two (D = 2).
+        # No point of the line is core (at most 3 points in a ball), so the
         # run is the counts pass alone. Window of rows [s, e): s cells, and
         # it starts at s - 1, the only earlier point within 1.5
-        (np.arange(20.0), 1.5, 4, 1, sum(range(20)) + 1 + 19 * 2),  # [s, s + 1) x [s - 1, s + 1)
-        (np.arange(20.0), 1.5, 4, 40, sum(range(0, 20, 2)) + 2 * 2 + 9 * 2 * 3),  # [s, s + 2) x [s - 1, s + 2)
-        (np.arange(20.0), 1.5, 4, 1 << 19, 20 * 20),  # one block: no column to rule out
+        (np.arange(20.0), 1.5, 4, 1, sum(range(20)) + 2 * (1 + 19 * 2)),  # [s, s + 1) x [s - 1, s + 1)
+        (np.arange(20.0), 1.5, 4, 40, sum(range(0, 20, 2)) + 2 * (2 * 2 + 9 * 2 * 3)),  # [s, s + 2) x [s - 1, s + 2)
+        (np.arange(20.0), 1.5, 4, 1 << 19, 2 * 20 * 20),  # one block: no column to rule out
         # points 1..18 are core, each only once its next neighbour's row is
         # seen, so the counts pass (as above) joins no pair, and all 18 are
         # late. The re-check meets each in a one-row block with the core
@@ -196,25 +205,50 @@ class TestDbscan:
         # 1 x 3. The border points 0 and 19 each find their window among the
         # 18 core points in 18 cells and meet one core point
         (np.arange(20.0), 1.0, 3, 1,
-         sum(range(20)) + 1 + 19 * 2 + 18 * 17 + 2 * 2 + 16 * 3 + 2 * (18 + 1)),
+         sum(range(20)) + 18 * 17 + 2 * 18 + 2 * (1 + 19 * 2 + 2 * 2 + 16 * 3 + 2 * 1)),
         # a point and its copy in each two-row block [s, s + 2), each core by
         # the block's end: a window of s cells that starts at the block
         # (eps 0.5) or at the copies of the point below (eps 1.0)
-        (np.repeat(np.arange(10.0), 2), 0.5, 2, 40, sum(range(0, 20, 2)) + 10 * 2 * 2),
-        (np.repeat(np.arange(10.0), 2), 1.0, 2, 40, sum(range(0, 20, 2)) + 2 * 2 + 9 * 2 * 4),
+        (np.repeat(np.arange(10.0), 2), 0.5, 2, 40, sum(range(0, 20, 2)) + 2 * 10 * 2 * 2),
+        (np.repeat(np.arange(10.0), 2), 1.0, 2, 40, sum(range(0, 20, 2)) + 2 * (2 * 2 + 9 * 2 * 4)),
         # 0 and 1 are late (a neighbour while short of min_pts) until row 2
         # turns all three core and joins them in one tree. Nothing is checked
-        # again, which would add 2 + 3 and 1 + 1 + 3 cells for the windows
-        # and blocks of 0 and 1: windows of 0 + 1 + 2 cells, blocks of 1 + 2 + 3
-        (np.array([0.0, 0.1, 0.2]), 1.0, 3, 1, (0 + 1 + 2) + (1 + 2 + 3)),
+        # again, which would add 2 + 3 and 1 + 1 + 3 pairs for the windows
+        # and blocks of 0 and 1: windows of 0 + 1 + 2 pairs, blocks of 1 + 2 + 3
+        (np.array([0.0, 0.1, 0.2]), 1.0, 3, 1, (0 + 1 + 2) + 2 * (1 + 2 + 3)),
     ])
     def test_window_leaves_out_points_far_on_the_sort_coordinate(self, monkeypatch, x, eps, min_pts, cells,
                                                                  evaluations):
-        x = x[:, None]
+        x = np.c_[x, 0 * x]
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         stats = RunStats()
         lab = dbscan(x, eps, min_pts, stats=stats)
         assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, min_pts))
+        assert stats.point_evaluations == evaluations
+
+    @pytest.mark.parametrize("x, eps, metric, evaluations", [
+        # each row checks its guessed end, then the row after it unless the
+        # end is the last row; here the guess i + 1 holds
+        (np.arange(20.0), 1.5, "euclidean", 20 + 18),
+        # the guess from the keys is each row itself. The squares of these
+        # gaps underflow to 0, so under euclidean every pair is within 1e-300
+        # and the fix-up steps forward one row at a time
+        ([0.0, 1e-170, 2e-170, 3e-170], 1e-300, "euclidean", 4 + 3 + 2 + 1),
+        ([0.0, 1e-170, 2e-170, 3e-170], 1e-300, "manhattan", 4 + 3),
+        # one step crosses the whole run of copies of 0
+        ([0.0, 0.0, 0.0, 1e-170, 1e-170], 1e-300, "euclidean", 5 + 3),
+        # the square of the gap 2e154 overflows: the guessed end of row 0,
+        # the last row, is too far, and it steps back once
+        ([0.0, 1e154, 2e154], 1e300, "euclidean", 3 + 1),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the oracle's squares
+    def test_one_column_ball_ends_are_fixed_up_with_the_kernel(self, x, eps, metric, evaluations):
+        # a one-column run computes no distance block: each pair whose
+        # kernel it checks counts one cell at D = 1
+        x = np.array(x)[:, None]
+        stats = RunStats()
+        lab = dbscan(x, eps, 2, metric=metric, stats=stats)
+        assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 2, metric))
         assert stats.point_evaluations == evaluations
 
     @pytest.mark.parametrize("cells", [1, 4, 7, 8, 16])
@@ -229,8 +263,10 @@ class TestDbscan:
     ])
     def test_first_block_points_become_core_through_later_columns(self, monkeypatch, cells, x, roles):
         # in one-row blocks no pair of the pass joins 0.4 to 0.0, so only the
-        # late re-check does, and 0.4 is late by its own row's pairs
-        x = np.array(x)[:, None]
+        # late re-check does, and 0.4 is late by its own row's pairs; the
+        # zero column keeps the run on the windowed path
+        x = np.array(x)
+        x = np.c_[x, 0 * x]
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         lab = dbscan(x, 0.45, 3)
         assert lab.labels.tolist() == brute_force_dbscan(x, 0.45, 3).tolist() == [0] * len(x)
@@ -256,7 +292,8 @@ class TestDbscan:
         # eps of the border point 1; it has too few neighbours to be core
         left, right = [-1.0, -1.0, -1.0, 0.0], [2.0, 3.0, 3.0, 3.0]
         rows = left + right if left_first else right + left
-        x = np.insert(rows, border_at, 1.0)[:, None]
+        x = np.insert(rows, border_at, 1.0)
+        x = np.c_[x, 0 * x]  # the windowed path
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         lab = dbscan(x, 1.0, 4)
         assert lab.labels.tolist() == brute_force_dbscan(x, 1.0, 4).tolist()
@@ -268,11 +305,18 @@ class TestDbscan:
         # rows in descending order of the sort key, so the sort reverses the
         # clusters: the right one, first in the caller's order, is number 0,
         # and so is the border point 1 between them
-        x = np.array([3.0, 3.0, 3.0, 2.0, 1.0, 0.0, -1.0, -1.0, -1.0])[:, None]
+        x = np.c_[LINE, 0 * LINE]  # the windowed path
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         lab = dbscan(x, 1.0, 4)
         assert lab.labels.tolist() == brute_force_dbscan(x, 1.0, 4).tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 1]
         assert lab.roles[4] == ROLE_BORDER
+
+    def test_one_column_numbers_clusters_and_borders_in_caller_order(self):
+        # the border point 1 is within eps of the nearest core point on each
+        # side, 2 and 0, and takes the smaller id
+        lab = dbscan(LINE[:, None], 1.0, 4)
+        assert lab.labels.tolist() == brute_force_dbscan(LINE[:, None], 1.0, 4).tolist() == [0] * 5 + [1] * 4
+        assert lab.roles.tolist() == [ROLE_CORE] * 4 + [ROLE_BORDER] + [ROLE_CORE] * 4
 
     @pytest.mark.parametrize("eps, k", [(0.5, 10), (1.0, 1)])
     @pytest.mark.parametrize("cells, pairs", [

@@ -305,7 +305,20 @@ class TestCli:
                         "--out", out])
         assert code == 1
         assert f"grid size must be at least 2, got {grid_size}" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("tune", ["--itr", 0], "itr must be positive"),
+        ("sweep", ["--grid-size", 1], "grid size must be at least 2"),
+    ])
+    def test_options_rejected_by_the_library_leave_no_directory(self, tmp_path, capsys, blob_files,
+                                                                 command, args, message):
+        # the output directory is made by the first write, not up front
+        data, _ = blob_files
+        out = tmp_path / "out" / "nested"
+        assert run_cli([command, "--input", data, "--min-pts", 3, *args, "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["tune", "tse", "dip", "oracle", "synth"])
     def test_negative_seed_exits_2_without_outputs(self, tmp_path, capsys, blob_files, command):
@@ -399,7 +412,7 @@ class TestCli:
         code = run_cli([command, "--input", data, "--min-pts", 4, "--out", out])
         assert code == 1
         assert "diameter bound overflows" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_cosine_zero_vector_fails_with_message(self, tmp_path, capsys):
         data = tmp_path / "zero.csv"

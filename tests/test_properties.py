@@ -177,6 +177,57 @@ def test_one_coordinate_bounds_the_kernel_from_below(metric, data):
         assert np.all(_distance_block(x[:, [c]], x[:, [c]], metric, None) <= full), c
 
 
+# one column scaled from 1e-300 to 1e300: squares of the gaps underflow
+# below about 1e-162 and overflow above about 1e154
+WIDE_SCALES = st.sampled_from([1.0, 1e-300, 1e-170, 1e150, 1e300])
+
+
+@st.composite
+def one_column(draw, metric):
+    """One column of 1 to 12 rows and up to 4 copies of them. Each row is
+    scaled by one of WIDE_SCALES, or under cosine, where the row's square
+    must stay positive and finite, as ``scaled_rows`` scales it."""
+    x = draw(arrays(np.float64, (draw(st.integers(1, 12)), 1),
+                    elements=st.floats(-1e3, 1e3, allow_subnormal=False, width=64)))
+    x = np.vstack([x, x[draw(st.lists(st.integers(0, len(x) - 1), max_size=4))]])
+    if metric == "cosine":
+        return draw(scaled_rows(metric, x))
+    return x * np.array(draw(st.lists(WIDE_SCALES, min_size=len(x), max_size=len(x))))[:, None]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the oracle's squares
+@SETTINGS
+@given(data=st.data())
+def test_one_column_matches_two_columns_and_the_oracle(metric, data):
+    # one column takes the exact one-column path; a zero column beside it
+    # keeps the sort key and every kernel value, and takes the windowed path
+    x = data.draw(one_column(metric))
+    min_pts = data.draw(st.integers(2, len(x) + 1))
+    eps = data.draw(st.sampled_from(edge_radii(x, metric)))
+    lab = dbscan(x, eps, min_pts, metric=metric)
+    wide = dbscan(np.c_[x, 0 * x], eps, min_pts, metric=metric)
+    assert np.array_equal(lab.labels, wide.labels) and np.array_equal(lab.roles, wide.roles)
+    assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, min_pts, metric))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_difference_block_is_the_pair_kernel(metric, data):
+    # the one-column path computes each kernel value from the pair's
+    # difference, a P x 1 block against the origin: bit for bit the value of
+    # the pair, also where its square underflows or it overflows, and one
+    # cell per pair
+    a, b = (_validate(data.draw(one_column(metric)), metric) for _ in range(2))
+    with np.errstate(over="ignore"):
+        gaps = (a - b.T).ravel()
+    stats = RunStats()
+    got = core._gap_kernel(gaps, metric, stats).reshape(len(a), len(b))
+    assert np.array_equal(got, _distance_block(a, b, metric, None))
+    assert stats.point_evaluations == gaps.size
+
+
 @pytest.mark.parametrize("cells", [1, 3, 7])
 @pytest.mark.parametrize("metric", METRICS)
 @SETTINGS

@@ -228,12 +228,6 @@ class TestTsClustering:
         ts_clustering(x, cfg, stats)
         assert stats.dbscan_invocations == 6 * cfg.itr
 
-    def test_all_identical_points_warns(self):
-        x = np.ones((10, 2))
-        with pytest.warns(UserWarning):
-            eps, lab = ts_clustering(x, TuneConfig(min_pts=2, seed=2))
-        assert eps > 0
-
     def test_underflowing_distances_warn_of_a_zero_diameter_bound(self):
         # distinct points, but every distance between them underflows to 0;
         # alpha 1 keeps the upper-bound search, so this is the only warning
