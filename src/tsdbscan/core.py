@@ -7,38 +7,37 @@ of the eps-graph over core points plus their in-radius border points.
 ``KCurve`` gives the cluster count and noise fraction of that DBSCAN at
 every radius from one build.
 
-``dbscan`` first sorts the rows by their widest coordinate. The kernel
-sums non-negative per-dimension terms and rounding is monotone, so the
-kernel on that one coordinate is a lower bound, bit for bit, of the kernel
-on all of them, and it grows with the gap between two rows in sorted
-order. So each block of sorted rows [s, e) meets only the columns [lo, e),
-from the first column within ``epsilon`` of row s on that coordinate,
-found with the kernel itself on the one column. Within the windows, one
-pass computes each pair of points once, and both counts the neighbours
-and builds the components (Schubert et al., "DBSCAN Revisited,
-Revisited", 2017). Counts only grow, so a point whose running count has
-reached ``min_pts`` is core for good, and each block joins its core rows
-with the core columns near them in a union-find forest over all N points,
-whose roots are each tree's smallest index. A pair seen while an end was
-not yet core is left out, and that end is late: it had a neighbour while
-not yet core. After the pass, unless the core points already form one
-tree, each late core point meets the core points in its window once more.
-Border points then take the smallest cluster id among the core points in
-their ball. These two passes share one block routine: blocks of rows
-against the core columns that the block's first and last rows leave
-within ``epsilon`` on the sort coordinate. Clusters are numbered by the
-smallest caller index among their core points, and labels and roles are
-returned in the caller's order. Memory is O(N) plus one block.
+``dbscan`` first sorts the rows by their widest coordinate, the sort key.
+The kernel sums non-negative per-dimension terms and rounding is monotone,
+so the kernel on the key alone bounds the full kernel from below, bit for
+bit, and it grows with the gap between two rows in sorted order. So the
+rows within ``epsilon`` of row i on the key, its key ball, are a run
+[lo_i, hi_i] that holds its ball. Every window is read off these runs,
+found once per run: hi_i by a guess from the keys, checked and searched
+with the kernel on single pairs (``_ball_ends``), and lo_i by symmetry.
+Each block of sorted rows [s, e) meets only the columns [lo_s, e).
+Within the windows, one pass computes each pair of points once, and both
+counts the neighbours and builds the components (Schubert et al., "DBSCAN
+Revisited, Revisited", 2017). Counts only grow, so a point whose running
+count has reached ``min_pts`` is core for good, and each block joins its
+core rows with the core columns near them in a union-find forest over all
+N points, whose roots are each tree's smallest index. A pair seen while an
+end was not yet core is left out, and that end is late: it had a neighbour
+while not yet core. After the pass, unless the core points already form
+one tree, each late core point meets the core points in its window once
+more. Border points then take the smallest cluster id among the core
+points in their ball. These two passes share one block routine: blocks of
+rows against the core columns from the key ball of the block's first row
+to that of its last. Clusters are numbered by the smallest caller index
+among their core points, and labels and roles are returned in the
+caller's order. Memory is O(N) plus one block.
 
-With one column the window is the ball itself. Each ball is a run
-[lo_i, hi_i] of sorted rows: hi_i is guessed from the keys and fixed up
-with the kernel on the pairs at the run's end, and by symmetry lo_i is
-the first row whose run reaches i. A point's count is the run's length.
-The clusters are the runs of core points each within ``epsilon`` of the
-one before, and a border point takes the smaller id of the nearest core
-point on each side within ``epsilon``. This path computes no distance
-block; each kernel value is that of its pair bit for bit, from the
-pair's difference (see ``_gap_kernel``), and counts as one cell.
+With one column the key ball is the ball itself, and a point's count is
+its run's length. The clusters are the runs of core points each within
+``epsilon`` of the one before, and a border point takes the smaller id of
+the nearest core point on each side within ``epsilon``: no distance block
+is computed. Each kernel value on the key is its pair's bit for bit, from
+the pair's difference (``_gap_kernel``), and counts as one cell at D = 1.
 """
 
 from __future__ import annotations
@@ -76,19 +75,17 @@ class RunStats:
     """Accumulates work counters across DBSCAN invocations.
 
     ``point_evaluations`` counts rows x cols x D over the distance blocks
-    a DBSCAN run computes. Its one pass, which counts neighbours and joins
-    core points, runs on the rows sorted by their widest coordinate and
-    computes only the blocks on and below the diagonal, each cut to its
-    window: rows [s, e) x [0, e) when the window rules no column out (N^2
+    a DBSCAN run computes, plus one cell (D = 1) for each pair whose kernel
+    on the sort key the ball ends are checked on: each row's guessed end
+    and the row past it, about 2N a run, and O(log N) more for each row the
+    guess misses. On one column that is all. Otherwise the one pass, which
+    counts neighbours and joins core points, computes only the blocks on
+    and below the diagonal, each cut to its window: rows [s, e) x
+    [lo_s, e), which is [0, e) when the window rules no column out (N^2
     cells for one block, N(N+1)/2 for one-row blocks). The late re-check
     adds late core points x their window of the core points, unless the
     core points already form one tree, and the border pass non-core points
-    with a neighbour x their window of the core points. Finding a window
-    adds one row x the candidate columns at D = 1: row s x [0, s) in the
-    pass, and in the later passes the block's first row x the core points
-    below it and its last row x those above it. On one column no block is
-    computed: each pair whose kernel the ball ends are checked on counts
-    as one cell at D = 1, about 2N cells a run.
+    with a neighbour x their window of the core points.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
     """
@@ -194,13 +191,11 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     smallest caller index among their core points and a border point
     reachable from several clusters takes the smallest cluster id, the
     cluster an expansion in index order would discover first. The passes
-    run on the rows sorted by their widest coordinate, and each block of
-    rows meets only the window of columns that the kernel on that one
-    coordinate leaves within ``epsilon``; the window's one-column blocks
-    count in ``stats`` at D = 1. With one column the window is the ball
-    itself, so no distance block is computed: each ball is a run of sorted
-    rows, whose end is checked with the kernel on single pairs, and each
-    pair checked counts in ``stats`` as one cell at D = 1.
+    run on the rows sorted by their widest coordinate, the sort key. The
+    ball of each row on the key alone is a run of sorted rows, found once
+    with the kernel on pairs of keys, each one cell at D = 1 in ``stats``,
+    and each block of rows meets only the columns in its rows' runs. With
+    one column the run is the ball, so no distance block is computed.
     """
     x = _validate(points, metric)
     if not epsilon > 0:
@@ -211,15 +206,20 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     if stats is not None:
         stats.dbscan_invocations += 1
 
-    # every pass below runs on the rows in order of the sort key; the
-    # results are scattered back through ``order`` at the end
-    widest = int(np.argmax(np.ptp(x, axis=0)))
+    # every pass below runs on the rows in order of the sort key, scattered
+    # back through ``order`` at the end; a span that overflows is inf, still the widest
+    with np.errstate(over="ignore"):
+        widest = int(np.argmax(np.ptp(x, axis=0)))
     order = np.argsort(x[:, widest], kind="stable")
     x = x[order]
+    # the kernel is symmetric bit for bit, so row j <= i lies in the key
+    # ball of i exactly when i lies in that of j; and hi never decreases
+    hi = _ball_ends(x[:, widest], epsilon, metric, stats)
+    lo = np.searchsorted(hi, np.arange(n))
     if x.shape[1] == 1:
-        core, parent, border_blocks = _one_column(x[:, 0], epsilon, min_pts, metric, stats)
+        core, parent, border_blocks = _one_column(lo, hi, min_pts)
     else:
-        core, parent, border_blocks = _windowed(x, x[:, [widest]], epsilon, min_pts, metric, stats)
+        core, parent, border_blocks = _windowed(x, lo, hi, epsilon, min_pts, metric, stats)
 
     # clusters are numbered by the smallest caller index among their core
     # points; a border point takes the smallest id among the core points in
@@ -241,17 +241,18 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     return Labeling(labels=labels[rank], roles=roles[rank])
 
 
-def _windowed(x: np.ndarray, key: np.ndarray, epsilon: float, min_pts: int, metric: str,
+def _windowed(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, epsilon: float, min_pts: int, metric: str,
               stats: RunStats | None):
-    """The counts pass and the late re-check on the rows ``x`` sorted by the
-    one column ``key``. Returns the core mask, the forest of the core
+    """The counts pass and the late re-check on the sorted rows ``x`` with
+    key balls [lo, hi]. Returns the core mask, the forest of the core
     components (each core point's root is its tree's smallest index), and
     the border blocks: each non-core row with a neighbour against the core
     points in its window (see ``_core_blocks``)."""
     n = len(x)
     # distances are symmetric bit for bit, so rows [s, e) meet only columns
-    # [lo, e): the row sums count their neighbours there, and the column
-    # sums of [:, :s - lo] give rows [lo, s) their neighbours in [s, e)
+    # [w, e), from the key ball of row s on: the row sums count their
+    # neighbours there, and the column sums of [:, :s - w] give rows [w, s)
+    # their neighbours in [s, e)
     counts = np.zeros(n, dtype=np.int64)
     core = np.zeros(n, dtype=bool)
     # the forest of core components; each root is its tree's smallest index,
@@ -260,58 +261,49 @@ def _windowed(x: np.ndarray, key: np.ndarray, epsilon: float, min_pts: int, metr
     late = np.zeros(n, dtype=bool)  # had a neighbour while not yet core
     step = _block_rows(n)
     for s in range(0, n, step):
-        e = min(n, s + step)
-        # the columns below row s too far from it on the key are a prefix
-        # (see _core_blocks), and too far from every later row
-        lo = np.count_nonzero(_distance_block(key[s : s + 1], key[:s], metric, stats)[0] > epsilon)
-        near = _distance_block(x[s:e], x[lo:e], metric, stats) <= epsilon
+        e, w = min(n, s + step), lo[s]
+        near = _distance_block(x[s:e], x[w:e], metric, stats) <= epsilon
         row_counts = _count_true(near, axis=1)
-        col_counts = _count_true(near[:, : s - lo], axis=0)
+        col_counts = _count_true(near[:, : s - w], axis=0)
         counts[s:e] += row_counts
-        counts[lo:s] += col_counts
+        counts[w:s] += col_counts
         # counts only grow, so these points are core for good; a pair with an
         # end not yet core is left out, and that end is late
-        core[lo:e] = counts[lo:e] >= min_pts
+        core[w:e] = counts[w:e] >= min_pts
         late[s:e] |= (row_counts > 1) & ~core[s:e]
-        late[lo:s] |= (col_counts > 0) & ~core[lo:s]
+        late[w:s] |= (col_counts > 0) & ~core[w:s]
         rows = np.flatnonzero(core[s:e])
         if rows.size:
             if rows.size < e - s:
                 near = near[rows]
-            if not core[lo:e].all():
-                near &= core[lo:e]
-            _join(parent[:e], rows + s, np.arange(lo, e), near)
+            if not core[w:e].all():
+                near &= core[w:e]
+            _join(parent[:e], rows + s, np.arange(w, e), near)
 
     # each late core point meets the core points in its window again, for
     # the pairs the pass left out, unless those already form one tree
     cores = np.flatnonzero(core)
     if np.any(parent[cores] != parent[cores[:1]]):
-        for rows, cols, near in _core_blocks(x, key, cores[late[cores]], cores, epsilon, metric, stats):
+        for rows, cols, near in _core_blocks(x, lo, hi, cores[late[cores]], cores, epsilon, metric, stats):
             _join(parent, rows, cols, near)
     border = np.flatnonzero(~core & (counts > 1))
-    return core, parent, _core_blocks(x, key, border, cores, epsilon, metric, stats)
+    return core, parent, _core_blocks(x, lo, hi, border, cores, epsilon, metric, stats)
 
 
-def _one_column(key: np.ndarray, epsilon: float, min_pts: int, metric: str, stats: RunStats | None):
-    """The exact engine on one ascending column ``key``, with the returns of
-    ``_windowed``. The kernel grows with the gap in sorted order, so each
-    ball is a run [lo_i, hi_i] of rows, and a row's count is its length.
-    Two core points within ``epsilon`` are within it of every core point
-    between them, so the clusters are the runs of core points each in the
-    ball of the one before, rooted at their first. The core points within
+def _one_column(lo: np.ndarray, hi: np.ndarray, min_pts: int):
+    """The exact engine on one column, with the returns of ``_windowed``:
+    each ball is its run [lo_i, hi_i], and a count is the run's length. Two
+    core points within ``epsilon`` are within it of every core point between
+    them, so the clusters are the runs of core points each in the ball of
+    the one before, rooted at their first. The core points within
     ``epsilon`` on one side of a row are in one cluster, so the one border
     block meets each border row with the nearest core point on each side."""
-    n = key.size
-    hi = _ball_ends(key, epsilon, metric, stats)
-    # the kernel is symmetric bit for bit, so row j <= i lies in the ball of
-    # i exactly when i lies in the ball of j; and hi never decreases
-    lo = np.searchsorted(hi, np.arange(n))
     counts = hi - lo + 1
     core = counts >= min_pts
     cores = np.flatnonzero(core)
     starts = np.ones(cores.size, dtype=bool)
     starts[1:] = hi[cores[:-1]] < cores[1:]
-    parent = np.arange(n)
+    parent = np.arange(hi.size)
     parent[cores] = cores[starts][np.cumsum(starts) - 1]
     if not cores.size:
         return core, parent, []
@@ -323,57 +315,65 @@ def _one_column(key: np.ndarray, epsilon: float, min_pts: int, metric: str, stat
 
 
 def _ball_ends(key: np.ndarray, epsilon: float, metric: str, stats: RunStats | None) -> np.ndarray:
-    """The last row within ``epsilon`` of each row of the ascending ``key``:
-    a guess from the keys alone, then a fix-up with the kernel on the
-    boundary pairs, back while the end is too far and forward while the
-    next row is near. Rows with equal keys are equally far, so each step
-    crosses a whole run of them. A sum or gap that overflows is inf, as
-    cdist's difference of the pair is, so it warns of nothing."""
+    """The last row within ``epsilon`` of each row of the ascending ``key``.
+    The kernel grows with the gap in sorted order, so one call checks a
+    guess from the keys alone on its pair and on the next row's. A row that
+    either check refutes searches the bracket [a, b) they leave, a near and
+    b far or n: it gallops from the guess in doubling steps until a probe
+    lands past the end, then halves, in O(log N) checks, one call a round
+    for all rows left. A probe moves the bracket across its whole run of
+    equal keys, which are equally far. A sum or gap that overflows is inf,
+    as cdist's difference of the pair is, and warns of nothing."""
     n = key.size
     with np.errstate(over="ignore"):
         hi = np.searchsorted(key, key + epsilon, side="right") - 1
-        far = _gap_kernel(key - key[hi], metric, stats) > epsilon
-        rows = np.flatnonzero(far)
-        while rows.size:
-            hi[rows] = np.searchsorted(key, key[hi[rows]]) - 1
-            rows = rows[_gap_kernel(key[rows] - key[hi[rows]], metric, stats) > epsilon]
-        rows = np.flatnonzero(~far & (hi < n - 1))
-        while rows.size:
-            rows = rows[_gap_kernel(key[rows] - key[hi[rows] + 1], metric, stats) <= epsilon]
-            hi[rows] = np.searchsorted(key, key[hi[rows] + 1], side="right") - 1
-            rows = rows[hi[rows] < n - 1]
+        on = np.flatnonzero(hi < n - 1)  # the rows with a row past the guess
+        near = _gap_kernel(np.concatenate((key - key[hi], key[on] - key[hi[on] + 1])), metric, stats) <= epsilon
+        back, ahead = np.flatnonzero(~near[:n]), on[near[on] & near[n:]]
+        rows, step = np.concatenate((back, ahead)), np.repeat([-1, 1], [back.size, ahead.size])
+        if not rows.size:
+            return hi
+        a = np.concatenate((back, np.searchsorted(key, key[hi[ahead] + 1], side="right") - 1))
+        b = np.concatenate((np.searchsorted(key, key[hi[back]]), np.full(ahead.size, n)))
+        hi[rows] = a
+        while (left := b - a > 1).any():
+            rows, a, b, step = rows[left], a[left], b[left], step[left]
+            p = np.where(step > 0, a, b) + step
+            gallop = (a < p) & (p < b)
+            p = np.where(gallop, p, (a + b) // 2)
+            near = _gap_kernel(key[rows] - key[p], metric, stats) <= epsilon
+            a = np.where(near, np.searchsorted(key, key[p], side="right") - 1, a)
+            b = np.where(near, b, np.searchsorted(key, key[p]))
+            # a gallop goes on until a probe lands past the end
+            step = np.where(gallop & (near == (step > 0)), 2 * step, 0)
+            hi[rows] = a
     return hi
 
 
-# the one row of a block of one-column differences: each cell is a gap minus 0
+# the row against which cdist negates one-column gaps exactly, fastest with this row first
 _ORIGIN = np.zeros((1, 1))
 
 
 def _gap_kernel(gaps: np.ndarray, metric: str, stats: RunStats | None) -> np.ndarray:
     """The kernel of the one-column pairs whose differences are ``gaps``.
-    With one column the kernel is a function of the difference alone, and
-    cdist subtracts 0 exactly, so each value is its pair's bit for bit and
-    counts in ``stats`` as one cell at D = 1."""
-    return _distance_block(gaps[:, None], _ORIGIN, metric, stats)[:, 0]
+    With one column the kernel is an even function of the difference alone,
+    and cdist negates it exactly, so each value is its pair's bit for bit
+    and counts in ``stats`` as one cell at D = 1."""
+    return _distance_block(_ORIGIN, gaps[:, None], metric, stats)[0]
 
 
-def _core_blocks(x: np.ndarray, key: np.ndarray, rows: np.ndarray, cores: np.ndarray, epsilon: float,
-                 metric: str, stats: RunStats | None):
+def _core_blocks(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, cores: np.ndarray,
+                 epsilon: float, metric: str, stats: RunStats | None):
     """Blocks of the ascending indices ``rows`` against the core points
     ``cores`` (ascending) they can be within ``epsilon`` of: yields each
     block, its window of ``cores`` and the block's ``near`` mask, and skips
-    an empty window. The kernel sums non-negative per-dimension terms and
-    rounding is monotone, so the kernel on the ascending one-column ``key``
-    alone bounds the full kernel from below, and it grows with the gap in
-    the key: the columns below a block's first row that are too far from
-    it, and those above its last row too far from it, are too far from
-    every row between."""
+    an empty window. The key balls [lo, hi] hold the balls and never move
+    back, so a block's window is the core points from the key ball of its
+    first row to that of its last."""
     step = _block_rows(max(1, cores.size))
     for s in range(0, rows.size, step):
         block = rows[s : s + step]
-        below = _distance_block(key[block[:1]], key[cores[cores < block[0]]], metric, stats)[0]
-        above = _distance_block(key[block[-1:]], key[cores[cores > block[-1]]], metric, stats)[0]
-        cols = cores[np.count_nonzero(below > epsilon) : cores.size - np.count_nonzero(above > epsilon)]
+        cols = cores[np.searchsorted(cores, lo[block[0]]) : np.searchsorted(cores, hi[block[-1]], side="right")]
         if cols.size:
             yield block, cols, _distance_block(x[block], x[cols], metric, stats) <= epsilon
 

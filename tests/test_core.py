@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -176,46 +179,52 @@ class TestDbscan:
     ])
     def test_counts_pass_computes_blocks_on_and_below_the_diagonal(self, monkeypatch, cells, pairs):
         # the rows 0.3 e_i are 0.3 sqrt(2) > eps apart, so no point is core
-        # and the run is the counts pass alone; every coordinate spans
-        # 0.3 <= eps, so the window of rows [s, e) keeps all of [0, e), and
-        # finding it costs row s against [0, s) on one coordinate: s cells
+        # and the run is the counts pass alone. Every coordinate spans
+        # 0.3 <= eps, so the key ball of each row, found from the key (19
+        # zeros, then 0.3), is all 20 rows, and the window of rows [s, e)
+        # keeps all of [0, e). Finding the balls costs one cell per row (D =
+        # 1): each guessed end, the last row, is near, and no row is past it
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         stats = RunStats()
         lab = dbscan(0.3 * np.eye(20), 0.4, 2, stats=stats)
         assert np.all(lab.labels == NOISE)
-        window = sum(range(0, 20, max(1, cells // 20)))
-        assert stats.point_evaluations == pairs * 20 + window
+        assert stats.point_evaluations == pairs * 20 + 20
 
     @pytest.mark.parametrize("x, eps, min_pts, cells, evaluations", [
         # each line runs as np.c_[x, 0 * x], which takes the windowed path
-        # with the sort key and kernel bits of x alone: each pair of a call
-        # that finds a window counts one cell (D = 1), and each pair of a
-        # block two (D = 2).
+        # with the sort key and kernel bits of x alone: each pair whose key
+        # kernel the ball ends are checked on counts one cell (D = 1), and
+        # each pair of a block two (D = 2).
         # No point of the line is core (at most 3 points in a ball), so the
-        # run is the counts pass alone. Window of rows [s, e): s cells, and
-        # it starts at s - 1, the only earlier point within 1.5
-        (np.arange(20.0), 1.5, 4, 1, sum(range(20)) + 2 * (1 + 19 * 2)),  # [s, s + 1) x [s - 1, s + 1)
-        (np.arange(20.0), 1.5, 4, 40, sum(range(0, 20, 2)) + 2 * (2 * 2 + 9 * 2 * 3)),  # [s, s + 2) x [s - 1, s + 2)
-        (np.arange(20.0), 1.5, 4, 1 << 19, 2 * 20 * 20),  # one block: no column to rule out
+        # run is the counts pass alone. The ball ends: each of the 20 rows
+        # checks its guessed end i + 1 (19 for the last row), which is near,
+        # and the 18 rows whose end is not the last row check the row past
+        # it, which is far. The window of rows [s, e) starts at s - 1, the
+        # first row of the key ball of s
+        (np.arange(20.0), 1.5, 4, 1, 20 + 18 + 2 * (1 + 19 * 2)),  # [s, s + 1) x [s - 1, s + 1)
+        (np.arange(20.0), 1.5, 4, 40, 20 + 18 + 2 * (2 * 2 + 9 * 2 * 3)),  # [s, s + 2) x [s - 1, s + 2)
+        (np.arange(20.0), 1.5, 4, 1 << 19, 20 + 18 + 2 * 20 * 20),  # one block: no column to rule out
         # points 1..18 are core, each only once its next neighbour's row is
         # seen, so the counts pass (as above) joins no pair, and all 18 are
         # late. The re-check meets each in a one-row block with the core
-        # points in its window: 17 cells to find it among the 18 core points
-        # (those below and above the row), then 1 x 2 (points 1 and 18) or
-        # 1 x 3. The border points 0 and 19 each find their window among the
-        # 18 core points in 18 cells and meet one core point
-        (np.arange(20.0), 1.0, 3, 1,
-         sum(range(20)) + 18 * 17 + 2 * 18 + 2 * (1 + 19 * 2 + 2 * 2 + 16 * 3 + 2 * 1)),
+        # points in its key ball [i - 1, i + 1]: 1 x 2 (points 1 and 18) or
+        # 1 x 3. The border points 0 and 19 each meet one core point. The
+        # ball ends cost 20 + 18 cells, as above: each guess i + 1 is near
+        (np.arange(20.0), 1.0, 3, 1, 20 + 18 + 2 * (1 + 19 * 2 + 2 * 2 + 16 * 3 + 2 * 1)),
         # a point and its copy in each two-row block [s, s + 2), each core by
-        # the block's end: a window of s cells that starts at the block
-        # (eps 0.5) or at the copies of the point below (eps 1.0)
-        (np.repeat(np.arange(10.0), 2), 0.5, 2, 40, sum(range(0, 20, 2)) + 2 * 10 * 2 * 2),
-        (np.repeat(np.arange(10.0), 2), 1.0, 2, 40, sum(range(0, 20, 2)) + 2 * (2 * 2 + 9 * 2 * 4)),
+        # the block's end, with a window that starts at the block (eps 0.5)
+        # or at the copies of the point below (eps 1.0). The ball ends: each
+        # of the 20 rows checks its guessed end, the last copy of its own
+        # point (eps 0.5) or of the next (eps 1.0), which is near, and each
+        # row whose end is not the last row (18 or 16 rows) checks the row
+        # past it, which is far
+        (np.repeat(np.arange(10.0), 2), 0.5, 2, 40, 20 + 18 + 2 * 10 * 2 * 2),
+        (np.repeat(np.arange(10.0), 2), 1.0, 2, 40, 20 + 16 + 2 * (2 * 2 + 9 * 2 * 4)),
         # 0 and 1 are late (a neighbour while short of min_pts) until row 2
         # turns all three core and joins them in one tree. Nothing is checked
-        # again, which would add 2 + 3 and 1 + 1 + 3 pairs for the windows
-        # and blocks of 0 and 1: windows of 0 + 1 + 2 pairs, blocks of 1 + 2 + 3
-        (np.array([0.0, 0.1, 0.2]), 1.0, 3, 1, (0 + 1 + 2) + 2 * (1 + 2 + 3)),
+        # again, which would add 1 x 3 pairs for each of 0 and 1. The ball
+        # ends cost 3 cells, each guess the last row; the blocks 1 + 2 + 3
+        (np.array([0.0, 0.1, 0.2]), 1.0, 3, 1, 3 + 2 * (1 + 2 + 3)),
     ])
     def test_window_leaves_out_points_far_on_the_sort_coordinate(self, monkeypatch, x, eps, min_pts, cells,
                                                                  evaluations):
@@ -231,14 +240,20 @@ class TestDbscan:
         # end is the last row; here the guess i + 1 holds
         (np.arange(20.0), 1.5, "euclidean", 20 + 18),
         # the guess from the keys is each row itself. The squares of these
-        # gaps underflow to 0, so under euclidean every pair is within 1e-300
-        # and the fix-up steps forward one row at a time
+        # gaps underflow to 0, so under euclidean every pair is within
+        # 1e-300: rows 0, 1 and 2 find the row after the guess near and
+        # gallop on from it, rows 0 and 1 one row (to rows 2 and 3), then row
+        # 0, whose next step of two rows would pass the last row, halves
+        # its bracket [2, 4) at row 3. Under manhattan each row after the
+        # guess is far
         ([0.0, 1e-170, 2e-170, 3e-170], 1e-300, "euclidean", 4 + 3 + 2 + 1),
         ([0.0, 1e-170, 2e-170, 3e-170], 1e-300, "manhattan", 4 + 3),
-        # one step crosses the whole run of copies of 0
+        # the row after the guess of each copy of 0 is near, and it stands
+        # for its run of copies, which ends at the last row: no search
         ([0.0, 0.0, 0.0, 1e-170, 1e-170], 1e-300, "euclidean", 5 + 3),
         # the square of the gap 2e154 overflows: the guessed end of row 0,
-        # the last row, is too far, and it steps back once
+        # the last row, is too far, and its search's first probe, row 1, is
+        # near
         ([0.0, 1e154, 2e154], 1e300, "euclidean", 3 + 1),
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the oracle's squares
@@ -250,6 +265,38 @@ class TestDbscan:
         lab = dbscan(x, eps, 2, metric=metric, stats=stats)
         assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 2, metric))
         assert stats.point_evaluations == evaluations
+
+    def test_ball_end_search_is_bounded(self, monkeypatch):
+        # 2000 distinct keys within 1e-170: the squares of their gaps
+        # underflow, so under euclidean every pair is within 1e-300, and the
+        # guess from the keys, each row itself, misses every end but the
+        # last. One call checks each guess and the row after it; then each
+        # row gallops to the last row and halves its bracket, in fewer than
+        # 2 ceil(log2 N) calls more, each for all rows left
+        x = np.arange(2000) * 1e-173
+        gap_kernel, calls = core._gap_kernel, []
+
+        def counted(gaps, metric, stats):
+            calls.append(gaps.size)
+            return gap_kernel(gaps, metric, stats)
+
+        monkeypatch.setattr(core, "_gap_kernel", counted)
+        expected = brute_force_dbscan(x[:, None], 1e-300, 2)
+        assert np.all(expected == 0)
+        for rows in (x[:, None], np.c_[x, 0 * x]):
+            calls.clear()
+            assert np.array_equal(dbscan(rows, 1e-300, 2).labels, expected)
+            assert len(calls) <= 2 + 2 * math.ceil(math.log2(len(x)))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_a_span_that_overflows_warns_of_nothing(self, metric, columns):
+        # the rows span more than the largest float; so does their distance
+        x = np.array([[1e308], [-1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lab = dbscan(np.c_[x, np.zeros((2, columns - 1))], 1.0, 2, metric=metric)
+        assert np.all(lab.labels == NOISE)
 
     @pytest.mark.parametrize("cells", [1, 4, 7, 8, 16])
     @pytest.mark.parametrize("x, roles", [
@@ -327,16 +374,17 @@ class TestDbscan:
         # each block holds a point and its copy, so every point is core by
         # the end of its own block: the run is the counts pass alone. The
         # rows 0.4 e_i are 0.4 sqrt(2) apart, so in 10 clusters at eps 0.5
-        # and one at 1.0, and every coordinate spans 0.4 <= eps, so the
-        # window of rows [s, e) keeps all of [0, e) and costs s cells
+        # and one at 1.0. Every coordinate spans 0.4 <= eps, so the key ball
+        # of each row is all 20 rows and the window of rows [s, e) keeps all
+        # of [0, e). Finding the balls costs one cell per row (D = 1): each
+        # guessed end, the last row, is near, and no row is past it
         x = np.repeat(0.4 * np.eye(10), 2, axis=0)
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         stats = RunStats()
         lab = dbscan(x, eps, 2, stats=stats)
         assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 2))
         assert count_clusters(lab) == k and np.all(lab.roles == ROLE_CORE)
-        window = sum(range(0, 20, max(1, cells // 20)))
-        assert stats.point_evaluations == pairs * 10 + window
+        assert stats.point_evaluations == pairs * 10 + 20
 
 
 class TestCounting:

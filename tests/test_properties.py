@@ -41,13 +41,23 @@ def with_direction(x):
     return x
 
 
+def diameter_bound(x, metric):
+    """``approximate_diameter_ub``, asserting its zero-bound warning exactly
+    when every distance from the first row is 0: the rows coincide (in
+    direction, under cosine) or their distances underflow."""
+    if all(distance(x[0], q, metric) == 0 for q in x):
+        with pytest.warns(UserWarning, match="diameter bound is 0"):
+            return approximate_diameter_ub(x, metric)
+    return approximate_diameter_ub(x, metric)
+
+
 @pytest.mark.parametrize("metric", METRICS)
 @SETTINGS
 @given(data=st.data())
 def test_bound_brackets_the_diameter(metric, data):
     x = data.draw(point_sets(metric))
     diam = max(distance(p, q, metric) for p in x for q in x)
-    ub = approximate_diameter_ub(x, metric)
+    ub = diameter_bound(x, metric)
     assert diam <= ub * (1 + TOL) + TOL
     assert ub <= FACTOR[metric] * diam * (1 + TOL) + TOL
 
@@ -59,7 +69,7 @@ def test_one_cluster_at_the_bound(metric, data):
     x = data.draw(point_sets(metric))
     min_pts = data.draw(st.integers(2, len(x)))
     # coincident draws get the float64-eps floor, which still holds them all
-    ub = approximate_diameter_ub(x, metric)
+    ub = diameter_bound(x, metric)
     lab = dbscan(x, ub, min_pts, metric=metric)
     assert count_clusters(lab) == 1
     assert noise_fraction(lab) == 0.0
@@ -216,9 +226,9 @@ def test_one_column_matches_two_columns_and_the_oracle(metric, data):
 @given(data=st.data())
 def test_difference_block_is_the_pair_kernel(metric, data):
     # the one-column path computes each kernel value from the pair's
-    # difference, a P x 1 block against the origin: bit for bit the value of
-    # the pair, also where its square underflows or it overflows, and one
-    # cell per pair
+    # difference, in a block of the origin against the differences: bit for
+    # bit the value of the pair, also where its square underflows or it
+    # overflows, and one cell per pair
     a, b = (_validate(data.draw(one_column(metric)), metric) for _ in range(2))
     with np.errstate(over="ignore"):
         gaps = (a - b.T).ravel()
@@ -226,6 +236,31 @@ def test_difference_block_is_the_pair_kernel(metric, data):
     got = core._gap_kernel(gaps, metric, stats).reshape(len(a), len(b))
     assert np.array_equal(got, _distance_block(a, b, metric, None))
     assert stats.point_evaluations == gaps.size
+
+
+@st.composite
+def sorted_keys(draw):
+    """An ascending column of 1 to 40 keys from gaps that are 0 (runs of
+    copies), near 1e-170 (their squares underflow), near 1 or near 1e154
+    (their squares overflow)."""
+    start = draw(st.sampled_from([0.0, -1e-168, -1.0, -1e155]))
+    gaps = draw(st.lists(st.sampled_from([0.0, 1e-170, 1.0, 1e154]), max_size=39))
+    return np.cumsum([start, *(g * draw(st.floats(1, 2)) for g in gaps)])
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_ball_ends_are_the_last_rows_within_epsilon(metric, data):
+    # the bounded search finds, for each row, the last row whose one-column
+    # kernel is within epsilon, at exact kernel values and at extreme radii
+    key = data.draw(sorted_keys())
+    with np.errstate(over="ignore"):
+        kernel = core._gap_kernel((key[None, :] - key[:, None]).ravel(), metric, None).reshape(key.size, -1)
+    exact = np.unique(kernel[(kernel > 0) & np.isfinite(kernel)]).tolist()
+    eps = data.draw(st.sampled_from([1e-300, 1e300, *exact]))
+    expected = [np.flatnonzero(row <= eps).max() for row in kernel]
+    assert core._ball_ends(key, eps, metric, None).tolist() == expected
 
 
 @pytest.mark.parametrize("cells", [1, 3, 7])
