@@ -21,16 +21,30 @@ counts the neighbours and builds the components (Schubert et al., "DBSCAN
 Revisited, Revisited", 2017). Counts only grow, so a point whose running
 count has reached ``min_pts`` is core for good, and each block joins its
 core rows with the core columns near them in a union-find forest over all
-N points, whose roots are each tree's smallest index. A pair seen while an
-end was not yet core is left out, and that end is late: it had a neighbour
-while not yet core. After the pass, unless the core points already form
-one tree, each late core point meets the core points in its window once
-more. Border points then take the smallest cluster id among the core
-points in their ball. These two passes share one block routine: blocks of
-rows against the core columns from the key ball of the block's first row
-to that of its last. Clusters are numbered by the smallest caller index
-among their core points, and labels and roles are returned in the
-caller's order. Memory is O(N) plus one block.
+N points, whose roots are each tree's smallest index. So a count that
+has reached ``min_pts`` no longer matters, and a pair of core points in
+one tree adds no join: a block meets its nearest columns first, itself and
+the max(``min_pts``, block rows) columns before it, and skips the far rest
+of its window once its rows and those far columns are all core in one
+tree (compare Gan & Tao, "DBSCAN Revisited: Mis-Claim, Un-Fixability, and
+Approximation", 2015, whose dense cells make points core without range
+queries). Until then the nearest chunk doubles, and a block whose far
+columns are not yet core in one tree meets its whole window at once. A
+pair seen while an end was not yet core is left out, and that end is
+late: it had a neighbour while not yet core. After the pass, unless the
+core points already form one tree, each late core point meets the core
+points in its window once more. The border pass then finds the core
+points in the ball of each non-core point with a neighbour. These two
+passes share one block routine: blocks of rows against the core columns
+from the key ball of the block's first row to that of its last.
+
+The cluster count is the number of the forest's roots among core points,
+and the noise count the number of points neither core nor in the ball of
+a core point, so a run knows both when its passes end. Labels and roles
+are numbered only when first read: clusters by the smallest caller index
+among their core points, and a border point takes the smallest cluster id
+among the core points in its ball, both in the caller's order. Memory is
+O(N) plus one block.
 
 With one column the key ball is the ball itself, and a point's count is
 its run's length. The clusters are the runs of core points each within
@@ -82,7 +96,9 @@ class RunStats:
     counts neighbours and joins core points, computes only the blocks on
     and below the diagonal, each cut to its window: rows [s, e) x
     [lo_s, e), which is [0, e) when the window rules no column out (N^2
-    cells for one block, N(N+1)/2 for one-row blocks). The late re-check
+    cells for one block, N(N+1)/2 for one-row blocks). A block whose rows
+    and far columns turn core in one tree computes only its nearest
+    columns [c, e), the chunk that did it, and fewer cells. The late re-check
     adds late core points x their window of the core points, unless the
     core points already form one tree, and the border pass non-core points
     with a neighbour x their window of the core points.
@@ -104,16 +120,45 @@ class CurveSample:
     noise: float
 
 
-@dataclass
 class Labeling:
-    """Per-point cluster assignment; ``labels[i] == NOISE`` marks noise."""
+    """Per-point cluster assignment; ``labels[i] == NOISE`` marks noise.
 
-    labels: np.ndarray
-    roles: np.ndarray
+    ``n_clusters`` and ``n_noise`` are known at once. A labeling from
+    ``dbscan`` numbers its ``labels`` and ``roles`` only when one of them is
+    first read (``_label_points``): a probe that reads only the counts
+    builds no per-point array.
+    """
+
+    def __init__(self, labels: np.ndarray, roles: np.ndarray):
+        self._labels, self._roles, self._deferred = labels, roles, None
+        self.n_points = len(labels)
+        self.n_clusters = int(np.unique(labels[labels != NOISE]).size)
+        self.n_noise = int(np.count_nonzero(labels == NOISE))
+
+    @classmethod
+    def _from_forest(cls, n_clusters: int, n_noise: int, *forest) -> Labeling:
+        """The labeling whose arrays ``_label_points(*forest)`` builds on first read."""
+        labeling = cls.__new__(cls)
+        labeling._labels = labeling._roles = None
+        labeling._deferred = forest
+        labeling.n_points = len(forest[0])
+        labeling.n_clusters, labeling.n_noise = n_clusters, n_noise
+        return labeling
+
+    def _build(self) -> None:
+        if self._deferred is not None:
+            self._labels, self._roles = _label_points(*self._deferred)
+            self._deferred = None
 
     @property
-    def n_points(self) -> int:
-        return len(self.labels)
+    def labels(self) -> np.ndarray:
+        self._build()
+        return self._labels
+
+    @property
+    def roles(self) -> np.ndarray:
+        self._build()
+        return self._roles
 
 
 def validate_points(points) -> np.ndarray:
@@ -194,8 +239,12 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     run on the rows sorted by their widest coordinate, the sort key. The
     ball of each row on the key alone is a run of sorted rows, found once
     with the kernel on pairs of keys, each one cell at D = 1 in ``stats``,
-    and each block of rows meets only the columns in its rows' runs. With
-    one column the run is the ball, so no distance block is computed.
+    and each block of rows meets only the columns in its rows' runs, and of
+    those only the nearest once the rest can change nothing. With one
+    column the run is the ball, so no distance block is computed. Every
+    distance block is computed within the call. The labeling knows its
+    cluster and noise counts at once, and numbers ``labels`` and ``roles``
+    only when one of them is first read.
     """
     x = _validate(points, metric)
     if not epsilon > 0:
@@ -221,38 +270,67 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     else:
         core, parent, border_blocks = _windowed(x, lo, hi, epsilon, min_pts, metric, stats)
 
-    # clusters are numbered by the smallest caller index among their core
-    # points; a border point takes the smallest id among the core points in
-    # its ball, the cluster an expansion in index order would reach first
+    # the clusters are the forest's trees of core points; a border point is in
+    # a core point's ball, and noise in none. Each border point keeps the
+    # smallest caller index of the trees in its ball, by which labels number
+    # the clusters on first read
     cores = np.flatnonzero(core)
-    first = np.full(n, n)
-    np.minimum.at(first, parent[cores], order[cores])
-    labels = np.full(n, NOISE, dtype=np.int64)
-    _, labels[cores] = np.unique(first[parent[cores]], return_inverse=True)
+    first, border, border_first = None, [], []
     for rows, cols, near in border_blocks:
-        ids = np.where(near, labels[cols], n).min(axis=1)
-        labels[rows[ids < n]] = ids[ids < n]
+        if first is None:
+            first = _tree_first(order, parent, cores)
+        best = np.where(near, first[parent[cols]], n).min(axis=1)
+        border.append(rows[best < n])
+        border_first.append(best[best < n])
+    n_border = sum(rows.size for rows in border)
+    return Labeling._from_forest(int(np.count_nonzero(parent[cores] == cores)), n - cores.size - n_border,
+                                 order, core, parent, first, border, border_first)
 
+
+def _tree_first(order: np.ndarray, parent: np.ndarray, cores: np.ndarray) -> np.ndarray:
+    """The smallest caller index of each tree of core points, at its root."""
+    first = np.full(order.size, order.size)
+    np.minimum.at(first, parent[cores], order[cores])
+    return first
+
+
+def _label_points(order: np.ndarray, core: np.ndarray, parent: np.ndarray, first: np.ndarray | None,
+                  border: list, border_first: list) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and roles in the caller's order, from the sorted rows' core
+    mask and forest: clusters are numbered by the smallest caller index
+    among their core points, and each border row in ``border`` takes the
+    cluster whose smallest caller index is its ``border_first``."""
+    n = order.size
+    cores = np.flatnonzero(core)
+    if first is None:
+        first = _tree_first(order, parent, cores)
+    ids = np.sort(first[cores[parent[cores] == cores]])  # one per cluster
+    labels = np.full(n, NOISE, dtype=np.int64)
+    labels[cores] = np.searchsorted(ids, first[parent[cores]])
+    for rows, best in zip(border, border_first):
+        labels[rows] = np.searchsorted(ids, best)
     roles = np.full(n, ROLE_NOISE, dtype=np.int8)
     roles[labels != NOISE] = ROLE_BORDER
     roles[core] = ROLE_CORE
     rank = np.empty_like(order)
     rank[order] = np.arange(n)
-    return Labeling(labels=labels[rank], roles=roles[rank])
+    return labels[rank], roles[rank]
 
 
 def _windowed(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, epsilon: float, min_pts: int, metric: str,
               stats: RunStats | None):
     """The counts pass and the late re-check on the sorted rows ``x`` with
-    key balls [lo, hi]. Returns the core mask, the forest of the core
+    key balls [lo, hi]. Each block of the counts pass meets the nearest
+    chunk of its window first and stops once its rows and the far columns
+    left are core in one tree. Returns the core mask, the forest of the core
     components (each core point's root is its tree's smallest index), and
     the border blocks: each non-core row with a neighbour against the core
     points in its window (see ``_core_blocks``)."""
     n = len(x)
     # distances are symmetric bit for bit, so rows [s, e) meet only columns
     # [w, e), from the key ball of row s on: the row sums count their
-    # neighbours there, and the column sums of [:, :s - w] give rows [w, s)
-    # their neighbours in [s, e)
+    # neighbours there, and the column sums give the columns before s their
+    # neighbours in [s, e)
     counts = np.zeros(n, dtype=np.int64)
     core = np.zeros(n, dtype=bool)
     # the forest of core components; each root is its tree's smallest index,
@@ -262,23 +340,54 @@ def _windowed(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, epsilon: float, min
     step = _block_rows(n)
     for s in range(0, n, step):
         e, w = min(n, s + step), lo[s]
-        near = _distance_block(x[s:e], x[w:e], metric, stats) <= epsilon
-        row_counts = _count_true(near, axis=1)
-        col_counts = _count_true(near[:, : s - w], axis=0)
-        counts[s:e] += row_counts
-        counts[w:s] += col_counts
-        # counts only grow, so these points are core for good; a pair with an
-        # end not yet core is left out, and that end is late
-        core[w:e] = counts[w:e] >= min_pts
-        late[s:e] |= (row_counts > 1) & ~core[s:e]
-        late[w:s] |= (col_counts > 0) & ~core[w:s]
-        rows = np.flatnonzero(core[s:e])
-        if rows.size:
-            if rows.size < e - s:
-                near = near[rows]
-            if not core[w:e].all():
-                near &= core[w:e]
-            _join(parent[:e], rows + s, np.arange(w, e), near)
+        # the block meets its nearest columns [c, e) first: itself and the
+        # max(min_pts, e - s) columns before it. Counts matter only until a
+        # point is core, and a pair of core points in one tree adds no join,
+        # so once the rows and the far columns [w, c) are core in one tree,
+        # those columns can change nothing. Until then the chunk before the
+        # rows doubles; a block whose far columns are not core in one tree
+        # meets its whole window at once
+        c = max(w, s - max(min_pts, e - s))
+        if c > w and not (core[w] and parent[c - 1] == parent[w] and np.all(parent[w:c] == parent[w])):
+            c = w
+        chunks, rows, b = [], None, e
+        while True:
+            near = _distance_block(x[s:e], x[c:b], metric, stats) <= epsilon
+            # the rows' core mask after the block, which their joins need, is
+            # known once they are all core or the window is met; till then
+            # the chunks wait, to be joined as one
+            if rows is None:
+                chunks.append(near)
+                more = _count_true(near, axis=1)
+                row_counts = more if len(chunks) == 1 else np.add(row_counts, more, dtype=np.int64)
+                if c == w or row_counts.min() >= min_pts:
+                    # counts only grow, so these points are core for good; a
+                    # pair with an end not yet core is left out, and that end
+                    # is late
+                    counts[s:e] += row_counts
+                    core[s:e] = counts[s:e] >= min_pts
+                    late[s:e] |= (row_counts > 1) & ~core[s:e]
+                    rows = np.flatnonzero(core[s:e])
+                    near, b = near if len(chunks) == 1 else np.concatenate(chunks[::-1], axis=1), e
+            if rows is not None:
+                m = min(b, s)
+                col_counts = _count_true(near[:, : m - c], axis=0)
+                counts[c:m] += col_counts
+                core[c:m] = counts[c:m] >= min_pts
+                late[c:m] |= (col_counts > 0) & ~core[c:m]
+                joined = rows
+                if joined.size < e - s:
+                    near = near[joined]
+                if not core[c:b].all():
+                    near &= core[c:b]
+                if b <= s:  # off the diagonal a row may meet no core column
+                    hit = near.any(axis=1)
+                    joined, near = joined[hit], near[hit]
+                if joined.size:
+                    _join(parent[:e], joined + s, np.arange(c, b), near)
+                if c == w or np.all(parent[s:e] == parent[w]):
+                    break
+            b, c = c, max(w, 2 * c - s)
 
     # each late core point meets the core points in its window again, for
     # the pairs the pass left out, unless those already form one tree
@@ -396,7 +505,7 @@ def _join(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, near: np.ndarr
         return
     order = np.argsort(roots, kind="stable")
     roots = roots[order]
-    starts = np.flatnonzero(np.r_[True, roots[1:] != roots[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], roots[1:] != roots[:-1])))
     i, g = np.nonzero(np.logical_or.reduceat(near[:, touched[order]], starts, axis=1))
     _union(parent, rows[i], roots[starts[g]])
 
@@ -417,15 +526,14 @@ def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 def count_clusters(labeling: Labeling) -> int:
     """Number of distinct non-noise labels."""
-    labels = labeling.labels
-    return int(len(np.unique(labels[labels != NOISE])))
+    return labeling.n_clusters
 
 
 def noise_fraction(labeling: Labeling) -> float:
     """Fraction of points labeled noise."""
     if labeling.n_points < 1:
         raise ValueError("empty labeling")
-    return float(np.count_nonzero(labeling.labels == NOISE) / labeling.n_points)
+    return float(labeling.n_noise / labeling.n_points)
 
 
 class KCurve:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NOISE,
     CurveSample,
     Labeling,
     RunStats,
@@ -102,7 +101,7 @@ def _probe(x: np.ndarray, epsilon: float, cfg: TuneConfig, stats: RunStats | Non
         if not len(x):
             return CurveSample(epsilon, 0, 1.0)
     labeling = dbscan(x, epsilon, cfg.min_pts, metric=cfg.metric, stats=stats)
-    noise = (np.count_nonzero(labeling.labels == NOISE) + n - len(x)) / n
+    noise = (labeling.n_noise + n - len(x)) / n
     return CurveSample(epsilon=epsilon, k=count_clusters(labeling), noise=float(noise))
 
 

@@ -365,17 +365,28 @@ class TestDbscan:
         assert lab.labels.tolist() == brute_force_dbscan(LINE[:, None], 1.0, 4).tolist() == [0] * 5 + [1] * 4
         assert lab.roles.tolist() == [ROLE_CORE] * 4 + [ROLE_BORDER] + [ROLE_CORE] * 4
 
-    @pytest.mark.parametrize("eps, k", [(0.5, 10), (1.0, 1)])
-    @pytest.mark.parametrize("cells, pairs", [
-        (40, 2 * sum(range(2, 21, 2))),  # two-row blocks: rows [s, s + 2) x [0, s + 2)
-        (400, 20 * 20),  # one block
+    @pytest.mark.parametrize("cells, pairs, eps, k", [
+        # two-row blocks [s, s + 2): at eps 0.5 the points lie in 10 trees,
+        # so no block's far columns are core in one tree, and each block
+        # meets its whole window [0, s + 2)
+        (40, 2 * sum(range(2, 21, 2)), 0.5, 10),
+        # at eps 1.0 the first two blocks meet their whole windows, [0, 2)
+        # and [0, 4), for 2 x 2 + 2 x 4 pairs: the nearest chunk holds the
+        # block and the max(min_pts, 2) = 2 columns before it, which reaches
+        # column 0. From s = 4 on, the far columns [0, s - 2) are core in one
+        # tree; the chunk [s - 2, s + 2) makes both rows core and joins them
+        # to that tree, so the far columns are skipped: 2 x 4 pairs for each
+        # of the 8 blocks left
+        (40, 2 * 2 + 2 * 4 + 8 * 2 * 4, 1.0, 1),
+        (400, 20 * 20, 0.5, 10),  # one block
+        (400, 20 * 20, 1.0, 1),
     ])
-    def test_points_core_in_their_own_block_compute_no_pair_twice(self, monkeypatch, eps, k, cells, pairs):
+    def test_points_core_in_their_own_block_compute_no_pair_twice(self, monkeypatch, cells, pairs, eps, k):
         # each block holds a point and its copy, so every point is core by
         # the end of its own block: the run is the counts pass alone. The
         # rows 0.4 e_i are 0.4 sqrt(2) apart, so in 10 clusters at eps 0.5
         # and one at 1.0. Every coordinate spans 0.4 <= eps, so the key ball
-        # of each row is all 20 rows and the window of rows [s, e) keeps all
+        # of each row is all 20 rows and the window of rows [s, e) is all
         # of [0, e). Finding the balls costs one cell per row (D = 1): each
         # guessed end, the last row, is near, and no row is past it
         x = np.repeat(0.4 * np.eye(10), 2, axis=0)
@@ -385,6 +396,36 @@ class TestDbscan:
         assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 2))
         assert count_clusters(lab) == k and np.all(lab.roles == ROLE_CORE)
         assert stats.point_evaluations == pairs * 10 + 20
+
+    @pytest.mark.parametrize("eps, ends, pairs", [
+        # the key ball of grid column i holds columns i - 2 to i + 2. The
+        # ball ends: each row's guessed end, the last row of column i + 2 (or
+        # of the grid), is near, and the 70 rows of columns 0 to 6 check the
+        # row past it, which is far
+        (2.5, 100 + 70, 100 + 10 * 20 + 8 * 10 * 20),
+        # columns i - 3 to i + 3; the rows of columns 0 to 5 check the row
+        # past their end
+        (3.5, 100 + 60, 100 + 10 * 20 + 8 * 10 * 20),
+    ])
+    def test_all_core_blocks_skip_the_far_columns_of_one_tree(self, monkeypatch, eps, ends, pairs):
+        # a 10 x 10 integer grid, already in the order of its sort key, the
+        # first coordinate, in blocks of 10 rows: block i is grid column i.
+        # Every point has at least min_pts = 3 points within eps in its own
+        # column, so it is core by the end of its block, and the columns
+        # join in one tree. Block 0 meets [0, 10), and block 1 its whole
+        # window [0, 20): the nearest chunk, the block and the 10 columns
+        # before it, reaches column 0. From block 2 on, the columns before
+        # the nearest chunk [10 (i - 1), 10 (i + 1)) are core in one tree,
+        # and the chunk joins the block's rows to it, so each block computes
+        # 10 x 20 pairs. The whole windows, 3 (eps 2.5) or 4 (eps 3.5)
+        # grid columns wide, would cost 2700 or 3400 pairs
+        x = np.array([(i, j) for i in range(10) for j in range(10)], dtype=float)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 10 * 100)
+        stats = RunStats()
+        lab = dbscan(x, eps, 3, stats=stats)
+        assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 3))
+        assert count_clusters(lab) == 1 and np.all(lab.roles == ROLE_CORE)
+        assert stats.point_evaluations == ends + 2 * pairs
 
 
 class TestCounting:

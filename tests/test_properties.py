@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from tsdbscan import approximate_diameter_ub, count_clusters, core, dbscan, distance, noise_fraction
+from tsdbscan import NOISE, approximate_diameter_ub, count_clusters, core, dbscan, distance, noise_fraction
 from tsdbscan.core import METRICS, KCurve, RunStats, _distance_block, _validate
 
 from conftest import brute_force_dbscan, brute_force_distances
@@ -312,6 +312,36 @@ def test_point_evaluations_count_the_kernel_cells(metric, data):
         lab = dbscan(x, eps, min_pts, metric=metric, stats=stats)
     assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, min_pts, metric))
     assert (stats.dbscan_invocations, stats.point_evaluations) == (1, sum(calls))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_counts_read_before_the_labels_match_them(metric, data):
+    # dbscan knows k and the noise count from its forest and border pass,
+    # and numbers the labels only when they are first read. min_pts up to
+    # N + 1 and N down to 1, so no point may be core; one column or more
+    x = data.draw(point_sets_with_duplicates(metric, min_n=1))
+    x = data.draw(scaled_rows(metric, x))
+    min_pts = data.draw(st.integers(2, len(x) + 1))
+    eps = data.draw(st.sampled_from(edge_radii(x, metric)))
+    label_points, built = core._label_points, []
+
+    def counted(*forest):
+        built.append(len(forest[0]))
+        return label_points(*forest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 3, 7, 50, 1 << 19])))
+        mp.setattr(core, "_label_points", counted)
+        lab = dbscan(x, eps, min_pts, metric=metric)
+        k, noise = count_clusters(lab), noise_fraction(lab)
+        assert not built
+        labels = lab.labels
+        assert built == [len(x)]
+    assert k == np.unique(labels[labels != NOISE]).size
+    assert noise == np.count_nonzero(labels == NOISE) / len(x)
+    assert np.array_equal(labels, brute_force_dbscan(x, eps, min_pts, metric))
 
 
 @pytest.mark.parametrize("metric", METRICS)

@@ -97,6 +97,23 @@ class TestTernarySearch:
         assert 0.0 <= eps <= 3.0
         assert stats.dbscan_invocations == 2 * cfg.itr
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_probes_build_no_per_point_labels(self, monkeypatch, metric):
+        # a probe reads only k and the noise fraction, which dbscan knows
+        # without numbering labels: with the label builder refusing, a
+        # search over 2-D data (border points and noise included) and one
+        # over one column still run
+        def refuse(*forest):
+            raise AssertionError("a probe built per-point labels")
+
+        monkeypatch.setattr(tsdbscan.core, "_label_points", refuse)
+        x = np.random.default_rng(2).random((60, 2))
+        cfg = TuneConfig(min_pts=4, itr=6, metric=metric)
+        for points in (x, x[:, :1] + 1.0):
+            stats = RunStats()
+            assert 0.0 < ternary_search(points, SearchBounds(0.0, 1.5), cfg, stats) < 1.5
+            assert stats.dbscan_invocations == 2 * cfg.itr
+
     def test_interval_shrink_rate(self):
         # cond keeps at most 2/3 per iteration; final midpoint must sit
         # inside the worst-case residual interval around some point

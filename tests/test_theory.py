@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tsdbscan.core
 from tsdbscan import (
     ConcentrationConfig,
     concentration_experiment,
@@ -77,6 +78,20 @@ class TestMonteCarlo:
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             monte_carlo_expected_k(10, float("nan"), 3, 0)
+
+    def test_builds_no_per_point_labels(self, monkeypatch):
+        # the oracle's probes read only k; with the label builder refusing,
+        # the Monte Carlo runs and both concentration probes in 1-D and 2-D
+        # still run
+        def refuse(*forest):
+            raise AssertionError("a probe built per-point labels")
+
+        monkeypatch.setattr(tsdbscan.core, "_label_points", refuse)
+        mean, _ = monte_carlo_expected_k(200, np.log(2) / 200, trials=5, seed=0)
+        assert mean > 1
+        cfg = ConcentrationConfig(rho=0.1, beta=2.0, delta=0.05)
+        for dims in (1, 2):
+            assert concentration_experiment(cfg, dims=dims, n=400, trials=2, seed=0)["passed"]
 
     def test_deterministic(self):
         a = monte_carlo_expected_k(200, 0.005, trials=10, seed=3)
