@@ -214,12 +214,14 @@ def distance(p, q, metric: str = "euclidean") -> float:
     return float(_distance_block(x[:1], x[1:], metric, None)[0, 0])
 
 
-def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunStats | None) -> np.ndarray:
-    """Pairwise distances of rows from ``_validate``. Cosine 1 - cos = |u - v|^2 / 2
+def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunStats | None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise distances of rows from ``_validate``, into ``out`` when given (a
+    C-contiguous float64 array of the block's shape). Cosine 1 - cos = |u - v|^2 / 2
     on unit rows, which is exactly 0 between identical rows and clipped to 2,
     which rounding exceeds by an ulp on opposite rows. Symmetric bit for bit:
     both orders of a pair sum the same per-dimension terms in the same order."""
-    d = cdist(x_rows, x, metric=_CDIST_NAME[metric])
+    d = cdist(x_rows, x, metric=_CDIST_NAME[metric], out=out)
     if metric == "cosine":
         d *= 0.5
         np.minimum(d, 2.0, out=d)
@@ -547,7 +549,8 @@ class KCurve:
     HDBSCAN). A point stops being noise once eps reaches its reach radius
     min_j max(d_ij, core_j), where it first lies in a core point's ball (its
     own included). The build compares the very distances ``dbscan`` does:
-    O(N^2) time, memory O(N) plus one block of ``_BLOCK_CELLS`` cells.
+    O(N^2) time, memory O(N) plus one block of ``_BLOCK_CELLS`` cells, reused
+    by every step.
     """
 
     def __init__(self, points, min_pts: int, metric: str = "euclidean"):
@@ -558,8 +561,9 @@ class KCurve:
         core = np.full(n, np.inf)
         if min_pts <= n:
             step = _block_rows(n)
+            buffer = np.empty((min(step, n), n))
             for s in range(0, n, step):
-                block = _distance_block(x[s : s + step], x, metric, None)
+                block = _distance_block(x[s : s + step], x, metric, None, buffer[: n - s])
                 block.partition(min_pts - 1, axis=1)
                 core[s : s + step] = block[:, min_pts - 1]
 

@@ -178,6 +178,24 @@ def brute_force_dip(sample: np.ndarray, delta: float = 1e-7) -> float:
     return best
 
 
+def count_strict_local_maxima(curve) -> int:
+    """Strict local maxima of k over a sweep's samples, with plateaus compressed."""
+    ks = [c.k for c in curve]
+    compressed = [ks[0]]
+    for k in ks[1:]:
+        if k != compressed[-1]:
+            compressed.append(k)
+    if len(compressed) < 2:
+        return 0
+    peaks = 0
+    for i, k in enumerate(compressed):
+        left_ok = i == 0 or compressed[i - 1] < k
+        right_ok = i == len(compressed) - 1 or compressed[i + 1] < k
+        if left_ok and right_ok:
+            peaks += 1
+    return peaks
+
+
 @pytest.fixture(scope="session")
 def blob_suite():
     """Twenty seeded blob datasets (k=20, N=2000, D=16, separation 20)."""

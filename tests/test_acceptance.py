@@ -47,10 +47,14 @@ from tsdbscan import (
     tse_estimate,
 )
 from tsdbscan.cli import main as cli_main
-from tsdbscan.curve import count_strict_local_maxima
 from tsdbscan.data_io import load_matrix
 
-from conftest import brute_force_ari, brute_force_dbscan, brute_force_nmi
+from conftest import (
+    brute_force_ari,
+    brute_force_dbscan,
+    brute_force_nmi,
+    count_strict_local_maxima,
+)
 
 pytestmark = pytest.mark.acceptance
 

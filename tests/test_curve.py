@@ -1,7 +1,10 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsdbscan import (
     CurveSample,
@@ -11,10 +14,11 @@ from tsdbscan import (
     dip_statistic,
     sweep_curve,
 )
-from tsdbscan.curve import count_strict_local_maxima, epsilon_grid
+from tsdbscan import curve
+from tsdbscan.curve import _CHUNK_CELLS, _minorant_rows, _minorant_touches, epsilon_grid
 from tsdbscan.data_io import load_matrix
 
-from conftest import brute_force_dip
+from conftest import brute_force_dip, count_strict_local_maxima
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -182,6 +186,100 @@ class TestDipPValue:
             ps.append(dip_p_value(s, 100, seed=9))
         order = np.argsort(dips)
         assert all(ps[order[i]] >= ps[order[i + 1]] for i in range(len(order) - 1))
+
+
+@st.composite
+def sorted_rows(draw):
+    """Sorted rows of one length on a grid: ties, runs of duplicates and
+    constant rows, from n = 2 up."""
+    n = draw(st.one_of(st.integers(2, 6), st.integers(7, 40)))
+    rows = draw(st.integers(1, 6))
+    levels = draw(st.integers(0, 6))  # 0: every row is constant
+    step = draw(st.sampled_from([1.0, 0.1, 1 / 3, 2.0 ** -40]))
+    x = np.array(draw(st.lists(st.lists(st.integers(0, levels), min_size=n, max_size=n),
+                               min_size=rows, max_size=rows))) * step
+    if draw(st.booleans()):
+        x[0] = x[0, 0]
+    return np.sort(x, axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=sorted_rows())
+def test_row_pass_is_the_scalar_pass_on_every_row(x):
+    rows, n = x.shape
+    buffer = np.empty((rows, n + 1))
+    buffer[:, :n] = x
+    touches = np.empty(buffer.shape, dtype=np.intp)
+    _minorant_rows(buffer, touches)
+    assert np.array_equal(buffer[:, :n], x)
+    for row, mn in zip(x, touches):
+        assert mn[:n].tolist() == _minorant_touches(row.tolist())
+
+
+# replicates of the bootstrap at this n fill a chunk of 65, so crossing the
+# chunk's boundaries costs a few hundred replicates
+LOCKSTEP_N = 2000
+LOCKSTEP_CHUNK = _CHUNK_CELLS // (2 * (LOCKSTEP_N + 1))
+BOOT_SEED = 4
+
+
+@pytest.fixture(scope="module")
+def scalar_bootstrap():
+    """A uniform sample of ``LOCKSTEP_N``, its dip, and the dips of the first
+    replicates of the bootstrap at ``BOOT_SEED``, each from ``dip_statistic``."""
+    sample = np.random.default_rng(20).random(LOCKSTEP_N)
+    dips = [dip_statistic(np.random.default_rng([BOOT_SEED, b]).random(LOCKSTEP_N))
+            for b in range(2 * LOCKSTEP_CHUNK + 7)]
+    return sample, dip_statistic(sample), dips
+
+
+class TestLockstepBootstrap:
+    @pytest.mark.parametrize("n_boot", [1, LOCKSTEP_CHUNK - 1, LOCKSTEP_CHUNK, LOCKSTEP_CHUNK + 1,
+                                        2 * LOCKSTEP_CHUNK + 7])
+    def test_p_value_is_the_scalar_one(self, scalar_bootstrap, n_boot):
+        sample, observed, dips = scalar_bootstrap
+        hits = sum(d >= observed for d in dips[:n_boot])
+        assert dip_p_value(sample, n_boot, BOOT_SEED) == hits / n_boot
+        if n_boot > 1:
+            assert 0 < hits < n_boot
+
+    @pytest.mark.parametrize("n, n_boot, calls", [
+        pytest.param(LOCKSTEP_N, 5, 1, id="lockstep"),
+        pytest.param(20_000, 3, 4, id="scalar"),
+    ])
+    def test_only_large_n_takes_the_scalar_pass(self, monkeypatch, n, n_boot, calls):
+        sample = np.random.default_rng(21).random(n)
+        expected = [dip_statistic(np.random.default_rng([BOOT_SEED, b]).random(n)) for b in range(n_boot)]
+        hits = sum(d >= dip_statistic(sample) for d in expected)
+        seen = []
+        monkeypatch.setattr(curve, "dip_statistic", lambda s: seen.append(1) or dip_statistic(s))
+        assert dip_p_value(sample, n_boot, BOOT_SEED) == hits / n_boot
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("seed, p", [(0, 0.267), (2718, 0.27)])
+    def test_pinned_on_the_bell_curve(self, seed, p):
+        # the p-values of the one-replicate-at-a-time bootstrap
+        assert dip_p_value(bell_curve_sample(), 1000, seed) == p
+
+    @pytest.mark.parametrize("seed, p", [(0, 0.267), (2718, 0.274)])
+    def test_pinned_on_a_blobs16_curve(self, blob_suite, seed, p):
+        x = blob_suite[0][0]  # N = 2000, D = 16: the benchmark's blobs16 at seed 0
+        sample = curve_to_sample(sweep_curve(x, epsilon_grid(x, 100), min_pts=10))
+        assert len(sample) == 567
+        assert dip_p_value(sample, 1000, seed) == p
+
+    @pytest.mark.parametrize("n, n_boot", [(567, 231), (20_000, 3)])
+    def test_peak_allocation_is_bounded(self, n, n_boot):
+        # a 4 MiB chunk (two chunks at n = 567, the second reusing the
+        # buffers), or the scalar pass at large n
+        sample = np.random.default_rng(22).random(n)
+        tracemalloc.start()
+        try:
+            dip_p_value(sample, n_boot, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2 ** 20
 
 
 class TestNonUnimodalFixture:
