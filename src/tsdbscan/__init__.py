@@ -7,10 +7,7 @@ from .core import (
     Labeling,
     RunStats,
     approximate_diameter_ub,
-    count_clusters,
     dbscan,
-    distance,
-    noise_fraction,
 )
 from .curve import curve_to_sample, dip_p_value, dip_statistic, sweep_curve
 from .data_io import load_labels, load_matrix, synth_blobs

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import METRICS, NOISE, RunStats, count_clusters, dbscan, noise_fraction
+from .core import METRICS, NOISE, RunStats, dbscan
 from .curve import curve_to_sample, dip_p_value, dip_statistic, epsilon_grid, sweep_curve
 from .data_io import (
     atomic_write_text,
@@ -128,8 +128,8 @@ def _write_labeling(outdir: Path, x, labeling) -> dict:
     """Write labels.csv; return the labeling's part of the results."""
     write_labels(outdir / "labels.csv", labeling.labels)
     return {
-        "k": count_clusters(labeling),
-        "noise_fraction": noise_fraction(labeling),
+        "k": labeling.n_clusters,
+        "noise_fraction": labeling.n_noise / len(x),
         "n_points": len(x),
         "n_dims": x.shape[1],
     }
@@ -182,9 +182,9 @@ def _run_dip(args, outdir: Path, stats: RunStats) -> dict:
 
 def _run_oracle(args, outdir: Path, stats: RunStats) -> dict:
     n = args.n
+    ccfg = ConcentrationConfig(rho=args.rho, beta=args.beta, delta=args.delta)
     mode_eps = mode_epsilon_closed_form(n)
     mean, stderr = monte_carlo_expected_k(n, np.log(2) / n, args.trials, args.seed, stats=stats)
-    ccfg = ConcentrationConfig(rho=args.rho, beta=args.beta, delta=args.delta)
     concentration = [
         concentration_experiment(ccfg, d, args.conc_n, args.conc_trials, args.seed, stats=stats)
         for d in args.dims

@@ -56,6 +56,7 @@ the pair's difference (``_gap_kernel``), and counts as one cell at D = 1.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -121,29 +122,19 @@ class CurveSample:
 
 
 class Labeling:
-    """Per-point cluster assignment; ``labels[i] == NOISE`` marks noise.
+    """Per-point cluster assignment from ``dbscan``; ``labels[i] == NOISE``
+    marks noise.
 
-    ``n_clusters`` and ``n_noise`` are known at once. A labeling from
-    ``dbscan`` numbers its ``labels`` and ``roles`` only when one of them is
-    first read (``_label_points``): a probe that reads only the counts
-    builds no per-point array.
+    ``n_clusters`` and ``n_noise`` are known at once. ``labels`` and
+    ``roles`` are numbered only when one of them is first read
+    (``_label_points(*forest)``): a probe that reads only the counts builds
+    no per-point array.
     """
 
-    def __init__(self, labels: np.ndarray, roles: np.ndarray):
-        self._labels, self._roles, self._deferred = labels, roles, None
-        self.n_points = len(labels)
-        self.n_clusters = int(np.unique(labels[labels != NOISE]).size)
-        self.n_noise = int(np.count_nonzero(labels == NOISE))
-
-    @classmethod
-    def _from_forest(cls, n_clusters: int, n_noise: int, *forest) -> Labeling:
-        """The labeling whose arrays ``_label_points(*forest)`` builds on first read."""
-        labeling = cls.__new__(cls)
-        labeling._labels = labeling._roles = None
-        labeling._deferred = forest
-        labeling.n_points = len(forest[0])
-        labeling.n_clusters, labeling.n_noise = n_clusters, n_noise
-        return labeling
+    def __init__(self, n_clusters: int, n_noise: int, *forest):
+        self.n_clusters, self.n_noise = n_clusters, n_noise
+        self._labels = self._roles = None
+        self._deferred = forest
 
     def _build(self) -> None:
         if self._deferred is not None:
@@ -171,6 +162,22 @@ def validate_points(points) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("point matrix contains NaN or Inf")
     return x
+
+
+def _check_min_pts(min_pts) -> None:
+    """Rejects a ``min_pts`` that is not an integer of at least 2."""
+    try:
+        min_pts = operator.index(min_pts)
+    except TypeError:
+        raise ValueError(f"min_pts must be an integer, got {min_pts!r}") from None
+    if min_pts < 2:
+        raise ValueError("min_pts must be at least 2")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """Rejects a radius that is not positive and finite."""
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def _has_direction(x: np.ndarray) -> np.ndarray:
@@ -202,16 +209,6 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     _, e = np.frexp(np.abs(x).max(axis=1, keepdims=True))
     x = np.ldexp(x, -e)
     return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def distance(p, q, metric: str = "euclidean") -> float:
-    """Distance between two points; symmetric, zero on identical input."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    x = _validate(np.stack([p, q]), metric)
-    return float(_distance_block(x[:1], x[1:], metric, None)[0, 0])
 
 
 def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunStats | None,
@@ -249,10 +246,8 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     only when one of them is first read.
     """
     x = _validate(points, metric)
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if min_pts < 2:
-        raise ValueError("min_pts must be at least 2")
+    _check_epsilon(epsilon)
+    _check_min_pts(min_pts)
     n = len(x)
     if stats is not None:
         stats.dbscan_invocations += 1
@@ -285,8 +280,8 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
         border.append(rows[best < n])
         border_first.append(best[best < n])
     n_border = sum(rows.size for rows in border)
-    return Labeling._from_forest(int(np.count_nonzero(parent[cores] == cores)), n - cores.size - n_border,
-                                 order, core, parent, first, border, border_first)
+    return Labeling(int(np.count_nonzero(parent[cores] == cores)), n - cores.size - n_border,
+                    order, core, parent, first, border, border_first)
 
 
 def _tree_first(order: np.ndarray, parent: np.ndarray, cores: np.ndarray) -> np.ndarray:
@@ -526,18 +521,6 @@ def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             parent[:] = up
 
 
-def count_clusters(labeling: Labeling) -> int:
-    """Number of distinct non-noise labels."""
-    return labeling.n_clusters
-
-
-def noise_fraction(labeling: Labeling) -> float:
-    """Fraction of points labeled noise."""
-    if labeling.n_points < 1:
-        raise ValueError("empty labeling")
-    return float(labeling.n_noise / labeling.n_points)
-
-
 class KCurve:
     """Exact k(eps) and noise(eps) of DBSCAN at every radius, from one build.
 
@@ -555,8 +538,7 @@ class KCurve:
 
     def __init__(self, points, min_pts: int, metric: str = "euclidean"):
         x = _validate(points, metric)
-        if min_pts < 2:
-            raise ValueError("min_pts must be at least 2")
+        _check_min_pts(min_pts)
         n = len(x)
         core = np.full(n, np.inf)
         if min_pts <= n:
@@ -592,18 +574,17 @@ class KCurve:
         self._reach = np.sort(reach)
 
     def k(self, epsilon: float) -> int:
-        """``count_clusters(dbscan(points, epsilon, min_pts, metric))``."""
+        """The ``n_clusters`` of ``dbscan(points, epsilon, min_pts, metric)``."""
         return _count_at_most(self._core, epsilon) - _count_at_most(self._edges, epsilon)
 
     def noise(self, epsilon: float) -> float:
-        """``noise_fraction(dbscan(points, epsilon, min_pts, metric))``."""
+        """The noise fraction ``n_noise / N`` of ``dbscan(points, epsilon, min_pts, metric)``."""
         return (self.n_points - _count_at_most(self._reach, epsilon)) / self.n_points
 
 
 def _count_at_most(ascending: np.ndarray, epsilon: float) -> int:
     """How many values are <= epsilon: the closed ball."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     return int(np.searchsorted(ascending, epsilon, side="right"))
 
 

@@ -57,8 +57,8 @@ def sweep_curve(x, grid, min_pts: int, metric: str = "euclidean",
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("empty epsilon grid")
-    if np.any(grid <= 0):
-        raise ValueError("epsilon grid values must be positive")
+    if not np.all((grid > 0) & (grid < np.inf)):
+        raise ValueError("epsilon grid values must be positive and finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("epsilon grid must be strictly increasing")
     curve = KCurve(x, min_pts, metric)

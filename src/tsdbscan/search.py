@@ -18,9 +18,9 @@ from .core import (
     CurveSample,
     Labeling,
     RunStats,
+    _check_min_pts,
     _has_direction,
     approximate_diameter_ub,
-    count_clusters,
     dbscan,
     validate_points,
 )
@@ -58,8 +58,7 @@ class TuneConfig:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        if self.min_pts < 2:
-            raise ValueError("min_pts must be at least 2")
+        _check_min_pts(self.min_pts)
         if self.itr < 1:
             raise ValueError("itr must be positive")
         if not 0 < self.alpha <= 1:
@@ -102,7 +101,7 @@ def _probe(x: np.ndarray, epsilon: float, cfg: TuneConfig, stats: RunStats | Non
             return CurveSample(epsilon, 0, 1.0)
     labeling = dbscan(x, epsilon, cfg.min_pts, metric=cfg.metric, stats=stats)
     noise = (labeling.n_noise + n - len(x)) / n
-    return CurveSample(epsilon=epsilon, k=count_clusters(labeling), noise=float(noise))
+    return CurveSample(epsilon=epsilon, k=labeling.n_clusters, noise=float(noise))
 
 
 def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,

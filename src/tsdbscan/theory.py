@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RunStats, count_clusters, dbscan
+from .core import RunStats, dbscan
 
 PROBE_MARGIN = 0.1  # relative distance of a concentration probe beyond its threshold
 
@@ -30,8 +30,8 @@ class ConcentrationConfig:
     def __post_init__(self):
         if not 0 < self.rho < 0.25:
             raise ValueError("rho must be in (0, 1/4)")
-        if self.beta <= 1:
-            raise ValueError("beta must exceed 1")
+        if not 1 < self.beta < math.inf:
+            raise ValueError(f"beta must be in (1, inf), got {self.beta}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
 
@@ -64,14 +64,12 @@ def monte_carlo_expected_k(n: int, epsilon: float, trials: int, seed: int,
     clustered at min_pts=2."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
     if trials < 1:
         raise ValueError("trials must be positive")
     ks = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        ks[t] = count_clusters(dbscan(rng.random((n, 1)), epsilon, 2, stats=stats))
+        ks[t] = dbscan(rng.random((n, 1)), epsilon, 2, stats=stats).n_clusters
     stderr = float(ks.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(ks.mean()), stderr
 
@@ -104,9 +102,9 @@ def concentration_experiment(cfg: ConcentrationConfig, dims: int, n: int,
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         x = rng.random((n, dims))
-        if count_clusters(dbscan(x, probe_high, min_pts, stats=stats)) == 1:
+        if dbscan(x, probe_high, min_pts, stats=stats).n_clusters == 1:
             ones += 1
-        if count_clusters(dbscan(x, probe_low, min_pts, stats=stats)) == 0:
+        if dbscan(x, probe_low, min_pts, stats=stats).n_clusters == 0:
             zeros += 1
     frac_one = ones / trials
     frac_zero = zeros / trials

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tsdbscan.core import _distance_block, _validate
 from tsdbscan.data_io import synth_blobs
 
 
@@ -194,6 +195,14 @@ def count_strict_local_maxima(curve) -> int:
         if left_ok and right_ok:
             peaks += 1
     return peaks
+
+
+def distance(p, q, metric: str = "euclidean") -> float:
+    """The library kernel's distance between two points, bit for bit: unlike
+    the oracles above, this reads the library, for tests that need the very
+    value ``dbscan`` compares with eps."""
+    x = _validate(np.stack([np.ravel(p), np.ravel(q)]), metric)
+    return float(_distance_block(x[:1], x[1:], metric, None)[0, 0])
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,6 @@ from tsdbscan import (
     approximate_diameter_ub,
     ari,
     concentration_experiment,
-    count_clusters,
     curve_to_sample,
     dbscan,
     dip_p_value,
@@ -40,7 +39,6 @@ from tsdbscan import (
     expected_k_closed_form,
     monte_carlo_expected_k,
     nmi,
-    noise_fraction,
     sweep_curve,
     ternary_search,
     ts_clustering,
@@ -92,7 +90,7 @@ def suite_artifacts(blob_suite):
         bounds = SearchBounds(lb, ub)
         ts_stats = RunStats()
         eps_ts = ternary_search(x, bounds, cfg, ts_stats)
-        k_ts = count_clusters(dbscan(x, eps_ts, SUITE_MIN_PTS))
+        k_ts = dbscan(x, eps_ts, SUITE_MIN_PTS).n_clusters
         tse_stats = RunStats()
         eps_tse = tse_estimate(x, bounds, cfg, tse_stats)
         out.append({
@@ -145,9 +143,9 @@ def test_criterion_02_boundary_laws():
         x = rng.random((n, d))
         dists = pdist(x)
         below = 0.99 * dists.min()
-        if count_clusters(dbscan(x, below, 2)) != 0:
+        if dbscan(x, below, 2).n_clusters != 0:
             failures += 1
-        if count_clusters(dbscan(x, dists.max(), 2)) != 1:
+        if dbscan(x, dists.max(), 2).n_clusters != 1:
             failures += 1
     check(2, "cluster count boundary laws", failures == 0,
           f"{failures} violations over 50 datasets")

@@ -11,15 +11,12 @@ from tsdbscan import (
     TuneConfig,
     approximate_diameter_ub,
     core,
-    count_clusters,
     dbscan,
-    distance,
-    noise_fraction,
     ts_clustering,
 )
-from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE, KCurve, Labeling, validate_points
+from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE, KCurve, validate_points
 
-from conftest import brute_force_dbscan
+from conftest import brute_force_dbscan, distance
 
 
 class TestDistance:
@@ -38,13 +35,10 @@ class TestDistance:
             p, q = rng.normal(size=(2, 5))
             assert distance(p, q, metric) == pytest.approx(distance(q, p, metric))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            distance((0, 0), (1, 2, 3))
-
     def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            distance((0,), (1,), "chebyshev")
+        for build in (lambda x: dbscan(x, 1.0, 2, "chebyshev"), lambda x: KCurve(x, 2, "chebyshev")):
+            with pytest.raises(ValueError, match="unknown metric 'chebyshev'"):
+                build([[0.0], [1.0]])
 
 
 class TestRegionQuery:
@@ -93,17 +87,16 @@ LINE = np.array([3.0, 3.0, 3.0, 2.0, 1.0, 0.0, -1.0, -1.0, -1.0])
 class TestDbscan:
     def test_all_noise_below_min_spacing(self):
         lab = dbscan(np.array([[0.0], [10.0], [20.0]]), 1.0, 2)
-        assert count_clusters(lab) == 0
+        assert lab.n_clusters == 0
         assert np.all(lab.labels == NOISE)
 
     def test_single_cluster_at_diameter(self):
         lab = dbscan(np.array([[0.0], [10.0], [20.0]]), 25.0, 2)
-        assert count_clusters(lab) == 1
+        assert lab.n_clusters == 1
 
     def test_four_point_roles(self):
         lab = dbscan(np.array([[0.0], [1.0], [2.0], [2.9]]), 1.0, 3)
-        assert count_clusters(lab) == 1
-        assert noise_fraction(lab) == 0.0
+        assert (lab.n_clusters, lab.n_noise) == (1, 0)
         assert lab.roles.tolist() == [ROLE_BORDER, ROLE_CORE, ROLE_CORE, ROLE_BORDER]
 
     def test_matches_oracle_on_random_instances(self):
@@ -128,16 +121,16 @@ class TestDbscan:
     def test_noise_monotone_in_epsilon(self):
         rng = np.random.default_rng(4)
         x = rng.random((50, 2))
-        fracs = [noise_fraction(dbscan(x, e, 3)) for e in np.linspace(0.02, 1.5, 15)]
+        fracs = [dbscan(x, e, 3).n_noise / len(x) for e in np.linspace(0.02, 1.5, 15)]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
     def test_permutation_invariance_of_k(self):
         rng = np.random.default_rng(5)
         x = rng.random((40, 2))
-        k = count_clusters(dbscan(x, 0.15, 3))
+        k = dbscan(x, 0.15, 3).n_clusters
         for _ in range(5):
             perm = rng.permutation(len(x))
-            assert count_clusters(dbscan(x[perm], 0.15, 3)) == k
+            assert dbscan(x[perm], 0.15, 3).n_clusters == k
 
     def test_noise_points_not_near_core(self):
         rng = np.random.default_rng(6)
@@ -161,6 +154,8 @@ class TestDbscan:
             dbscan(x, -1.0, 2)
         with pytest.raises(ValueError):
             dbscan(x, float("nan"), 2)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
+            dbscan(x, float("inf"), 2)
         with pytest.raises(ValueError):
             dbscan(x, 1.0, 1)
         with pytest.raises(ValueError):
@@ -344,7 +339,7 @@ class TestDbscan:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         lab = dbscan(x, 1.0, 4)
         assert lab.labels.tolist() == brute_force_dbscan(x, 1.0, 4).tolist()
-        assert count_clusters(lab) == 2
+        assert lab.n_clusters == 2
         assert lab.labels[border_at] == 0 and lab.roles[border_at] == ROLE_BORDER
 
     @pytest.mark.parametrize("cells", [1, 2, 3, 5, 9, 20, 50, 1 << 19])
@@ -394,7 +389,7 @@ class TestDbscan:
         stats = RunStats()
         lab = dbscan(x, eps, 2, stats=stats)
         assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 2))
-        assert count_clusters(lab) == k and np.all(lab.roles == ROLE_CORE)
+        assert lab.n_clusters == k and np.all(lab.roles == ROLE_CORE)
         assert stats.point_evaluations == pairs * 10 + 20
 
     @pytest.mark.parametrize("eps, ends, pairs", [
@@ -424,25 +419,26 @@ class TestDbscan:
         stats = RunStats()
         lab = dbscan(x, eps, 3, stats=stats)
         assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 3))
-        assert count_clusters(lab) == 1 and np.all(lab.roles == ROLE_CORE)
+        assert lab.n_clusters == 1 and np.all(lab.roles == ROLE_CORE)
         assert stats.point_evaluations == ends + 2 * pairs
 
 
 class TestCounting:
     def test_all_noise(self):
         lab = dbscan(np.array([[0.0], [10.0], [20.0]]), 1.0, 2)
-        assert count_clusters(lab) == 0
-        assert noise_fraction(lab) == 1.0
+        assert (lab.n_clusters, lab.n_noise) == (0, 3)
 
     def test_direct_count(self):
-        lab = Labeling(labels=np.array([0, 0, 1, 1, NOISE]),
-                       roles=np.array([ROLE_CORE, ROLE_CORE, ROLE_CORE, ROLE_CORE, ROLE_NOISE]))
-        assert count_clusters(lab) == 2
-        assert noise_fraction(lab) == pytest.approx(0.2)
+        lab = dbscan(np.array([[0.0], [0.5], [10.0], [10.5], [20.0]]), 1.0, 2)
+        assert lab.labels.tolist() == [0, 0, 1, 1, NOISE]
+        assert lab.roles.tolist() == [ROLE_CORE] * 4 + [ROLE_NOISE]
+        assert lab.n_clusters == 2
+        assert lab.n_noise / 5 == pytest.approx(0.2)
 
     def test_noise_fraction_third(self):
-        lab = Labeling(labels=np.array([0, 0, NOISE, 1, 1, NOISE]), roles=np.zeros(6, np.int8))
-        assert noise_fraction(lab) == pytest.approx(1 / 3)
+        lab = dbscan(np.array([[0.0], [0.5], [5.0], [10.0], [10.5], [15.0]]), 1.0, 2)
+        assert lab.labels.tolist() == [0, 0, NOISE, 1, 1, NOISE]
+        assert lab.n_noise / 6 == pytest.approx(1 / 3)
 
 
 def test_1d_points_become_a_column():
@@ -456,14 +452,29 @@ CURVE = KCurve([[0.0], [1.0], [5.0]], 2)
     pytest.param(validate_points, np.zeros((2, 2, 2)), "nonempty 2-D", id="points-3d"),
     pytest.param(validate_points, np.zeros((0, 2)), "nonempty 2-D", id="points-no-rows"),
     pytest.param(validate_points, [], "nonempty 2-D", id="points-empty-1d"),
-    pytest.param(noise_fraction, Labeling(np.array([], np.int64), np.array([], np.int8)),
-                 "empty labeling", id="noise_fraction-empty"),
     *(pytest.param(getattr(CURVE, f), eps, "epsilon must be positive", id=f"KCurve.{f}-{eps}")
-      for f in ("k", "noise") for eps in (0.0, -1.0, float("nan"))),
+      for f in ("k", "noise") for eps in (0.0, -1.0, float("nan"), float("inf"))),
 ])
 def test_rejects_bad_input(func, arg, message):
     with pytest.raises(ValueError, match=message):
         func(arg)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda min_pts: dbscan([[0.0], [1.0]], 1.0, min_pts), id="dbscan"),
+    pytest.param(lambda min_pts: KCurve([[0.0], [1.0]], min_pts), id="KCurve"),
+    pytest.param(lambda min_pts: TuneConfig(min_pts=min_pts), id="TuneConfig"),
+])
+def test_one_min_pts_rule(build):
+    # every caller takes an integer of at least 2, numpy's included, and
+    # rejects the rest with the same ValueError
+    build(2)
+    build(np.int64(3))
+    for min_pts, message in ((3.5, "must be an integer, got 3.5"), (3.0, "must be an integer, got 3.0"),
+                             ("3", "must be an integer, got '3'"), (1, "must be at least 2"),
+                             (np.int64(-4), "must be at least 2")):
+        with pytest.raises(ValueError, match=f"^min_pts {message}$"):
+            build(min_pts)
 
 
 class TestDiameterBound:
@@ -517,7 +528,7 @@ class TestDiameterBound:
         # |u - v|^2 / 2 of these unit rows rounds to 2.0000000000000004
         x = np.array([[-3.0, -3.0], [1.5, 1.5]])
         assert distance(x[0], x[1], "cosine") == 2.0
-        assert count_clusters(dbscan(x, approximate_diameter_ub(x, "cosine"), 2, metric="cosine")) == 1
+        assert dbscan(x, approximate_diameter_ub(x, "cosine"), 2, metric="cosine").n_clusters == 1
 
 
 class TestCosineZeroVectors:
@@ -543,7 +554,7 @@ class TestCosineZeroVectors:
 
     def test_other_metrics_accept(self):
         for metric in ("euclidean", "manhattan"):
-            assert count_clusters(dbscan(self.X, 0.5, 2, metric=metric)) == 2
+            assert dbscan(self.X, 0.5, 2, metric=metric).n_clusters == 2
 
 
 class TestCosineDuplicateRows:
@@ -563,8 +574,7 @@ class TestCosineDuplicateRows:
     def test_tuning_clusters_copies(self):
         with pytest.warns(UserWarning, match="degenerate"):
             _, lab = ts_clustering(np.tile(self.row(), (40, 1)), TuneConfig(min_pts=5, metric="cosine"))
-        assert count_clusters(lab) == 1
-        assert noise_fraction(lab) == 0.0
+        assert (lab.n_clusters, lab.n_noise) == (1, 0)
 
     def test_tiny_row_has_an_exact_direction(self):
         # the square of this row is subnormal, so x / |x| would be -1.0000000028

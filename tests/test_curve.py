@@ -66,6 +66,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_curve(TWO_CLUSTERS_1D, [-1.0, 1.0], min_pts=2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_grid_fails_before_the_build(self, monkeypatch, bad):
+        def refuse(*args):
+            raise AssertionError("the curve was built")
+
+        monkeypatch.setattr(curve, "KCurve", refuse)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sweep_curve(TWO_CLUSTERS_1D, [1.0, bad], min_pts=2)
+
     def test_sweep_errors_of_the_build(self):
         with pytest.raises(ValueError, match="min_pts"):
             sweep_curve(TWO_CLUSTERS_1D, [1.0], min_pts=1)

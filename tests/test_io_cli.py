@@ -433,6 +433,25 @@ class TestCli:
         assert "epsilon must be positive" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_infinite_epsilon_fails_without_outputs(self, tmp_path, capsys, blob_files):
+        # a report would hold "epsilon": Infinity, which strict JSON rejects
+        data, _ = blob_files
+        out = tmp_path / "run"
+        code = run_cli(["dbscan", "--input", data, "--epsilon", "inf", "--min-pts", 3,
+                        "--out", out])
+        assert code == 1
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_fails_naming_it(self, tmp_path, capsys, beta):
+        out = tmp_path / "oracle"
+        code = run_cli(["oracle", "--n", 300, "--trials", 2, "--beta", beta, "--dims", 1,
+                        "--out", out])
+        assert code == 1
+        assert "beta must be in (1, inf)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_nan_separation_fails_without_outputs(self, tmp_path, capsys, k):
         out = tmp_path / "synth"

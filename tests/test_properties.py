@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from tsdbscan import NOISE, approximate_diameter_ub, count_clusters, core, dbscan, distance, noise_fraction
+from tsdbscan import NOISE, approximate_diameter_ub, core, dbscan
 from tsdbscan.core import METRICS, KCurve, RunStats, _distance_block, _validate
 
-from conftest import brute_force_dbscan, brute_force_distances
+from conftest import brute_force_dbscan, brute_force_distances, distance
 
 # the bound's approximation factor: 2 from the triangle inequality, 4
 # under cosine, where the triangle inequality holds only for angles
@@ -71,8 +71,7 @@ def test_one_cluster_at_the_bound(metric, data):
     # coincident draws get the float64-eps floor, which still holds them all
     ub = diameter_bound(x, metric)
     lab = dbscan(x, ub, min_pts, metric=metric)
-    assert count_clusters(lab) == 1
-    assert noise_fraction(lab) == 0.0
+    assert (lab.n_clusters, lab.n_noise) == (1, 0)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -82,7 +81,7 @@ def test_noise_nonincreasing_in_epsilon(metric, data):
     x = data.draw(point_sets(metric))
     min_pts = data.draw(st.integers(2, len(x) + 1))
     radii = data.draw(st.lists(st.floats(1e-6, 4e3), min_size=2, max_size=6, unique=True))
-    fracs = [noise_fraction(dbscan(x, eps, min_pts, metric=metric)) for eps in sorted(radii)]
+    fracs = [dbscan(x, eps, min_pts, metric=metric).n_noise / len(x) for eps in sorted(radii)]
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
 
@@ -132,15 +131,17 @@ def test_dbscan_matches_the_oracle(metric, data):
 
 def k_and_noise(x, eps, min_pts, metric):
     lab = dbscan(x, eps, min_pts, metric=metric)
-    return count_clusters(lab), noise_fraction(lab)
+    return lab.n_clusters, lab.n_noise / len(x)
 
 
 def edge_radii(x, metric):
-    """Every exact pairwise distance, the float just below each, and 1e-300."""
+    """Every finite exact pairwise distance, the float just below each
+    (the largest float below one that overflows), and 1e-300. A radius must
+    be finite."""
     exact = np.unique(brute_force_distances(x, metric))
     exact = exact[exact > 0]
     below = np.nextafter(exact, 0)
-    return [1e-300, *exact.tolist(), *below[below > 0].tolist()]
+    return [1e-300, *exact[exact < np.inf].tolist(), *below[below > 0].tolist()]
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -287,7 +288,7 @@ def test_small_blocks_change_no_result(metric, cells, data):
             lab = dbscan(x, eps, min_pts, metric=metric)
             assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, min_pts, metric)), eps
             assert np.array_equal(lab.labels, ref.labels) and np.array_equal(lab.roles, ref.roles), eps
-            assert (curve.k(eps), curve.noise(eps)) == (count_clusters(lab), noise_fraction(lab)), eps
+            assert (curve.k(eps), curve.noise(eps)) == (lab.n_clusters, lab.n_noise / len(x)), eps
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -335,12 +336,12 @@ def test_counts_read_before_the_labels_match_them(metric, data):
         mp.setattr(core, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 3, 7, 50, 1 << 19])))
         mp.setattr(core, "_label_points", counted)
         lab = dbscan(x, eps, min_pts, metric=metric)
-        k, noise = count_clusters(lab), noise_fraction(lab)
+        k, noise = lab.n_clusters, lab.n_noise
         assert not built
         labels = lab.labels
         assert built == [len(x)]
     assert k == np.unique(labels[labels != NOISE]).size
-    assert noise == np.count_nonzero(labels == NOISE) / len(x)
+    assert noise == np.count_nonzero(labels == NOISE)
     assert np.array_equal(labels, brute_force_dbscan(x, eps, min_pts, metric))
 
 

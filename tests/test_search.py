@@ -11,12 +11,10 @@ from tsdbscan import (
     TuneConfig,
     approximate_diameter_ub,
     cond,
-    count_clusters,
     dbscan,
     effective_k,
     estimate_lower_bound,
     estimate_upper_bound,
-    noise_fraction,
     sweep_curve,
     ternary_search,
     ts_clustering,
@@ -77,7 +75,7 @@ class TestTernarySearch:
         cfg = TuneConfig(min_pts=2, itr=6)
         eps = ternary_search(TWO_CLUSTERS_1D, SearchBounds(0.0, 40.0), cfg)
         assert 0.0 < eps < 40.0
-        k = count_clusters(dbscan(TWO_CLUSTERS_1D, eps, 2))
+        k = dbscan(TWO_CLUSTERS_1D, eps, 2).n_clusters
         assert k == sweep_max_k(TWO_CLUSTERS_1D, 2, 0.01, 40.0) == 2
 
     def test_degenerate_interval_returns_midpoint(self):
@@ -122,8 +120,8 @@ class TestTernarySearch:
         eps1 = ternary_search(TWO_CLUSTERS_1D, b, cfg)
         cfg2 = TuneConfig(min_pts=2, itr=12)
         eps2 = ternary_search(TWO_CLUSTERS_1D, b, cfg2)
-        k1 = count_clusters(dbscan(TWO_CLUSTERS_1D, eps1, 2))
-        k2 = count_clusters(dbscan(TWO_CLUSTERS_1D, eps2, 2))
+        k1 = dbscan(TWO_CLUSTERS_1D, eps1, 2).n_clusters
+        k2 = dbscan(TWO_CLUSTERS_1D, eps2, 2).n_clusters
         assert k1 == k2 == 2
 
     def test_exactly_unimodal_curve_reaches_sweep_max(self):
@@ -133,7 +131,7 @@ class TestTernarySearch:
         x = np.concatenate([base, base + 5, base + 11])[:, None]
         cfg = TuneConfig(min_pts=3, itr=10)
         eps = ternary_search(x, SearchBounds(0.0, 30.0), cfg)
-        assert count_clusters(dbscan(x, eps, 3)) == sweep_max_k(x, 3, 0.005, 30.0) == 3
+        assert dbscan(x, eps, 3).n_clusters == sweep_max_k(x, 3, 0.005, 30.0) == 3
 
 
 class TestCollapsedInterval:
@@ -234,8 +232,7 @@ class TestTsClustering:
     def test_two_cluster_dataset(self):
         cfg = TuneConfig(min_pts=2, alpha=0.5, seed=0)
         eps, lab = ts_clustering(TWO_CLUSTERS_1D, cfg)
-        assert count_clusters(lab) == 2
-        assert noise_fraction(lab) == 0.0
+        assert (lab.n_clusters, lab.n_noise) == (2, 0)
 
     def test_invocation_budget(self):
         rng = np.random.default_rng(7)
@@ -265,8 +262,7 @@ class TestTsClustering:
         assert sum("diameter bound is 0" in m for m in messages) == 1
         assert sum("subsample too small" in m for m in messages) == 1
         assert 0 < eps < np.finfo(np.float64).eps
-        assert count_clusters(lab) == 1
-        assert noise_fraction(lab) == 0.0
+        assert (lab.n_clusters, lab.n_noise) == (1, 0)
 
     @pytest.mark.parametrize("tune", [ts_clustering, tse_clustering])
     def test_fewer_points_than_min_pts_errors(self, tune):
@@ -306,7 +302,7 @@ class TestTsClustering:
             small_eps, small_lab = tune(np.ldexp(x, power), cfg)
         assert small_eps == np.ldexp(eps, power)
         assert np.array_equal(small_lab.labels, lab.labels)
-        assert count_clusters(lab) == 5
+        assert lab.n_clusters == 5
 
     def test_overflowing_distances_are_rejected(self):
         # an infinite diameter bound gave eps = inf and one cluster

@@ -121,8 +121,9 @@ class TestConcentration:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ConcentrationConfig(rho=0.3, beta=2.0, delta=0.05)
-        with pytest.raises(ValueError):
-            ConcentrationConfig(rho=0.1, beta=1.0, delta=0.05)
+        for beta in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"beta must be in \(1, inf\)"):
+                ConcentrationConfig(rho=0.1, beta=beta, delta=0.05)
         with pytest.raises(ValueError):
             ConcentrationConfig(rho=0.1, beta=2.0, delta=0.0)
 
