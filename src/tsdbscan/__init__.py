@@ -5,6 +5,7 @@ from .core import (
     CurveSample,
     KCurve,
     Labeling,
+    PreparedPoints,
     RunStats,
     approximate_diameter_ub,
     dbscan,

@@ -46,6 +46,12 @@ among their core points, and a border point takes the smallest cluster id
 among the core points in its ball, both in the caller's order. Memory is
 O(N) plus one block.
 
+All of this before the radius matters, the validation, the sort and the
+sorted copy, is done once by :class:`PreparedPoints`, which any number of
+runs at different radii share. When N^2 fits one block, the set's first
+run computes its whole distance matrix, and every block of every run on
+it is a slice or a gather of that matrix.
+
 With one column the key ball is the ball itself, and a point's count is
 its run's length. The clusters are the runs of core points each within
 ``epsilon`` of the one before, and a border point takes the smaller id of
@@ -56,6 +62,7 @@ the pair's difference (``_gap_kernel``), and counts as one cell at D = 1.
 
 from __future__ import annotations
 
+import mmap
 import operator
 import warnings
 from dataclasses import dataclass
@@ -89,20 +96,25 @@ def _block_rows(cols: int) -> int:
 class RunStats:
     """Accumulates work counters across DBSCAN invocations.
 
-    ``point_evaluations`` counts rows x cols x D over the distance blocks
-    a DBSCAN run computes, plus one cell (D = 1) for each pair whose kernel
-    on the sort key the ball ends are checked on: each row's guessed end
-    and the row past it, about 2N a run, and O(log N) more for each row the
-    guess misses. On one column that is all. Otherwise the one pass, which
-    counts neighbours and joins core points, computes only the blocks on
-    and below the diagonal, each cut to its window: rows [s, e) x
-    [lo_s, e), which is [0, e) when the window rules no column out (N^2
-    cells for one block, N(N+1)/2 for one-row blocks). A block whose rows
-    and far columns turn core in one tree computes only its nearest
-    columns [c, e), the chunk that did it, and fewer cells. The late re-check
-    adds late core points x their window of the core points, unless the
-    core points already form one tree, and the border pass non-core points
-    with a neighbour x their window of the core points.
+    ``point_evaluations`` counts each kernel cell once, when it is computed:
+    rows x cols x D over the distance blocks a DBSCAN run computes, plus one
+    cell (D = 1) for each pair whose kernel on the sort key the ball ends
+    are checked on: each row's guessed end and the row past it, about 2N a
+    run, and O(log N) more for each row the guess misses. On one column that
+    is all. Otherwise the one pass, which counts neighbours and joins core
+    points, computes only the blocks on and below the diagonal, each cut to
+    its window: rows [s, e) x [lo_s, e), which is [0, e) when the window
+    rules no column out (N^2 cells for one block, N(N+1)/2 for one-row
+    blocks). A block whose rows and far columns turn core in one tree
+    computes only its nearest columns [c, e), the chunk that did it, and
+    fewer cells. The late re-check adds late core points x their window of
+    the core points, unless the core points already form one tree, and the
+    border pass non-core points with a neighbour x their window of the core
+    points. When N^2 fits one block, the first run on a
+    :class:`PreparedPoints` that needs a block computes its whole matrix,
+    N^2 x D cells, and every block after that, in that run and in each
+    later run on the same points, reads cached cells and adds none.
+    ``dbscan_invocations`` counts the runs, cached or not.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
     """
@@ -164,13 +176,18 @@ def validate_points(points) -> np.ndarray:
     return x
 
 
+def _as_integer(value, name: str) -> int:
+    """``value`` as an integer by ``operator.index`` (numpy's integers pass,
+    3.0 does not), else a ValueError that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_min_pts(min_pts) -> None:
     """Rejects a ``min_pts`` that is not an integer of at least 2."""
-    try:
-        min_pts = operator.index(min_pts)
-    except TypeError:
-        raise ValueError(f"min_pts must be an integer, got {min_pts!r}") from None
-    if min_pts < 2:
+    if _as_integer(min_pts, "min_pts") < 2:
         raise ValueError("min_pts must be at least 2")
 
 
@@ -227,50 +244,94 @@ def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunSt
     return d
 
 
+class PreparedPoints:
+    """Points made ready once for ``dbscan`` runs at many radii under one
+    metric: validated (unit rows under cosine, see ``_validate``) and sorted
+    by their widest coordinate, the sort key. ``x`` is the sorted copy,
+    ``order`` the caller's index of each sorted row and ``key`` the sorted
+    key; none of them depends on the radius.
+
+    When N^2 fits one block (``_BLOCK_CELLS``), the first run that needs a
+    distance block computes the whole matrix of the sorted rows, counted in
+    that run's ``stats``, and every block of every run is then a slice or a
+    gather of it: the same values bit for bit, because each kernel value
+    depends on its pair alone. One column needs no block.
+    """
+
+    def __init__(self, points, metric: str = "euclidean"):
+        x = _validate(points, metric)
+        # a span that overflows is inf, still the widest
+        with np.errstate(over="ignore"):
+            widest = int(np.argmax(np.ptp(x, axis=0)))
+        self.metric = metric
+        self.order = np.argsort(x[:, widest], kind="stable")
+        self.x = x[self.order]
+        self.key = np.ascontiguousarray(self.x[:, widest])
+        self._matrix = None
+
+    def __len__(self) -> int:
+        return self.order.size
+
+    def _block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
+        """The kernel of the sorted rows ``rows`` against ``cols``: two
+        slices, or two ascending index arrays."""
+        x, n = self.x, len(self.x)
+        if self._matrix is None and n * n <= _BLOCK_CELLS:
+            # the matrix outlives the many short-lived arrays of the runs
+            # that read it, so it gets its own anonymous mapping, unmapped
+            # when the set is freed: in the malloc heap it would strand a
+            # hole that the heap can neither trim nor reuse whole
+            matrix = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=np.float64).reshape(n, n)
+            self._matrix = _distance_block(x, x, self.metric, stats, matrix)
+        if self._matrix is None:
+            return _distance_block(x[rows], x[cols], self.metric, stats)
+        return self._matrix[rows, cols] if isinstance(rows, slice) else self._matrix[np.ix_(rows, cols)]
+
+
 def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
            stats: RunStats | None = None) -> Labeling:
     """Run DBSCAN and return the labeling.
 
-    Deterministic for a fixed point order: clusters are numbered by the
-    smallest caller index among their core points and a border point
-    reachable from several clusters takes the smallest cluster id, the
-    cluster an expansion in index order would discover first. The passes
-    run on the rows sorted by their widest coordinate, the sort key. The
-    ball of each row on the key alone is a run of sorted rows, found once
-    with the kernel on pairs of keys, each one cell at D = 1 in ``stats``,
-    and each block of rows meets only the columns in its rows' runs, and of
-    those only the nearest once the rest can change nothing. With one
-    column the run is the ball, so no distance block is computed. Every
-    distance block is computed within the call. The labeling knows its
-    cluster and noise counts at once, and numbers ``labels`` and ``roles``
-    only when one of them is first read.
+    ``points`` is a matrix, or a :class:`PreparedPoints` of ``metric`` that
+    many runs share. Deterministic for a fixed point order: clusters are
+    numbered by the smallest caller index among their core points and a
+    border point reachable from several clusters takes the smallest cluster
+    id, the cluster an expansion in index order would discover first. The
+    passes run on the rows sorted by their widest coordinate, the sort key.
+    The ball of each row on the key alone is a run of sorted rows, found
+    once with the kernel on pairs of keys, each one cell at D = 1 in
+    ``stats``, and each block of rows meets only the columns in its rows'
+    runs, and of those only the nearest once the rest can change nothing.
+    With one column the run is the ball, so no distance block is computed.
+    The labeling knows its cluster and noise counts at once, and numbers
+    ``labels`` and ``roles`` only when one of them is first read.
     """
-    x = _validate(points, metric)
+    if not isinstance(points, PreparedPoints):
+        points = PreparedPoints(points, metric)
+    elif points.metric != metric:
+        raise ValueError(f"points prepared for metric {points.metric!r}, not {metric!r}")
     _check_epsilon(epsilon)
     _check_min_pts(min_pts)
-    n = len(x)
+    n = len(points)
     if stats is not None:
         stats.dbscan_invocations += 1
 
-    # every pass below runs on the rows in order of the sort key, scattered
-    # back through ``order`` at the end; a span that overflows is inf, still the widest
-    with np.errstate(over="ignore"):
-        widest = int(np.argmax(np.ptp(x, axis=0)))
-    order = np.argsort(x[:, widest], kind="stable")
-    x = x[order]
-    # the kernel is symmetric bit for bit, so row j <= i lies in the key
-    # ball of i exactly when i lies in that of j; and hi never decreases
-    hi = _ball_ends(x[:, widest], epsilon, metric, stats)
+    # every pass below runs on the sorted rows, scattered back through
+    # ``order`` at the end. The kernel is symmetric bit for bit, so row j <= i
+    # lies in the key ball of i exactly when i lies in that of j; and hi
+    # never decreases
+    hi = _ball_ends(points.key, epsilon, metric, stats)
     lo = np.searchsorted(hi, np.arange(n))
-    if x.shape[1] == 1:
+    if points.x.shape[1] == 1:
         core, parent, border_blocks = _one_column(lo, hi, min_pts)
     else:
-        core, parent, border_blocks = _windowed(x, lo, hi, epsilon, min_pts, metric, stats)
+        core, parent, border_blocks = _windowed(points, lo, hi, epsilon, min_pts, stats)
 
     # the clusters are the forest's trees of core points; a border point is in
     # a core point's ball, and noise in none. Each border point keeps the
     # smallest caller index of the trees in its ball, by which labels number
     # the clusters on first read
+    order = points.order
     cores = np.flatnonzero(core)
     first, border, border_first = None, [], []
     for rows, cols, near in border_blocks:
@@ -314,16 +375,16 @@ def _label_points(order: np.ndarray, core: np.ndarray, parent: np.ndarray, first
     return labels[rank], roles[rank]
 
 
-def _windowed(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, epsilon: float, min_pts: int, metric: str,
+def _windowed(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: float, min_pts: int,
               stats: RunStats | None):
-    """The counts pass and the late re-check on the sorted rows ``x`` with
-    key balls [lo, hi]. Each block of the counts pass meets the nearest
+    """The counts pass and the late re-check on the sorted rows ``points.x``
+    with key balls [lo, hi]. Each block of the counts pass meets the nearest
     chunk of its window first and stops once its rows and the far columns
     left are core in one tree. Returns the core mask, the forest of the core
     components (each core point's root is its tree's smallest index), and
     the border blocks: each non-core row with a neighbour against the core
     points in its window (see ``_core_blocks``)."""
-    n = len(x)
+    n = len(points)
     # distances are symmetric bit for bit, so rows [s, e) meet only columns
     # [w, e), from the key ball of row s on: the row sums count their
     # neighbours there, and the column sums give the columns before s their
@@ -349,7 +410,7 @@ def _windowed(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, epsilon: float, min
             c = w
         chunks, rows, b = [], None, e
         while True:
-            near = _distance_block(x[s:e], x[c:b], metric, stats) <= epsilon
+            near = points._block(slice(s, e), slice(c, b), stats) <= epsilon
             # the rows' core mask after the block, which their joins need, is
             # known once they are all core or the window is met; till then
             # the chunks wait, to be joined as one
@@ -390,10 +451,10 @@ def _windowed(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, epsilon: float, min
     # the pairs the pass left out, unless those already form one tree
     cores = np.flatnonzero(core)
     if np.any(parent[cores] != parent[cores[:1]]):
-        for rows, cols, near in _core_blocks(x, lo, hi, cores[late[cores]], cores, epsilon, metric, stats):
+        for rows, cols, near in _core_blocks(points, lo, hi, cores[late[cores]], cores, epsilon, stats):
             _join(parent, rows, cols, near)
     border = np.flatnonzero(~core & (counts > 1))
-    return core, parent, _core_blocks(x, lo, hi, border, cores, epsilon, metric, stats)
+    return core, parent, _core_blocks(points, lo, hi, border, cores, epsilon, stats)
 
 
 def _one_column(lo: np.ndarray, hi: np.ndarray, min_pts: int):
@@ -468,8 +529,8 @@ def _gap_kernel(gaps: np.ndarray, metric: str, stats: RunStats | None) -> np.nda
     return _distance_block(_ORIGIN, gaps[:, None], metric, stats)[0]
 
 
-def _core_blocks(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, cores: np.ndarray,
-                 epsilon: float, metric: str, stats: RunStats | None):
+def _core_blocks(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, cores: np.ndarray,
+                 epsilon: float, stats: RunStats | None):
     """Blocks of the ascending indices ``rows`` against the core points
     ``cores`` (ascending) they can be within ``epsilon`` of: yields each
     block, its window of ``cores`` and the block's ``near`` mask, and skips
@@ -481,7 +542,7 @@ def _core_blocks(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray
         block = rows[s : s + step]
         cols = cores[np.searchsorted(cores, lo[block[0]]) : np.searchsorted(cores, hi[block[-1]], side="right")]
         if cols.size:
-            yield block, cols, _distance_block(x[block], x[cols], metric, stats) <= epsilon
+            yield block, cols, points._block(block, cols, stats) <= epsilon
 
 
 def _count_true(near: np.ndarray, axis: int) -> np.ndarray:

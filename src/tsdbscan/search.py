@@ -17,7 +17,9 @@ import numpy as np
 from .core import (
     CurveSample,
     Labeling,
+    PreparedPoints,
     RunStats,
+    _as_integer,
     _check_min_pts,
     _has_direction,
     approximate_diameter_ub,
@@ -42,8 +44,8 @@ class SearchBounds:
     upper: float
 
     def __post_init__(self):
-        if not (0 <= self.lower < self.upper):
-            raise ValueError(f"need 0 <= lower < upper, got [{self.lower}, {self.upper}]")
+        if not (0 <= self.lower < self.upper < math.inf):
+            raise ValueError(f"need 0 <= lower < upper < inf, got [{self.lower}, {self.upper}]")
 
 
 @dataclass
@@ -59,11 +61,11 @@ class TuneConfig:
 
     def __post_init__(self):
         _check_min_pts(self.min_pts)
-        if self.itr < 1:
+        if _as_integer(self.itr, "itr") < 1:
             raise ValueError("itr must be positive")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if self.m < 1:
+        if _as_integer(self.m, "m") < 1:
             raise ValueError("m must be positive")
 
 
@@ -92,16 +94,24 @@ def cond(bounds: SearchBounds, m_l: float, m_r: float, k_l: int, k_r: int) -> Se
     return SearchBounds(m_l, bounds.upper)
 
 
-def _probe(x: np.ndarray, epsilon: float, cfg: TuneConfig, stats: RunStats | None) -> CurveSample:
-    # under cosine, rows a dimension subsample zeroes out have no angle: noise
+def _prober(x: np.ndarray, cfg: TuneConfig, stats: RunStats | None):
+    """The k(eps) probe of the validated rows ``x``, which are prepared once
+    for every radius it is called at. Under cosine, rows with no direction
+    (a dimension subsample may zero them out) have no angle, and count as
+    noise at every radius."""
     n = len(x)
     if cfg.metric == "cosine":
         x = x[_has_direction(x)]
-        if not len(x):
-            return CurveSample(epsilon, 0, 1.0)
-    labeling = dbscan(x, epsilon, cfg.min_pts, metric=cfg.metric, stats=stats)
-    noise = (labeling.n_noise + n - len(x)) / n
-    return CurveSample(epsilon=epsilon, k=labeling.n_clusters, noise=float(noise))
+    if not len(x):
+        return lambda epsilon: CurveSample(epsilon, 0, 1.0)
+    points = PreparedPoints(x, cfg.metric)
+
+    def probe(epsilon: float) -> CurveSample:
+        labeling = dbscan(points, epsilon, cfg.min_pts, metric=cfg.metric, stats=stats)
+        noise = (labeling.n_noise + n - len(points)) / n
+        return CurveSample(epsilon=epsilon, k=labeling.n_clusters, noise=float(noise))
+
+    return probe
 
 
 def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
@@ -116,15 +126,15 @@ def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
     ran the result lies strictly inside the initial bounds.
     Under cosine, rows with no direction (zero rows) count as noise.
     """
-    x = validate_points(x)
+    probe = _prober(validate_points(x), cfg, stats)
     mid = None
     for _ in range(cfg.itr):
         m_l = (2 * bounds.lower + bounds.upper) / 3
         m_r = (bounds.lower + 2 * bounds.upper) / 3
         if not bounds.lower < m_l < m_r < bounds.upper:  # collapsed to float resolution
             break
-        k_l = effective_k(_probe(x, m_l, cfg, stats))
-        k_r = effective_k(_probe(x, m_r, cfg, stats))
+        k_l = effective_k(probe(m_l))
+        k_r = effective_k(probe(m_r))
         bounds = cond(bounds, m_l, m_r, k_l, k_r)
         mid = 0.5 * (m_l + m_r)
     if mid is None:

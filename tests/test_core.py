@@ -7,6 +7,7 @@ from scipy.spatial.distance import cdist
 
 from tsdbscan import (
     NOISE,
+    PreparedPoints,
     RunStats,
     TuneConfig,
     approximate_diameter_ub,
@@ -421,6 +422,38 @@ class TestDbscan:
         assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 3))
         assert lab.n_clusters == 1 and np.all(lab.roles == ROLE_CORE)
         assert stats.point_evaluations == ends + 2 * pairs
+
+
+class TestPreparedPoints:
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    def test_runs_on_prepared_points_match_runs_on_the_matrix(self, metric):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(30, 3))
+        x = np.vstack([x, x[:5]])  # duplicate rows
+        points = PreparedPoints(x, metric)
+        for eps in (0.05, 0.3, 1.0, 3.0):
+            a, b = dbscan(points, eps, 3, metric), dbscan(x, eps, 3, metric)
+            assert np.array_equal(a.labels, b.labels) and np.array_equal(a.roles, b.roles)
+            assert np.array_equal(a.labels, brute_force_dbscan(x, eps, 3, metric))
+
+    def test_the_matrix_is_computed_by_the_first_run_only(self):
+        # the points 0, ..., 5 beside a zero column: the first run computes
+        # the 6 x 6 x 2 matrix; each run checks the ball ends on the key,
+        # one cell each, every guessed end i + 1 (the last row for rows 4
+        # and 5) and, for the rows 0 to 3, the row past it
+        x = np.c_[np.arange(6.0), np.zeros(6)]
+        points = PreparedPoints(x)
+        stats = RunStats()
+        first = dbscan(points, 1.0, 3, stats=stats)
+        assert stats.point_evaluations == 6 * 6 * 2 + 6 + 4
+        second = dbscan(points, 1.0, 3, stats=stats)
+        assert stats.point_evaluations == 6 * 6 * 2 + 2 * (6 + 4)
+        assert stats.dbscan_invocations == 2
+        assert first.labels.tolist() == second.labels.tolist() == [0] * 6
+
+    def test_the_metric_must_be_the_prepared_one(self):
+        with pytest.raises(ValueError, match="prepared for metric 'euclidean', not 'cosine'"):
+            dbscan(PreparedPoints(np.ones((3, 2))), 1.0, 2, metric="cosine")
 
 
 class TestCounting:

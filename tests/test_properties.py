@@ -2,6 +2,8 @@
 with the brute-force oracle and of the exact curve engine with DBSCAN,
 for every metric."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from tsdbscan import NOISE, approximate_diameter_ub, core, dbscan
+from tsdbscan import NOISE, approximate_diameter_ub, core, dbscan, search
+from tsdbscan.search import SearchBounds, TuneConfig, ternary_search, ts_clustering, tse_clustering
 from tsdbscan.core import METRICS, KCurve, RunStats, _distance_block, _validate
 
 from conftest import brute_force_dbscan, brute_force_distances, distance
@@ -371,3 +374,48 @@ def test_nothing_clusters_below_the_closest_pair(metric, data):
     curve = KCurve(x, min_pts, metric)
     assert k_and_noise(x, eps, min_pts, metric) == (0, 1.0)
     assert (curve.k(eps), curve.noise(eps)) == (0, 1.0)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@settings(max_examples=50, deadline=None)  # each example runs five searches twice
+@given(data=st.data())
+def test_searches_read_the_cached_matrix_as_they_would_compute_it(metric, data):
+    # a search prepares its rows once. These sets fit one block, so each
+    # search computes the whole matrix of its rows at its first probe and
+    # every block after that is read from it; a budget of a few cells,
+    # below N^2 from N = 3 on, makes every block be computed. Zeroed entries
+    # make a dimension subsample zero some rows out, and the extra zero rows
+    # of the lone search have no direction under cosine: both are noise.
+    # The radius, the labels and roles, and each probe's (eps, k, noise)
+    # must not move
+    x = data.draw(point_sets_with_duplicates(metric))
+    x = np.where(data.draw(arrays(np.bool_, x.shape)), 0.0, x)
+    if metric == "cosine":
+        x = with_direction(x)
+    padded = np.vstack([x, np.zeros((data.draw(st.integers(0, 3)), x.shape[1]))])
+    bounds = SearchBounds(0.0, data.draw(st.sampled_from(edge_radii(x, metric))))
+    cfg = TuneConfig(min_pts=data.draw(st.integers(2, len(x))), itr=3, m=2,
+                     alpha=data.draw(st.sampled_from([0.5, 1.0])), seed=data.draw(st.integers(0, 3)),
+                     metric=metric)
+    effective_k = search.effective_k
+
+    def run():
+        probes = []
+
+        def recorded(probe):
+            probes.append((probe.epsilon, probe.k, probe.noise))
+            return effective_k(probe)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # degenerate intervals and bounds
+            mp.setattr(search, "effective_k", recorded)
+            out = [ternary_search(padded, bounds, cfg)]
+            for tune in (ts_clustering, tse_clustering):
+                eps, lab = tune(x, cfg)
+                out.append((eps, lab.labels.tolist(), lab.roles.tolist()))
+        return out, probes
+
+    cached = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 3, 7])))
+        assert run() == cached

@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import tsdbscan.core
 import tsdbscan.search
 from tsdbscan import (
     CurveSample,
@@ -112,6 +114,34 @@ class TestTernarySearch:
             assert 0.0 < ternary_search(points, SearchBounds(0.0, 1.5), cfg, stats) < 1.5
             assert stats.dbscan_invocations == 2 * cfg.itr
 
+    def test_a_small_search_computes_its_matrix_once(self, monkeypatch):
+        # the points 0, 1, ..., 9 beside a zero column: N^2 = 100 cells fit
+        # one block, so the first probe computes the whole 10 x 10 x 2
+        # matrix and every block of the 2 * itr probes reads it. With
+        # min_pts 3, each probe finds one cluster: eps 3 and 6 (the thirds
+        # of [0, 9]) give k 1 and 1, so the interval becomes [0, 3], and its
+        # thirds are eps 1 and 2. Each probe also checks the ball ends on
+        # the key, the first column, one cell each (D = 1): every row's
+        # guessed end i + eps, exact for integer gaps, which is near, and,
+        # for the 9 - eps rows whose end is not the last row, the row past
+        # it, which is far. So 10 + 6, 10 + 3, 10 + 8 and 10 + 7 cells
+        x = np.c_[np.arange(10.0), np.zeros(10)]
+        calls = []
+
+        def counted_cdist(a, b, *args, **kwargs):
+            calls.append((a.shape, b.shape))
+            return cdist(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(tsdbscan.core, "cdist", counted_cdist)
+        cfg = TuneConfig(min_pts=3, itr=2)
+        stats = RunStats()
+        assert ternary_search(x, SearchBounds(0.0, 9.0), cfg, stats) == 1.5
+        ball_ends = [b[0] for a, b in calls if a == (1, 1)]
+        assert [c for c in calls if c[0] != (1, 1)] == [((10, 2), (10, 2))]
+        assert sum(ball_ends) == 4 * 10 + 6 + 3 + 8 + 7
+        assert stats.point_evaluations == 10 * 10 * 2 + sum(ball_ends)
+        assert stats.dbscan_invocations == 2 * cfg.itr
+
     def test_interval_shrink_rate(self):
         # cond keeps at most 2/3 per iteration; final midpoint must sit
         # inside the worst-case residual interval around some point
@@ -149,13 +179,13 @@ class TestCollapsedInterval:
 
     def test_long_searches_stay_strictly_inside_their_bounds(self, monkeypatch):
         probes, searches, resolved = [], [], []
-        real_probe = tsdbscan.search._probe
+        real_effective_k = tsdbscan.search.effective_k
         real_search = tsdbscan.search.ternary_search
         real_resolve = tsdbscan.search._resolve_bounds
 
-        def counted_probe(*args):
+        def counted_effective_k(probe):  # once per probe
             probes.append(1)
-            return real_probe(*args)
+            return real_effective_k(probe)
 
         def checked_search(x, bounds, cfg, stats=None):
             before = len(probes)
@@ -168,7 +198,7 @@ class TestCollapsedInterval:
             resolved.append((bounds.lower, bounds.upper))
             return bounds
 
-        monkeypatch.setattr(tsdbscan.search, "_probe", counted_probe)
+        monkeypatch.setattr(tsdbscan.search, "effective_k", counted_effective_k)
         monkeypatch.setattr(tsdbscan.search, "ternary_search", checked_search)
         monkeypatch.setattr(tsdbscan.search, "_resolve_bounds", checked_resolve)
         rng = np.random.default_rng(0)
@@ -370,14 +400,14 @@ class TestCosineZeroRows:
         x = np.array([[1.0, 0.0], [1.0, 0.01], [1.0, 0.02], [0.0, 1.0], [0.01, 1.0]])
         padded = np.vstack([x, np.zeros((3, 2))])
         cfg = TuneConfig(min_pts=2, metric="cosine")
-        bare = tsdbscan.search._probe(x, 0.01, cfg, None)
-        probe = tsdbscan.search._probe(padded, 0.01, cfg, None)
+        bare = tsdbscan.search._prober(x, cfg, None)(0.01)
+        probe = tsdbscan.search._prober(padded, cfg, None)(0.01)
         assert probe.k == bare.k == 2
         assert probe.noise == 3 / 8
 
     def test_all_zero_projection_is_all_noise(self):
         stats = RunStats()
-        probe = tsdbscan.search._probe(np.zeros((4, 2)), 0.5, TuneConfig(min_pts=2, metric="cosine"), stats)
+        probe = tsdbscan.search._prober(np.zeros((4, 2)), TuneConfig(min_pts=2, metric="cosine"), stats)(0.5)
         assert (probe.k, probe.noise) == (0, 1.0)
         assert stats.dbscan_invocations == 0
 
@@ -399,6 +429,19 @@ class TestConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             TuneConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["itr", "m"])
+    def test_counts_must_be_integers(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+            TuneConfig(min_pts=3, **{name: 2.5})
+        assert getattr(TuneConfig(min_pts=3, **{name: np.int64(2)}), name) == 2
+
+    @pytest.mark.parametrize("upper", [float("inf"), float("nan")])
+    def test_bounds_reject_an_upper_end_that_is_not_finite(self, upper):
+        # with an infinite upper end every trisection point is inf, so a
+        # search would probe nothing and return inf
+        with pytest.raises(ValueError, match="need 0 <= lower < upper < inf"):
+            SearchBounds(0.0, upper)
 
     def test_bounds_reject_inverted(self):
         with pytest.raises(ValueError):

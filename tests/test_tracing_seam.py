@@ -5,6 +5,7 @@ less than it did."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -18,14 +19,14 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 STALE = {("tsdbscan.core", "approximate_diameter_ub"), ("tsdbscan.curve", "dbscan")}
 
 
-def load_patches():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PATCHES
+    return module
 
 
-PATCHES = [p[:2] for p in load_patches()]
+PATCHES = [p[:2] for p in load_tracing().PATCHES]
 PATCHED = sorted(set(PATCHES))
 
 
@@ -71,3 +72,33 @@ def calls(tmp_path_factory):
 ])
 def test_patched_name_is_on_the_call_path(calls, module_name, attr):
     assert calls[module_name, attr] > 0
+
+
+def test_traced_runs_pass_the_counter_check(tmp_path):
+    # the benchmark's traced runs compare each report's counters with the
+    # spans: one dbscan span per counted run, and rows x cols x D over the
+    # kernel calls inside them. At D = 8 every search stage runs on at
+    # least two columns, and each of its datasets fits one block, so each
+    # caches its matrix: the first probe computes it, and the later probes
+    # read it and add no cell
+    tracing = load_tracing()
+    data = tmp_path / "synth" / "data.csv"
+    assert main([str(a) for a in ["synth", "--k", 3, "--per-cluster", 30, "--dims", 8,
+                                  "--separation", 30, "--seed", 2, "--out", data.parent]]) == 0
+    commands = {
+        "tune": ["--itr", 2],
+        "tse": ["--itr", 2, "--m", 2],
+        "sweep": ["--grid-size", 20],
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, args in commands.items():
+            argv = [name, "--input", data, "--min-pts", 3, *args, "--out", tmp_path / name]
+            assert tracer.wrap(f"cli.{name}", main)([str(a) for a in argv]) == 0
+    finally:
+        tracer.uninstall()
+    reports = {name: json.loads((tmp_path / name / "report.json").read_text()) for name in commands}
+    assert reports["tune"]["dbscan_invocations"] == 6 * 2
+    checks = tracing.counter_check(tracer.spans, reports)
+    assert len(checks) == len(commands) and all(ok for _, ok, _ in checks), checks
