@@ -50,7 +50,20 @@ All of this before the radius matters, the validation, the sort and the
 sorted copy, is done once by :class:`PreparedPoints`, which any number of
 runs at different radii share. When N^2 fits one block, the set's first
 run computes its whole distance matrix, and every block of every run on
-it is a slice or a gather of that matrix.
+it is a slice or a gather of that matrix. Otherwise, on a set a caller
+prepared (each ternary search prepares its rows once), the first run that
+needs a block builds farthest-first groups, ceil(sqrt(N / 2)) centres with
+the radius of each group (Gonzalez, 1985). Each run then picks one of two
+plans before any block (``_plan``): the key window, or the group bound,
+in which the rows run in the order of their groups and a block of one
+group's rows meets only the columns of the groups whose centres lie within
+``epsilon`` plus both radii, each cut to the block's key window. On
+high-dimensional data, where one coordinate rules out few pairs, that is
+far fewer. A margin covers the kernel's rounding, so no pair within
+``epsilon`` is left out (``_Groups``). The plan with fewer cells, counting
+each block as ``_BLOCK_COST`` cells, runs; the counts pass, its skip rule,
+the late re-check and the border pass run alike on either plan's columns.
+A matrix that ``dbscan`` prepares for its one run builds no groups.
 
 With one column the key ball is the ball itself, and a point's count is
 its run's length. The clusters are the runs of core points each within
@@ -62,6 +75,7 @@ the pair's difference (``_gap_kernel``), and counts as one cell at D = 1.
 
 from __future__ import annotations
 
+import math
 import mmap
 import operator
 import warnings
@@ -114,6 +128,11 @@ class RunStats:
     :class:`PreparedPoints` that needs a block computes its whole matrix,
     N^2 x D cells, and every block after that, in that run and in each
     later run on the same points, reads cached cells and adds none.
+    Otherwise the first run on a set a caller prepared that needs a block
+    builds the set's groups, once: each of its ceil(sqrt(N / 2)) centres at
+    most against all N rows, N x D cells a centre. A run on the group plan
+    computes its blocks against the kept groups' columns instead of the
+    key window's, counted the same way, rows x cols x D.
     ``dbscan_invocations`` counts the runs, cached or not.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
@@ -255,7 +274,10 @@ class PreparedPoints:
     distance block computes the whole matrix of the sorted rows, counted in
     that run's ``stats``, and every block of every run is then a slice or a
     gather of it: the same values bit for bit, because each kernel value
-    depends on its pair alone. One column needs no block.
+    depends on its pair alone. Otherwise, on a set a caller prepared for
+    many runs, that first run builds the set's farthest-first groups
+    (:class:`_Groups`), counted in its ``stats``, and every run may probe
+    through them (``_plan``). One column needs no block.
     """
 
     def __init__(self, points, metric: str = "euclidean"):
@@ -268,13 +290,14 @@ class PreparedPoints:
         self.x = x[self.order]
         self.key = np.ascontiguousarray(self.x[:, widest])
         self._matrix = None
+        self._groups = None  # False once the scale rules groups out
 
     def __len__(self) -> int:
         return self.order.size
 
     def _block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
         """The kernel of the sorted rows ``rows`` against ``cols``: two
-        slices, or two ascending index arrays."""
+        slices, or ascending index arrays."""
         x, n = self.x, len(self.x)
         if self._matrix is None and n * n <= _BLOCK_CELLS:
             # the matrix outlives the many short-lived arrays of the runs
@@ -285,7 +308,209 @@ class PreparedPoints:
             self._matrix = _distance_block(x, x, self.metric, stats, matrix)
         if self._matrix is None:
             return _distance_block(x[rows], x[cols], self.metric, stats)
-        return self._matrix[rows, cols] if isinstance(rows, slice) else self._matrix[np.ix_(rows, cols)]
+        if isinstance(rows, slice) or isinstance(cols, slice):
+            return self._matrix[rows, cols]
+        return self._matrix[np.ix_(rows, cols)]
+
+    def _grouping(self, stats: RunStats | None) -> _Groups | None:
+        """The set's groups, built on first use, or None where the scale
+        rules them out (see :class:`_Groups`)."""
+        if self._groups is None:
+            top = float(np.abs(self.x).max())
+            self._groups = _SAFE_LOW <= top <= _SAFE_HIGH and _Groups(self, stats)
+            if self._groups and not self._groups.finite:
+                self._groups = False
+        return self._groups or None
+
+
+# the scales of the coordinates at which the group bound runs: below
+# 2^450 no difference, square or sum of squares overflows, and above 2^-450
+# the absolute slack _GROUP_TINY is far below the distances; elsewhere every
+# run keeps the key window
+_SAFE_LOW, _SAFE_HIGH = 2.0 ** -450, 2.0 ** 450
+_GROUP_TINY = 2.0 ** -496
+
+
+class _Groups:
+    """Farthest-first (k-center) groups of the sorted rows ``x`` (Gonzalez,
+    "Clustering to minimize the maximum intercluster distance", 1985): the
+    first centre is row 0, each next one the row farthest from the centres
+    so far, ceil(sqrt(N / 2)) of them at most, and each row joins its
+    nearest centre. Each step computes its centre against all rows through
+    ``_distance_block``, N x D cells in ``stats``. The distances are
+    euclidean under euclidean and cosine (the chord |u - v| of the unit
+    rows) and manhattan under manhattan, all metrics.
+
+    ``x`` holds the rows ordered by group and then by the sort key, ``pos``
+    the sorted index of each, ``order`` their caller index, ``starts`` the
+    groups' bounds, ``key`` = group * N + ``pos`` (ascending, so one
+    ``searchsorted`` finds a run of sorted indices in any group),
+    ``between`` the centres' distances and ``radius`` each group's largest
+    distance from its centre. Row ``i`` of a group lies in the key ball of
+    row ``j`` exactly when ``pos[i]`` lies in ``[lo[pos[j]], hi[pos[j]]]``.
+
+    **Exactness.** Write d for the exact distance of two stored rows (the
+    unit rows under cosine) and d^ for the computed one. Every term of the
+    kernel's sum is non-negative, so while the sum of squares stays above
+    2^-1000, d^ = d (1 + t) with |t| <= (D + 4) u, u = 2^-53: each
+    difference, square and sum rounds once, relative to the whole sum, and
+    the square root halves the error of its argument and rounds once
+    (manhattan sums absolute differences the same way). Below that, both d
+    and d^ are under 2^-499, so |d^ - d| <= 2^-499 in any case. Under
+    cosine the kernel is (|u - v|^2 / 2)^, clipped at 2; a pair within
+    ``epsilon`` there has chord d <= sqrt(2 epsilon) (1 + (D + 4) u): either
+    its kernel is unclipped, or epsilon >= 2 while unit rows (to a few ulps)
+    lie within 2 of each other. So with ``reach`` epsilon, or sqrt(2
+    epsilon) under cosine, a pair p in A and q in B that the kernel puts
+    within ``epsilon`` satisfies, by the triangle inequality on the exact d,
+
+        d^(c_A, c_B) (1 - k) - r_A (1 + k) - r_B (1 + k) - 3 2^-499
+            <= d(c_A, c_B) - d(c_A, p) - d(c_B, q) <= d(p, q)
+            <= reach (1 + k) + 2^-499,
+
+    with k = (D + 4) u + u (the square root of ``reach``). ``candidates``
+    rules the pair of groups out only when d^(c_A, c_B) (1 - m) exceeds
+    (reach + r_A + r_B) (1 + m) + 2^-496, with m = (D + 8) 2^-51: m covers k
+    and the test's own four roundings, and 2^-496 the absolute terms. So no
+    pair within ``epsilon`` lies in two groups ruled out, and every kernel
+    value a run compares is still its own pair's, from ``_distance_block``.
+    A sum that could overflow would void the relative bound: coordinates of
+    magnitude up to 2^450 keep every sum finite, and ``_grouping`` builds
+    no groups outside [2^-450, 2^450] (nor keeps any with a non-finite
+    distance).
+    """
+
+    def __init__(self, points: PreparedPoints, stats: RunStats | None):
+        x, metric = points.x, points.metric
+        n, d = x.shape
+        kernel = "manhattan" if metric == "manhattan" else "euclidean"
+        # ceil(sqrt(N / 2)) groups: each is one block or more, so fewer
+        # groups run fewer blocks, and too few prune little. Over the probes
+        # timed for _BLOCK_COST, the group plan took 1.1-1.3x as long with
+        # ceil(sqrt(N)) groups at D <= 16, and ceil(sqrt(N / 8)), 16 groups
+        # for 20 blobs at N = 2000, took 2.8-5.7x as long at D >= 13
+        most = math.isqrt((n - 1) // 2) + 1
+        dist = _distance_block(x[:1], x, kernel, stats)[0]
+        group = np.zeros(n, dtype=np.intp)
+        centres = [0]
+        between = np.zeros((most, most))
+        for g in range(1, most):
+            c = int(np.argmax(dist))
+            if dist[c] == 0:  # every row is a centre's copy
+                break
+            new = _distance_block(x[c : c + 1], x, kernel, stats)[0]
+            between[g, :g] = new[centres]
+            np.copyto(group, g, where=new < dist)
+            np.minimum(dist, new, out=dist)
+            centres.append(c)
+        size = len(centres)
+        between = between[:size, :size]
+        between += between.T  # each sum adds 0 to a distance: exact
+        self.pos = np.argsort(group, kind="stable")
+        self.x, self.order = x[self.pos], points.order[self.pos]
+        self.sizes = np.bincount(group, minlength=size)
+        self.starts = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.key = group[self.pos] * n + self.pos
+        # a centre keeps its own group (distance 0), so no group is empty
+        self.radius = np.maximum.reduceat(dist[self.pos], self.starts[:-1])
+        self.between = between
+        self.metric, self.cosine = metric, metric == "cosine"
+        self.slack = (d + 8) * 2.0 ** -51
+        self.finite = bool(np.all(np.isfinite(self.between)) and np.all(np.isfinite(self.radius)))
+
+    def candidates(self, epsilon: float) -> np.ndarray:
+        """G x G: the pairs of groups that may hold a pair within
+        ``epsilon`` (see the class docstring)."""
+        reach = math.sqrt(2.0 * epsilon) if self.cosine else epsilon
+        r = self.radius
+        with np.errstate(over="ignore"):
+            far = self.between * (1 - self.slack) > (reach + r[:, None] + r) * (1 + self.slack) + _GROUP_TINY
+        return ~far
+
+
+class _KeyPlan:
+    """The key window: the sorted rows in blocks of ``_block_rows(N)``; a
+    block [s, e) meets the columns [lo_s, e), and a set of rows the columns
+    from the key ball of its first row to that of its last."""
+
+    def __init__(self, points: PreparedPoints, lo: np.ndarray, hi: np.ndarray):
+        self.points, self.lo, self.hi = points, lo, hi
+        self.order = points.order
+
+    def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
+        return self.points._block(rows, cols, stats)
+
+    def blocks(self):
+        n, lo = self.lo.size, self.lo
+        step = _block_rows(n)
+        for s in range(0, n, step):
+            yield s, min(n, s + step), lo[s], None
+
+    def runs(self, rows: np.ndarray) -> list:
+        return [rows]
+
+    def ranges(self, first: int, last: int) -> tuple:
+        return self.lo[first : first + 1], self.hi[last : last + 1] + 1
+
+
+class _GroupPlan:
+    """The group bound: the rows in the order of their groups, each group in
+    blocks of ``_block_rows(N)`` rows, as in the key window. A block of
+    group A's rows [s, e) meets the columns of the groups B < A that
+    ``_Groups.candidates`` keeps, and of A up to e, each cut to the block's
+    key window, as a few ranges. All of them are found at once, before any
+    block, and ``cost`` is the plan's cells with no skipped columns, rows x
+    window, plus ``_BLOCK_COST`` a block. A set of rows of one group meets
+    the kept groups on both sides, cut the same way."""
+
+    def __init__(self, groups: _Groups, lo: np.ndarray, hi: np.ndarray, keep: np.ndarray):
+        self.groups, self.lo, self.hi, self.keep = groups, lo, hi, keep
+        self.order = groups.order
+        step = _block_rows(self.order.size)
+        counts = -(-groups.sizes // step)
+        group = np.repeat(np.arange(counts.size), counts)
+        first = np.cumsum(counts) - counts  # each group's first block
+        self.s = groups.starts[group] + (np.arange(group.size) - first[group]) * step
+        self.e = np.minimum(self.s + step, groups.starts[group + 1])
+        # each block's kept groups B <= A, ascending, A last
+        block, kept = np.nonzero(np.tril(keep)[group])
+        self.bounds = np.searchsorted(block, np.arange(group.size + 1))
+        self.first, self.stop = self._window(kept, self.s[block], self.e[block] - 1)
+        own = self.bounds[1:] - 1
+        self.stop[own] = self.e
+        self.cost = int(np.sum((self.e - self.s)[block] * (self.stop - self.first))) + _BLOCK_COST * group.size
+
+    def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
+        x = self.groups.x
+        return _distance_block(x[rows], x[cols], self.groups.metric, stats)
+
+    def _window(self, kept: np.ndarray, first, last) -> tuple:
+        """The ranges of the groups ``kept`` whose sorted index is in the key
+        window of the group rows ``first`` to ``last``."""
+        g = self.groups
+        base = kept * g.pos.size
+        return (np.searchsorted(g.key, base + self.lo[g.pos[first]]),
+                np.searchsorted(g.key, base + self.hi[g.pos[last]], side="right"))
+
+    def blocks(self):
+        for j in range(self.s.size):
+            pairs = slice(self.bounds[j], self.bounds[j + 1])
+            first, stop = self.first[pairs], self.stop[pairs]
+            yield int(self.s[j]), int(self.e[j]), int(first[-1]), _spans(first, stop)
+
+    def runs(self, rows: np.ndarray) -> list:
+        return [run for run in np.split(rows, np.searchsorted(rows, self.groups.starts[1:-1])) if run.size]
+
+    def ranges(self, first: int, last: int) -> tuple:
+        a = np.searchsorted(self.groups.starts, first, side="right") - 1
+        return self._window(np.flatnonzero(self.keep[a]), first, last)
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The ascending indices of the ranges [starts[k], stops[k]), k >= 1 of them."""
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
@@ -302,11 +527,15 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     once with the kernel on pairs of keys, each one cell at D = 1 in
     ``stats``, and each block of rows meets only the columns in its rows'
     runs, and of those only the nearest once the rest can change nothing.
+    On a prepared set too large for one block, a run may instead take the
+    rows by farthest-first group, each block meeting only the groups it can
+    reach (see ``_plan``); labels, roles and counts are the same either way.
     With one column the run is the ball, so no distance block is computed.
     The labeling knows its cluster and noise counts at once, and numbers
     ``labels`` and ``roles`` only when one of them is first read.
     """
-    if not isinstance(points, PreparedPoints):
+    shared = isinstance(points, PreparedPoints)
+    if not shared:
         points = PreparedPoints(points, metric)
     elif points.metric != metric:
         raise ValueError(f"points prepared for metric {points.metric!r}, not {metric!r}")
@@ -316,22 +545,24 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     if stats is not None:
         stats.dbscan_invocations += 1
 
-    # every pass below runs on the sorted rows, scattered back through
-    # ``order`` at the end. The kernel is symmetric bit for bit, so row j <= i
-    # lies in the key ball of i exactly when i lies in that of j; and hi
-    # never decreases
+    # every pass below runs on the rows in the order of its plan, sorted or
+    # grouped, scattered back through the plan's ``order`` at the end. The
+    # kernel is symmetric bit for bit, so sorted row j <= i lies in the key
+    # ball of i exactly when i lies in that of j; and hi never decreases
     hi = _ball_ends(points.key, epsilon, metric, stats)
     lo = np.searchsorted(hi, np.arange(n))
     if points.x.shape[1] == 1:
+        order = points.order
         core, parent, border_blocks = _one_column(lo, hi, min_pts)
     else:
-        core, parent, border_blocks = _windowed(points, lo, hi, epsilon, min_pts, stats)
+        plan = _plan(points, lo, hi, epsilon, shared, stats)
+        order = plan.order
+        core, parent, border_blocks = _windowed(plan, epsilon, min_pts, stats)
 
     # the clusters are the forest's trees of core points; a border point is in
     # a core point's ball, and noise in none. Each border point keeps the
     # smallest caller index of the trees in its ball, by which labels number
     # the clusters on first read
-    order = points.order
     cores = np.flatnonzero(core)
     first, border, border_first = None, [], []
     for rows, cols, near in border_blocks:
@@ -375,42 +606,80 @@ def _label_points(order: np.ndarray, core: np.ndarray, parent: np.ndarray, first
     return labels[rank], roles[rank]
 
 
-def _windowed(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: float, min_pts: int,
-              stats: RunStats | None):
-    """The counts pass and the late re-check on the sorted rows ``points.x``
-    with key balls [lo, hi]. Each block of the counts pass meets the nearest
-    chunk of its window first and stops once its rows and the far columns
-    left are core in one tree. Returns the core mask, the forest of the core
-    components (each core point's root is its tree's smallest index), and
-    the border blocks: each non-core row with a neighbour against the core
-    points in its window (see ``_core_blocks``)."""
+def _plan(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: float, shared: bool,
+          stats: RunStats | None):
+    """The plan of a run's blocks, picked before any block: the key window,
+    or, on a set a caller prepared whose N^2 exceeds one block, the group
+    bound where it plans fewer cells, each block counted as
+    ``_BLOCK_COST`` cells more. The cells planned are those of the counts
+    pass with no skipped columns: rows x the key window, or rows x the
+    ranges of the kept groups (see ``_GroupPlan``)."""
+    key = _KeyPlan(points, lo, hi)
     n = len(points)
-    # distances are symmetric bit for bit, so rows [s, e) meet only columns
-    # [w, e), from the key ball of row s on: the row sums count their
-    # neighbours there, and the column sums give the columns before s their
-    # neighbours in [s, e)
+    groups = points._grouping(stats) if shared and n * n > _BLOCK_CELLS else None
+    if groups is None:
+        return key
+    group = _GroupPlan(groups, lo, hi, groups.candidates(epsilon))
+    step = _block_rows(n)
+    s = np.arange(0, n, step)
+    e = np.minimum(s + step, n)
+    key_cost = int(np.sum((e - s) * (e - lo[s]))) + _BLOCK_COST * s.size
+    return group if group.cost < key_cost else key
+
+
+# What one block costs beyond its cells, in cells, in _plan's choice. On a
+# 2-core host a block took about 80-110 us beyond its cells, and a cell
+# 3.5-8 ns at D = 2 to 16. Timed over the probes of every ternary search of
+# `tune` on the benchmark's blobs16 and blobs2-large sets (euclidean,
+# manhattan and cosine), each plan per probe, the choice by cells alone
+# took 1310 ms in all against 1211 ms for the faster plan of each probe,
+# and 1300 ms with 20,000 here; 10,000 to 25,000 gave 1301-1306 ms, and
+# 40,000 1350 ms, as the groups lost the 2000 x 4 sets.
+_BLOCK_COST = 20_000
+
+
+def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
+    """The counts pass and the late re-check on the rows of ``plan`` (see
+    ``_KeyPlan`` and ``_GroupPlan``). Each block [s, e) of the counts pass
+    meets its window: its own rows and the columns before them that the
+    plan keeps. It meets the nearest chunk of its window first and stops
+    once its rows and the columns left are core in one tree. Returns the
+    core mask, the forest of the core components (each core point's root is
+    its tree's smallest index), and the border blocks: each non-core row
+    with a neighbour against the core points in its window (see
+    ``_core_blocks``)."""
+    n = plan.order.size
+    # distances are symmetric bit for bit, so the rows [s, e) meet only
+    # columns before e: the row sums count their neighbours there, and the
+    # column sums give the columns before s their neighbours in [s, e)
     counts = np.zeros(n, dtype=np.int64)
     core = np.zeros(n, dtype=bool)
     # the forest of core components; each root is its tree's smallest index,
     # and _union leaves every node pointing at its root
     parent = np.arange(n)
     late = np.zeros(n, dtype=bool)  # had a neighbour while not yet core
-    step = _block_rows(n)
-    for s in range(0, n, step):
-        e, w = min(n, s + step), lo[s]
-        # the block meets its nearest columns [c, e) first: itself and the
-        # max(min_pts, e - s) columns before it. Counts matter only until a
-        # point is core, and a pair of core points in one tree adds no join,
-        # so once the rows and the far columns [w, c) are core in one tree,
-        # those columns can change nothing. Until then the chunk before the
-        # rows doubles; a block whose far columns are not core in one tree
-        # meets its whole window at once
-        c = max(w, s - max(min_pts, e - s))
-        if c > w and not (core[w] and parent[c - 1] == parent[w] and np.all(parent[w:c] == parent[w])):
-            c = w
-        chunks, rows, b = [], None, e
+    for s, e, w, window in plan.blocks():
+        # positions in the block's window: its columns are [w, e) or
+        # ``window``, which ends with [w, e), and row s is at position p
+        size = e - w if window is None else window.size
+        p = size - (e - s)
+        # the block meets its nearest columns first, from position c on:
+        # itself and the max(min_pts, e - s) columns before it. Counts
+        # matter only until a point is core, and a pair of core points in one
+        # tree adds no join, so once the rows and the far columns before c
+        # are core in one tree, those columns can change nothing. Until then
+        # the chunk before the rows doubles; a block whose far columns are
+        # not core in one tree meets its whole window at once
+        c = max(0, p - max(min_pts, e - s))
+        if c > 0:
+            first, end = (w, w + c - 1) if window is None else (window[0], window[c - 1])
+            if not (core[first] and parent[end] == parent[first]
+                    and np.all(parent[_part(w, window, 0, c)] == parent[first])):
+                c = 0
+        chunks, rows, b = [], None, size
         while True:
-            near = points._block(slice(s, e), slice(c, b), stats) <= epsilon
+            cols = _part(w, window, c, b)
+            near = plan.block(slice(s, e), cols, stats) <= epsilon
             # the rows' core mask after the block, which their joins need, is
             # known once they are all core or the window is met; till then
             # the chunks wait, to be joined as one
@@ -418,7 +687,7 @@ def _windowed(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: f
                 chunks.append(near)
                 more = _count_true(near, axis=1)
                 row_counts = more if len(chunks) == 1 else np.add(row_counts, more, dtype=np.int64)
-                if c == w or row_counts.min() >= min_pts:
+                if c == 0 or row_counts.min() >= min_pts:
                     # counts only grow, so these points are core for good; a
                     # pair with an end not yet core is left out, and that end
                     # is late
@@ -426,35 +695,49 @@ def _windowed(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: f
                     core[s:e] = counts[s:e] >= min_pts
                     late[s:e] |= (row_counts > 1) & ~core[s:e]
                     rows = np.flatnonzero(core[s:e])
-                    near, b = near if len(chunks) == 1 else np.concatenate(chunks[::-1], axis=1), e
+                    if len(chunks) > 1:
+                        near, b = np.concatenate(chunks[::-1], axis=1), size
+                        cols = _part(w, window, c, b)
             if rows is not None:
-                m = min(b, s)
+                m = min(b, p)
+                before = _part(w, window, c, m)
                 col_counts = _count_true(near[:, : m - c], axis=0)
-                counts[c:m] += col_counts
-                core[c:m] = counts[c:m] >= min_pts
-                late[c:m] |= (col_counts > 0) & ~core[c:m]
+                counts[before] += col_counts
+                core[before] = counts[before] >= min_pts
+                late[before] |= (col_counts > 0) & ~core[before]
                 joined = rows
                 if joined.size < e - s:
                     near = near[joined]
-                if not core[c:b].all():
-                    near &= core[c:b]
-                if b <= s:  # off the diagonal a row may meet no core column
+                if not (met := core[cols]).all():
+                    near &= met
+                if b <= p:  # off the diagonal a row may meet no core column
                     hit = near.any(axis=1)
                     joined, near = joined[hit], near[hit]
                 if joined.size:
-                    _join(parent[:e], joined + s, np.arange(c, b), near)
-                if c == w or np.all(parent[s:e] == parent[w]):
+                    _join(parent[:e], joined + s, _indices(cols), near)
+                if c == 0 or np.all(parent[s:e] == parent[first]):
                     break
-            b, c = c, max(w, 2 * c - s)
+            b, c = c, max(0, 2 * c - p)
 
     # each late core point meets the core points in its window again, for
     # the pairs the pass left out, unless those already form one tree
     cores = np.flatnonzero(core)
     if np.any(parent[cores] != parent[cores[:1]]):
-        for rows, cols, near in _core_blocks(points, lo, hi, cores[late[cores]], cores, epsilon, stats):
+        for rows, cols, near in _core_blocks(plan, cores[late[cores]], cores, epsilon, stats):
             _join(parent, rows, cols, near)
     border = np.flatnonzero(~core & (counts > 1))
-    return core, parent, _core_blocks(points, lo, hi, border, cores, epsilon, stats)
+    return core, parent, _core_blocks(plan, border, cores, epsilon, stats)
+
+
+def _part(w: int, window: np.ndarray | None, a: int, b: int):
+    """Positions [a, b) of a block's window: the columns [w + a, w + b) of
+    the key window, or ``window[a:b]``."""
+    return slice(w + a, w + b) if window is None else window[a:b]
+
+
+def _indices(cols) -> np.ndarray:
+    """Columns, a slice or an index array, as an index array."""
+    return np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols
 
 
 def _one_column(lo: np.ndarray, hi: np.ndarray, min_pts: int):
@@ -529,20 +812,23 @@ def _gap_kernel(gaps: np.ndarray, metric: str, stats: RunStats | None) -> np.nda
     return _distance_block(_ORIGIN, gaps[:, None], metric, stats)[0]
 
 
-def _core_blocks(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, cores: np.ndarray,
-                 epsilon: float, stats: RunStats | None):
+def _core_blocks(plan, rows: np.ndarray, cores: np.ndarray, epsilon: float, stats: RunStats | None):
     """Blocks of the ascending indices ``rows`` against the core points
     ``cores`` (ascending) they can be within ``epsilon`` of: yields each
     block, its window of ``cores`` and the block's ``near`` mask, and skips
-    an empty window. The key balls [lo, hi] hold the balls and never move
-    back, so a block's window is the core points from the key ball of its
-    first row to that of its last."""
+    an empty window. The plan splits the rows into runs that share one rule
+    (``runs``), and gives a block of a run its columns as ranges
+    (``ranges``): for the key window, the one run from the key ball of the
+    block's first row to that of its last, which never move back."""
     step = _block_rows(max(1, cores.size))
-    for s in range(0, rows.size, step):
-        block = rows[s : s + step]
-        cols = cores[np.searchsorted(cores, lo[block[0]]) : np.searchsorted(cores, hi[block[-1]], side="right")]
-        if cols.size:
-            yield block, cols, points._block(block, cols, stats) <= epsilon
+    for run in plan.runs(rows):
+        for s in range(0, run.size, step):
+            block = run[s : s + step]
+            starts, stops = plan.ranges(block[0], block[-1])
+            a, b = np.searchsorted(cores, starts), np.searchsorted(cores, stops)
+            cols = cores[a[0] : b[0]] if a.size == 1 else cores[_spans(a, b)]
+            if cols.size:
+                yield block, cols, plan.block(block, cols, stats) <= epsilon
 
 
 def _count_true(near: np.ndarray, axis: int) -> np.ndarray:
@@ -570,16 +856,24 @@ def _join(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, near: np.ndarr
 
 def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Join the trees of ``a[i]`` and ``b[i]``: hook each larger root under
-    the smaller and jump pointers, until every pair shares a root. Takes and
-    leaves every node pointing at its root. Every parent index is at most
-    its node's, so any prefix of the forest is a forest."""
-    while a.size:
-        ra, rb = parent[a], parent[b]
-        apart = ra != rb
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while not np.array_equal(up := parent[parent], parent):
-            parent[:] = up
+    the smaller, and let the roots just hooked jump among themselves to
+    their new roots, until every pair shares a root; then one gather points
+    every node at its root. Takes and leaves every node pointing at its
+    root. Every parent index is at most its node's, so any prefix of the
+    forest is a forest."""
+    ra, rb = parent[a], parent[b]
+    hooked = False
+    while (apart := ra != rb).any():
+        high = np.maximum(ra[apart], rb[apart])
+        low = np.minimum(ra[apart], rb[apart])
+        np.minimum.at(parent, high, low)
+        # a hooked root's new parent is smaller, a root or hooked itself
+        rb = parent[high]
+        while not np.array_equal(up := parent[rb], rb):
+            parent[high] = rb = up
+        ra, hooked = parent.take(low, out=low), True
+    if hooked:
+        parent[:] = parent[parent]
 
 
 class KCurve:

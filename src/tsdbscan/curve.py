@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CurveSample, KCurve, RunStats, approximate_diameter_ub
+from .core import CurveSample, KCurve, RunStats, _as_integer, approximate_diameter_ub
 # unused here, but the benchmark's tracer patches the name tsdbscan.curve.dbscan
 from .core import dbscan  # noqa: F401
 
@@ -44,7 +44,7 @@ _LOCKSTEP_ROWS = 100
 def epsilon_grid(x, grid_size: int, metric: str = "euclidean") -> np.ndarray:
     """Default sweep grid: ``grid_size`` >= 2 even radii from UB0/1000 to the
     diameter bound UB0, which is float64 eps when the points coincide."""
-    if grid_size < 2:
+    if _as_integer(grid_size, "grid_size") < 2:
         raise ValueError(f"grid size must be at least 2, got {grid_size}")
     ub0 = approximate_diameter_ub(x, metric=metric)
     return np.linspace(ub0 / 1000, ub0, grid_size)
@@ -230,7 +230,7 @@ def dip_p_value(sample, n_boot: int, seed: int) -> float:
     than ``_LOCKSTEP_ROWS`` rows, which depends on n alone, every replicate
     runs ``dip_statistic`` instead. Both ways give every dip bit for bit.
     """
-    if n_boot < 1:
+    if _as_integer(n_boot, "n_boot") < 1:
         raise ValueError("n_boot must be positive")
     observed = dip_statistic(sample)
     n = len(np.asarray(sample).ravel())

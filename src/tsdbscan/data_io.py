@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CurveSample
+from .core import CurveSample, _as_integer
 
 _DELIMS = {"csv": ",", "tsv": "\t"}
 
@@ -128,7 +128,7 @@ def synth_blobs(k: int, per_cluster: int, dims: int, separation: float,
     Centers are rejection-sampled in a cube until mutually at least
     ``separation`` apart. Returns (points, ground-truth labels).
     """
-    if k < 1 or per_cluster < 1 or dims < 1:
+    if _as_integer(k, "k") < 1 or _as_integer(per_cluster, "per_cluster") < 1 or _as_integer(dims, "dims") < 1:
         raise ValueError("k, per_cluster, and dims must be positive")
     if not 0 < separation < math.inf:
         raise ValueError("separation must be positive and finite")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RunStats, dbscan
+from .core import RunStats, _as_integer, dbscan
 
 PROBE_MARGIN = 0.1  # relative distance of a concentration probe beyond its threshold
 
@@ -62,9 +62,9 @@ def monte_carlo_expected_k(n: int, epsilon: float, trials: int, seed: int,
                            stats: RunStats | None = None) -> tuple[float, float]:
     """Mean and standard error of k over independent 1-D uniform datasets
     clustered at min_pts=2."""
-    if n < 2:
+    if _as_integer(n, "n") < 2:
         raise ValueError("n must be at least 2")
-    if trials < 1:
+    if _as_integer(trials, "trials") < 1:
         raise ValueError("trials must be positive")
     ks = np.empty(trials)
     for t in range(trials):
@@ -92,8 +92,10 @@ def concentration_experiment(cfg: ConcentrationConfig, dims: int, n: int,
     each threshold. The experiment passes when each regime shows up in
     at least a 1-delta fraction of trials.
     """
-    if trials < 1:
+    if _as_integer(trials, "trials") < 1:
         raise ValueError("trials must be positive")
+    _as_integer(dims, "dims")
+    _as_integer(n, "n")
     min_pts = max(2, round(cfg.rho * n))
     eps_low, eps_high = concentration_thresholds(cfg, dims)
     probe_high = eps_high * (1 + PROBE_MARGIN)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tsdbscan import core
 from tsdbscan.core import _distance_block, _validate
 from tsdbscan.data_io import synth_blobs
 
@@ -33,6 +34,24 @@ def brute_force_distances(x: np.ndarray, metric: str = "euclidean") -> np.ndarra
     if metric == "cosine":
         return np.minimum(0.5 * (diff ** 2).sum(axis=2), 2.0)
     raise ValueError(f"unknown metric {metric!r}")
+
+
+# the plan choice of a dbscan run, for the two stand-ins below
+PLAN = core._plan
+
+
+def key_window(points, lo, hi, epsilon, shared, stats):
+    """A stand-in for ``core._plan`` that always runs the key window."""
+    return core._KeyPlan(points, lo, hi)
+
+
+def group_bound(points, lo, hi, epsilon, shared, stats):
+    """A stand-in for ``core._plan`` that runs the group bound wherever the
+    set has groups (it builds them where ``core._plan`` would), whatever
+    either plan costs."""
+    plan = PLAN(points, lo, hi, epsilon, shared, stats)
+    groups = points._groups
+    return core._GroupPlan(groups, lo, hi, groups.candidates(epsilon)) if groups else plan
 
 
 def brute_force_dbscan(x: np.ndarray, eps: float, min_pts: int,

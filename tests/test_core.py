@@ -17,7 +17,7 @@ from tsdbscan import (
 )
 from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE, KCurve, validate_points
 
-from conftest import brute_force_dbscan, distance
+from conftest import PLAN, brute_force_dbscan, distance, group_bound, key_window
 
 
 class TestDistance:
@@ -454,6 +454,65 @@ class TestPreparedPoints:
     def test_the_metric_must_be_the_prepared_one(self):
         with pytest.raises(ValueError, match="prepared for metric 'euclidean', not 'cosine'"):
             dbscan(PreparedPoints(np.ones((3, 2))), 1.0, 2, metric="cosine")
+
+
+class TestGroupBound:
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_collinear_rows_at_every_exact_radius(self, monkeypatch, metric):
+        # 40 points on a line, some doubled, beside a zero column: every
+        # distance is an exact integer, and the triangle inequality is tight,
+        # so at each radius some pair of groups sits exactly on the bound.
+        # N^2 exceeds the budget, so the set builds ceil(sqrt(45 / 2)) = 5
+        # groups at its first run
+        line = np.array([0, 1, 2, 3, 5, 8, 9, 10, 11, 15, 16, 17, 18, 19, 20, 21, 27, 28, 29, 30,
+                         31, 32, 40, 41, 42, 43, 44, 45, 46, 47, 55, 56, 57, 58, 59, 60, 61, 62, 70, 71.0])
+        x = np.c_[np.r_[line, line[::9]], np.zeros(45)]
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 1000)
+        points = PreparedPoints(x, metric)
+        for eps in range(1, 72):
+            expected = brute_force_dbscan(x, eps, 4, metric)
+            for plan in (key_window, group_bound, PLAN):
+                monkeypatch.setattr(core, "_plan", plan)
+                lab = dbscan(points, float(eps), 4, metric)
+                assert np.array_equal(lab.labels, expected), (eps, plan)
+        assert len(points._groups.sizes) == 5
+
+    def test_the_build_counts_its_cells_once(self, monkeypatch):
+        # the points 0, ..., 9 beside a zero column, over a budget of 50
+        # cells: N^2 = 100 does not fit, so the first run builds the groups.
+        # Farthest-first from row 0 takes row 9 (9 away), then row 4, the
+        # first of the rows 4 and 5 that are 4 from both; ceil(sqrt(10 / 2))
+        # = 3 centres, each against the 10 rows: 3 x 10 x 2 = 60 cells. The
+        # second run at the same radius does the same work but the build
+        x = np.c_[np.arange(10.0), np.zeros(10)]
+        calls = []
+
+        def counted_cdist(a, b, *args, **kwargs):
+            calls.append((a.shape, b.shape))
+            return cdist(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 50)
+        monkeypatch.setattr(core, "cdist", counted_cdist)
+        points = PreparedPoints(x)
+        stats = RunStats()
+        first = dbscan(points, 1.0, 3, stats=stats)
+        one, run = stats.point_evaluations, calls[:]
+        calls.clear()
+        second = dbscan(points, 1.0, 3, stats=stats)
+        assert sorted(run) == sorted(calls + [((1, 2), (10, 2))] * 3)
+        assert one - (stats.point_evaluations - one) == 3 * 10 * 2
+        assert stats.dbscan_invocations == 2
+        assert first.labels.tolist() == second.labels.tolist() == [0] * 10
+        assert points._groups.sizes.tolist() == [3, 3, 4]
+
+    def test_a_run_on_a_matrix_builds_no_groups(self, monkeypatch):
+        # dbscan prepares a matrix for its one run, where a build would
+        # not pay for itself
+        built = []
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 50)
+        monkeypatch.setattr(core, "_Groups", lambda *args: built.append(args))
+        lab = dbscan(np.c_[np.arange(10.0), np.zeros(10)], 1.0, 3)
+        assert lab.labels.tolist() == [0] * 10 and not built
 
 
 class TestCounting:

@@ -115,6 +115,17 @@ def test_rejects_bad_input(func, arg, message):
         func(arg)
 
 
+@pytest.mark.parametrize("call,name", [
+    pytest.param(lambda: dip_p_value([0.1, 0.5, 0.9], 10.5, 0), "n_boot", id="dip_p_value-n_boot"),
+    pytest.param(lambda: epsilon_grid([[0.0], [1.0]], 2.5), "grid_size", id="epsilon_grid-grid_size"),
+])
+def test_counts_must_be_integers(call, name):
+    # a float count failed with numpy's or range's TypeError, which the
+    # command line's ValueError handler does not catch
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
 class TestDipStatistic:
     def test_two_points(self):
         assert dip_statistic([0.0, 1.0]) == pytest.approx(0.25)

@@ -130,6 +130,12 @@ SYNTH_SIZES = "k, per_cluster, and dims must be positive"
     pytest.param("", lambda p: synth_blobs(2, 0, 2, 10.0, seed=0), SYNTH_SIZES,
                  id="synth_blobs-per-cluster"),
     pytest.param("", lambda p: synth_blobs(2, 5, 0, 10.0, seed=0), SYNTH_SIZES, id="synth_blobs-dims"),
+    pytest.param("", lambda p: synth_blobs(2.5, 5, 2, 10.0, seed=0), "k must be an integer, got 2.5",
+                 id="synth_blobs-k-not-integer"),
+    pytest.param("", lambda p: synth_blobs(2, 5.0, 2, 10.0, seed=0), "per_cluster must be an integer, got 5.0",
+                 id="synth_blobs-per-cluster-not-integer"),
+    pytest.param("", lambda p: synth_blobs(2, 5, 1.5, 10.0, seed=0), "dims must be an integer, got 1.5",
+                 id="synth_blobs-dims-not-integer"),
 ])
 def test_outside_input_rejected(tmp_path, text, call, message):
     p = tmp_path / "in.csv"

@@ -13,9 +13,9 @@ from scipy.spatial.distance import cdist
 
 from tsdbscan import NOISE, approximate_diameter_ub, core, dbscan, search
 from tsdbscan.search import SearchBounds, TuneConfig, ternary_search, ts_clustering, tse_clustering
-from tsdbscan.core import METRICS, KCurve, RunStats, _distance_block, _validate
+from tsdbscan.core import METRICS, KCurve, PreparedPoints, RunStats, _distance_block, _validate
 
-from conftest import brute_force_dbscan, brute_force_distances, distance
+from conftest import PLAN, brute_force_dbscan, brute_force_distances, distance, group_bound, key_window
 
 # the bound's approximation factor: 2 from the triangle inequality, 4
 # under cosine, where the triangle inequality holds only for angles
@@ -419,3 +419,45 @@ def test_searches_read_the_cached_matrix_as_they_would_compute_it(metric, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 3, 7])))
         assert run() == cached
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the oracle's squares
+@SETTINGS
+@given(data=st.data())
+def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
+    # a budget of a few cells puts N^2 over one block from N = 3 on, so a
+    # prepared set builds its groups at its first run. The key window, the
+    # group bound and the plan dbscan picks run on the same set, with
+    # duplicate rows, at every exact pairwise kernel value (the closed
+    # ball's edge, where the triangle inequality of collinear rows is
+    # tight) and the float below it. Rows at 1e-300 or 1e300 are outside
+    # the scales the bound is proved for: the set builds no groups, and
+    # every plan is the key window. Under cosine the unit rows have no
+    # such scale, and rows scaled as scaled_rows does keep a direction
+    x = data.draw(point_sets_with_duplicates(metric))
+    if x.shape[1] == 1:
+        x = np.c_[x, 0 * x]  # groups need two columns
+    if metric == "cosine":
+        x = data.draw(scaled_rows(metric, x))
+    else:
+        x = x * data.draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    min_pts = data.draw(st.integers(2, len(x) + 1))
+    radii = data.draw(st.lists(st.sampled_from(edge_radii(x, metric)), min_size=1, max_size=8))
+    cells = data.draw(st.sampled_from([1, 3, 7]))
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_CELLS", cells)
+        points = PreparedPoints(x, metric)
+        for name, plan in (("key", key_window), ("group", group_bound), ("picked", PLAN)):
+            mp.setattr(core, "_plan", plan)
+            runs[name] = [dbscan(points, eps, min_pts, metric) for eps in radii]
+    top = np.abs(points.x).max()
+    assert bool(points._groups) == (len(x) ** 2 > cells and 2.0 ** -450 <= top <= 2.0 ** 450)
+    for i, eps in enumerate(radii):
+        expected = brute_force_dbscan(x, eps, min_pts, metric)
+        key = runs["key"][i]
+        assert np.array_equal(key.labels, expected), eps
+        for lab in (runs["group"][i], runs["picked"][i]):
+            assert np.array_equal(lab.labels, expected) and np.array_equal(lab.roles, key.roles), eps
+            assert (lab.n_clusters, lab.n_noise) == (key.n_clusters, key.n_noise), eps

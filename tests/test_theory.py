@@ -12,6 +12,22 @@ from tsdbscan import (
 )
 
 
+CONC = ConcentrationConfig(rho=0.1, beta=2.0, delta=0.05)
+
+
+@pytest.mark.parametrize("call,name", [
+    pytest.param(lambda: monte_carlo_expected_k(100.5, 0.01, 2, 0), "n", id="monte_carlo-n"),
+    pytest.param(lambda: monte_carlo_expected_k(100, 0.01, 2.5, 0), "trials", id="monte_carlo-trials"),
+    pytest.param(lambda: concentration_experiment(CONC, 1.5, 100, 2, 0), "dims", id="concentration-dims"),
+    pytest.param(lambda: concentration_experiment(CONC, 1, 100, 2.5, 0), "trials", id="concentration-trials"),
+])
+def test_counts_must_be_integers(call, name):
+    # a float count failed with numpy's or range's TypeError, which the
+    # command line's ValueError handler does not catch
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
 class TestClosedForm:
     def test_direct_evaluation(self):
         assert expected_k_closed_form(10, 0.5) == pytest.approx(9 / 1024)
