@@ -61,9 +61,11 @@ group's rows meets only the columns of the groups whose centres lie within
 high-dimensional data, where one coordinate rules out few pairs, that is
 far fewer. A margin covers the kernel's rounding, so no pair within
 ``epsilon`` is left out (``_Groups``). The plan with fewer cells, counting
-each block as ``_BLOCK_COST`` cells, runs; the counts pass, its skip rule,
-the late re-check and the border pass run alike on either plan's columns.
-A matrix that ``dbscan`` prepares for its one run builds no groups.
+each block as ``_BLOCK_COST`` cells, runs. The key window is the same plan
+(``_GroupPlan``) with every row in one group, so the counts pass, its skip
+rule, the late re-check and the border pass are one code on either plan's
+columns. A matrix that ``dbscan`` prepares for its one run builds no
+groups.
 
 With one column the key ball is the ball itself, and a point's count is
 its run's length. The clusters are the runs of core points each within
@@ -276,7 +278,7 @@ class PreparedPoints:
     gather of it: the same values bit for bit, because each kernel value
     depends on its pair alone. Otherwise, on a set a caller prepared for
     many runs, that first run builds the set's farthest-first groups
-    (:class:`_Groups`), counted in its ``stats``, and every run may probe
+    (``_farthest_first``), counted in its ``stats``, and every run may probe
     through them (``_plan``). One column needs no block.
     """
 
@@ -290,6 +292,7 @@ class PreparedPoints:
         self.x = x[self.order]
         self.key = np.ascontiguousarray(self.x[:, widest])
         self._matrix = None
+        self._whole = None  # the set as one group, for the key window
         self._groups = None  # False once the scale rules groups out
 
     def __len__(self) -> int:
@@ -313,13 +316,11 @@ class PreparedPoints:
         return self._matrix[np.ix_(rows, cols)]
 
     def _grouping(self, stats: RunStats | None) -> _Groups | None:
-        """The set's groups, built on first use, or None where the scale
-        rules them out (see :class:`_Groups`)."""
+        """The set's farthest-first groups, built on first use, or None where
+        the scale rules them out (see :class:`_Groups`)."""
         if self._groups is None:
             top = float(np.abs(self.x).max())
-            self._groups = _SAFE_LOW <= top <= _SAFE_HIGH and _Groups(self, stats)
-            if self._groups and not self._groups.finite:
-                self._groups = False
+            self._groups = _SAFE_LOW <= top <= _SAFE_HIGH and _farthest_first(self, stats)
         return self._groups or None
 
 
@@ -332,22 +333,20 @@ _GROUP_TINY = 2.0 ** -496
 
 
 class _Groups:
-    """Farthest-first (k-center) groups of the sorted rows ``x`` (Gonzalez,
-    "Clustering to minimize the maximum intercluster distance", 1985): the
-    first centre is row 0, each next one the row farthest from the centres
-    so far, ceil(sqrt(N / 2)) of them at most, and each row joins its
-    nearest centre. Each step computes its centre against all rows through
-    ``_distance_block``, N x D cells in ``stats``. The distances are
-    euclidean under euclidean and cosine (the chord |u - v| of the unit
-    rows) and manhattan under manhattan, all metrics.
-
-    ``x`` holds the rows ordered by group and then by the sort key, ``pos``
-    the sorted index of each, ``order`` their caller index, ``starts`` the
-    groups' bounds, ``key`` = group * N + ``pos`` (ascending, so one
-    ``searchsorted`` finds a run of sorted indices in any group),
-    ``between`` the centres' distances and ``radius`` each group's largest
-    distance from its centre. Row ``i`` of a group lies in the key ball of
+    """The sorted rows of a :class:`PreparedPoints` in groups: ``x`` holds
+    them ordered by group and then by the sort key, ``pos`` the sorted index
+    of each, ``order`` their caller index, ``starts`` the groups' bounds and
+    ``key`` = group * N + ``pos`` (ascending, so one ``searchsorted`` finds
+    a run of sorted indices in any group). Row ``i`` lies in the key ball of
     row ``j`` exactly when ``pos[i]`` lies in ``[lo[pos[j]], hi[pos[j]]]``.
+
+    With no ``group``, the set is one group, its sorted rows themselves,
+    whose blocks read the set's cached matrix: the key window. The groups
+    keep no reference to the set, which holds them, so a set is freed with
+    its last reference rather than by the cycle collector. Otherwise
+    ``group`` is each sorted row's group, and ``_farthest_first`` sets
+    ``radius``, each group's largest distance from its centre, and
+    ``between``, the centres' distances.
 
     **Exactness.** Write d for the exact distance of two stored rows (the
     unit rows under cosine) and d^ for the computed one. Every term of the
@@ -374,115 +373,120 @@ class _Groups:
     and the test's own four roundings, and 2^-496 the absolute terms. So no
     pair within ``epsilon`` lies in two groups ruled out, and every kernel
     value a run compares is still its own pair's, from ``_distance_block``.
-    A sum that could overflow would void the relative bound: coordinates of
-    magnitude up to 2^450 keep every sum finite, and ``_grouping`` builds
-    no groups outside [2^-450, 2^450] (nor keeps any with a non-finite
-    distance).
+    A sum that could overflow would void the relative bound, but
+    coordinates of magnitude up to 2^450 keep every difference, square and
+    sum finite, so every centre distance and radius is finite too; and
+    ``PreparedPoints._grouping`` builds no groups outside [2^-450, 2^450].
     """
 
-    def __init__(self, points: PreparedPoints, stats: RunStats | None):
-        x, metric = points.x, points.metric
-        n, d = x.shape
-        kernel = "manhattan" if metric == "manhattan" else "euclidean"
-        # ceil(sqrt(N / 2)) groups: each is one block or more, so fewer
-        # groups run fewer blocks, and too few prune little. Over the probes
-        # timed for _BLOCK_COST, the group plan took 1.1-1.3x as long with
-        # ceil(sqrt(N)) groups at D <= 16, and ceil(sqrt(N / 8)), 16 groups
-        # for 20 blobs at N = 2000, took 2.8-5.7x as long at D >= 13
-        most = math.isqrt((n - 1) // 2) + 1
-        dist = _distance_block(x[:1], x, kernel, stats)[0]
-        group = np.zeros(n, dtype=np.intp)
-        centres = [0]
-        between = np.zeros((most, most))
-        for g in range(1, most):
-            c = int(np.argmax(dist))
-            if dist[c] == 0:  # every row is a centre's copy
-                break
-            new = _distance_block(x[c : c + 1], x, kernel, stats)[0]
-            between[g, :g] = new[centres]
-            np.copyto(group, g, where=new < dist)
-            np.minimum(dist, new, out=dist)
-            centres.append(c)
-        size = len(centres)
-        between = between[:size, :size]
-        between += between.T  # each sum adds 0 to a distance: exact
-        self.pos = np.argsort(group, kind="stable")
-        self.x, self.order = x[self.pos], points.order[self.pos]
-        self.sizes = np.bincount(group, minlength=size)
+    def __init__(self, points: PreparedPoints, group: np.ndarray | None = None):
+        n = len(points)
+        self.metric = points.metric
+        if group is None:
+            self.pos, self.x, self.order = np.arange(n), points.x, points.order
+            self.key, self.sizes = self.pos, np.array([n])
+        else:
+            self.pos = np.argsort(group, kind="stable")
+            self.x, self.order = points.x[self.pos], points.order[self.pos]
+            self.key = group[self.pos] * n + self.pos
+            self.sizes = np.bincount(group)
         self.starts = np.concatenate(([0], np.cumsum(self.sizes)))
-        self.key = group[self.pos] * n + self.pos
-        # a centre keeps its own group (distance 0), so no group is empty
-        self.radius = np.maximum.reduceat(dist[self.pos], self.starts[:-1])
-        self.between = between
-        self.metric, self.cosine = metric, metric == "cosine"
-        self.slack = (d + 8) * 2.0 ** -51
-        self.finite = bool(np.all(np.isfinite(self.between)) and np.all(np.isfinite(self.radius)))
+        # each group in blocks of _block_rows(N) rows: block j holds the
+        # rows [s[j], e[j]) of group block_group[j]
+        step = _block_rows(n)
+        counts = -(-self.sizes // step)
+        self.block_group = group = np.repeat(np.arange(counts.size), counts)
+        first = np.cumsum(counts) - counts  # each group's first block
+        self.s = self.starts[group] + (np.arange(group.size) - first[group]) * step
+        self.e = np.minimum(self.s + step, self.starts[group + 1])
+        self.radius = self.between = None
 
     def candidates(self, epsilon: float) -> np.ndarray:
         """G x G: the pairs of groups that may hold a pair within
         ``epsilon`` (see the class docstring)."""
-        reach = math.sqrt(2.0 * epsilon) if self.cosine else epsilon
-        r = self.radius
+        reach = math.sqrt(2.0 * epsilon) if self.metric == "cosine" else epsilon
+        r, m = self.radius, (self.x.shape[1] + 8) * 2.0 ** -51
         with np.errstate(over="ignore"):
-            far = self.between * (1 - self.slack) > (reach + r[:, None] + r) * (1 + self.slack) + _GROUP_TINY
+            far = self.between * (1 - m) > (reach + r[:, None] + r) * (1 + m) + _GROUP_TINY
         return ~far
 
 
-class _KeyPlan:
-    """The key window: the sorted rows in blocks of ``_block_rows(N)``; a
-    block [s, e) meets the columns [lo_s, e), and a set of rows the columns
-    from the key ball of its first row to that of its last."""
-
-    def __init__(self, points: PreparedPoints, lo: np.ndarray, hi: np.ndarray):
-        self.points, self.lo, self.hi = points, lo, hi
-        self.order = points.order
-
-    def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
-        return self.points._block(rows, cols, stats)
-
-    def blocks(self):
-        n, lo = self.lo.size, self.lo
-        step = _block_rows(n)
-        for s in range(0, n, step):
-            yield s, min(n, s + step), lo[s], None
-
-    def runs(self, rows: np.ndarray) -> list:
-        return [rows]
-
-    def ranges(self, first: int, last: int) -> tuple:
-        return self.lo[first : first + 1], self.hi[last : last + 1] + 1
+def _farthest_first(points: PreparedPoints, stats: RunStats | None) -> _Groups:
+    """Farthest-first (k-center) groups of the sorted rows (Gonzalez,
+    "Clustering to minimize the maximum intercluster distance", 1985): the
+    first centre is row 0, each next one the row farthest from the centres
+    so far, ceil(sqrt(N / 2)) of them at most, and each row joins its
+    nearest centre. Each step computes its centre against all rows through
+    ``_distance_block``, N x D cells in ``stats``. The distances are
+    euclidean under euclidean and cosine (the chord |u - v| of the unit
+    rows) and manhattan under manhattan, all metrics."""
+    x = points.x
+    n = len(x)
+    kernel = "manhattan" if points.metric == "manhattan" else "euclidean"
+    # ceil(sqrt(N / 2)) groups: each is one block or more, so fewer
+    # groups run fewer blocks, and too few prune little. Over the probes
+    # timed for _BLOCK_COST, the group plan took 1.1-1.3x as long with
+    # ceil(sqrt(N)) groups at D <= 16, and ceil(sqrt(N / 8)), 16 groups
+    # for 20 blobs at N = 2000, took 2.8-5.7x as long at D >= 13
+    most = math.isqrt((n - 1) // 2) + 1
+    dist = _distance_block(x[:1], x, kernel, stats)[0]
+    group = np.zeros(n, dtype=np.intp)
+    centres = [0]
+    between = np.zeros((most, most))
+    for g in range(1, most):
+        c = int(np.argmax(dist))
+        if dist[c] == 0:  # every row is a centre's copy
+            break
+        new = _distance_block(x[c : c + 1], x, kernel, stats)[0]
+        between[g, :g] = new[centres]
+        np.copyto(group, g, where=new < dist)
+        np.minimum(dist, new, out=dist)
+        centres.append(c)
+    size = len(centres)
+    between = between[:size, :size]
+    between += between.T  # each sum adds 0 to a distance: exact
+    groups = _Groups(points, group)
+    # a centre keeps its own group (distance 0), so no group is empty
+    groups.radius = np.maximum.reduceat(dist[groups.pos], groups.starts[:-1])
+    groups.between = between
+    return groups
 
 
 class _GroupPlan:
-    """The group bound: the rows in the order of their groups, each group in
-    blocks of ``_block_rows(N)`` rows, as in the key window. A block of
-    group A's rows [s, e) meets the columns of the groups B < A that
-    ``_Groups.candidates`` keeps, and of A up to e, each cut to the block's
-    key window, as a few ranges. All of them are found at once, before any
-    block, and ``cost`` is the plan's cells with no skipped columns, rows x
-    window, plus ``_BLOCK_COST`` a block. A set of rows of one group meets
-    the kept groups on both sides, cut the same way."""
+    """The rows of ``groups`` in the order of their groups, each group in
+    blocks of ``_block_rows(N)`` rows. A block of group A's rows [s, e)
+    meets the columns of the groups B < A that ``keep[A]`` keeps, and of A
+    up to e, each cut to the block's key window, as a few ranges. All of
+    them are found at once, before any block, and ``cost`` is the plan's
+    cells with no skipped columns, rows x window, plus ``_BLOCK_COST`` a
+    block. A set of rows of one group meets the kept groups on both sides,
+    cut the same way. On one group, with ``keep`` [[True]], this is the key
+    window: a block [s, e) of the sorted rows meets the columns [lo_s, e),
+    and a set of rows the columns from the key ball of its first row to
+    that of its last."""
 
-    def __init__(self, groups: _Groups, lo: np.ndarray, hi: np.ndarray, keep: np.ndarray):
-        self.groups, self.lo, self.hi, self.keep = groups, lo, hi, keep
-        self.order = groups.order
-        step = _block_rows(self.order.size)
-        counts = -(-groups.sizes // step)
-        group = np.repeat(np.arange(counts.size), counts)
-        first = np.cumsum(counts) - counts  # each group's first block
-        self.s = groups.starts[group] + (np.arange(group.size) - first[group]) * step
-        self.e = np.minimum(self.s + step, groups.starts[group + 1])
+    def __init__(self, points: PreparedPoints, groups: _Groups, lo: np.ndarray, hi: np.ndarray,
+                 keep: np.ndarray):
+        self.points, self.groups, self.lo, self.hi, self.keep = points, groups, lo, hi, keep
+        self.order, self.s, self.e = groups.order, groups.s, groups.e
         # each block's kept groups B <= A, ascending, A last
-        block, kept = np.nonzero(np.tril(keep)[group])
-        self.bounds = np.searchsorted(block, np.arange(group.size + 1))
+        block, kept = np.nonzero(keep[groups.block_group])
+        below = kept <= groups.block_group[block]
+        block, kept = block[below], kept[below]
+        self.bounds = np.searchsorted(block, np.arange(self.s.size + 1))
         self.first, self.stop = self._window(kept, self.s[block], self.e[block] - 1)
         own = self.bounds[1:] - 1
         self.stop[own] = self.e
-        self.cost = int(np.sum((self.e - self.s)[block] * (self.stop - self.first))) + _BLOCK_COST * group.size
+        self.cost = int(np.dot((self.e - self.s)[block], self.stop - self.first)) + _BLOCK_COST * self.s.size
 
     def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
+        """The kernel of the rows ``rows`` of ``groups.x`` against ``cols``:
+        slices or ascending index arrays. One group is the sorted rows
+        themselves, whose matrix the set may cache."""
         x = self.groups.x
-        return _distance_block(x[rows], x[cols], self.groups.metric, stats)
+        if x is self.points.x:
+            return self.points._block(rows, cols, stats)
+        return _distance_block(x[rows], x[cols], self.points.metric, stats)
 
     def _window(self, kept: np.ndarray, first, last) -> tuple:
         """The ranges of the groups ``kept`` whose sorted index is in the key
@@ -493,21 +497,44 @@ class _GroupPlan:
                 np.searchsorted(g.key, base + self.hi[g.pos[last]], side="right"))
 
     def blocks(self):
-        for j in range(self.s.size):
-            pairs = slice(self.bounds[j], self.bounds[j + 1])
-            first, stop = self.first[pairs], self.stop[pairs]
-            yield int(self.s[j]), int(self.e[j]), int(first[-1]), _spans(first, stop)
+        """Each block's rows [s, e) and its window, the ascending columns it
+        meets, which end with [s, e)."""
+        bounds = self.bounds.tolist()
+        for j, (s, e) in enumerate(zip(self.s.tolist(), self.e.tolist())):
+            pairs = slice(bounds[j], bounds[j + 1])
+            yield s, e, _spans(self.first[pairs], self.stop[pairs])
 
     def runs(self, rows: np.ndarray) -> list:
-        return [run for run in np.split(rows, np.searchsorted(rows, self.groups.starts[1:-1])) if run.size]
+        cut = np.searchsorted(rows, self.groups.starts).tolist()
+        return [rows[a:b] for a, b in zip(cut, cut[1:]) if a < b]
 
-    def ranges(self, first: int, last: int) -> tuple:
-        a = np.searchsorted(self.groups.starts, first, side="right") - 1
-        return self._window(np.flatnonzero(self.keep[a]), first, last)
+    def ranges(self, first: np.ndarray, last: np.ndarray) -> tuple:
+        """Rows of one group in blocks from ``first[j]`` to ``last[j]``:
+        block j meets the ranges [starts[j, k], stops[j, k])."""
+        a = np.searchsorted(self.groups.starts, first[0], side="right") - 1
+        return self._window(np.flatnonzero(self.keep[a]), first[:, None], last[:, None])
+
+
+def _key_window(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray) -> _GroupPlan:
+    """The key window: the plan of the set as one group, a layout the set
+    keeps for its later runs."""
+    if points._whole is None:
+        points._whole = _Groups(points)
+    return _GroupPlan(points, points._whole, lo, hi, np.ones((1, 1), dtype=bool))
+
+
+def _as_slice(cols: np.ndarray):
+    """Ascending distinct indices ``cols`` as a slice when they are one
+    range, which numpy reads as a view rather than a gather; else ``cols``."""
+    if cols.size and cols[-1] - cols[0] == cols.size - 1:
+        return slice(cols[0], cols[-1] + 1)
+    return cols
 
 
 def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The ascending indices of the ranges [starts[k], stops[k]), k >= 1 of them."""
+    if starts.size == 1:
+        return np.arange(starts[0], stops[0])
     lengths = stops - starts
     ends = np.cumsum(lengths)
     return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
@@ -613,18 +640,14 @@ def _plan(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: float
     bound where it plans fewer cells, each block counted as
     ``_BLOCK_COST`` cells more. The cells planned are those of the counts
     pass with no skipped columns: rows x the key window, or rows x the
-    ranges of the kept groups (see ``_GroupPlan``)."""
-    key = _KeyPlan(points, lo, hi)
+    ranges of the kept groups (see ``_GroupPlan``), by the same rule."""
+    key = _key_window(points, lo, hi)
     n = len(points)
     groups = points._grouping(stats) if shared and n * n > _BLOCK_CELLS else None
     if groups is None:
         return key
-    group = _GroupPlan(groups, lo, hi, groups.candidates(epsilon))
-    step = _block_rows(n)
-    s = np.arange(0, n, step)
-    e = np.minimum(s + step, n)
-    key_cost = int(np.sum((e - s) * (e - lo[s]))) + _BLOCK_COST * s.size
-    return group if group.cost < key_cost else key
+    group = _GroupPlan(points, groups, lo, hi, groups.candidates(epsilon))
+    return group if group.cost < key.cost else key
 
 
 # What one block costs beyond its cells, in cells, in _plan's choice. On a
@@ -640,10 +663,10 @@ _BLOCK_COST = 20_000
 
 def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
     """The counts pass and the late re-check on the rows of ``plan`` (see
-    ``_KeyPlan`` and ``_GroupPlan``). Each block [s, e) of the counts pass
-    meets its window: its own rows and the columns before them that the
-    plan keeps. It meets the nearest chunk of its window first and stops
-    once its rows and the columns left are core in one tree. Returns the
+    ``_GroupPlan``). Each block [s, e) of the counts pass meets its window:
+    its own rows and the columns before them that the plan keeps. It meets
+    the nearest chunk of its window first and stops once its rows and the
+    columns left are core in one tree. Returns the
     core mask, the forest of the core components (each core point's root is
     its tree's smallest index), and the border blocks: each non-core row
     with a neighbour against the core points in its window (see
@@ -658,11 +681,9 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
     # and _union leaves every node pointing at its root
     parent = np.arange(n)
     late = np.zeros(n, dtype=bool)  # had a neighbour while not yet core
-    for s, e, w, window in plan.blocks():
-        # positions in the block's window: its columns are [w, e) or
-        # ``window``, which ends with [w, e), and row s is at position p
-        size = e - w if window is None else window.size
-        p = size - (e - s)
+    for s, e, window in plan.blocks():
+        # row s is at position p of the block's window
+        p = window.size - (e - s)
         # the block meets its nearest columns first, from position c on:
         # itself and the max(min_pts, e - s) columns before it. Counts
         # matter only until a point is core, and a pair of core points in one
@@ -672,14 +693,15 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
         # not core in one tree meets its whole window at once
         c = max(0, p - max(min_pts, e - s))
         if c > 0:
-            first, end = (w, w + c - 1) if window is None else (window[0], window[c - 1])
+            first, end = window[0], window[c - 1]
             if not (core[first] and parent[end] == parent[first]
-                    and np.all(parent[_part(w, window, 0, c)] == parent[first])):
+                    and np.all(parent[_as_slice(window[:c])] == parent[first])):
                 c = 0
-        chunks, rows, b = [], None, size
+        chunks, rows, b = [], None, window.size
         while True:
-            cols = _part(w, window, c, b)
-            near = plan.block(slice(s, e), cols, stats) <= epsilon
+            cols = window[c:b]
+            at = _as_slice(cols)
+            near = plan.block(slice(s, e), at, stats) <= epsilon
             # the rows' core mask after the block, which their joins need, is
             # known once they are all core or the window is met; till then
             # the chunks wait, to be joined as one
@@ -696,11 +718,12 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
                     late[s:e] |= (row_counts > 1) & ~core[s:e]
                     rows = np.flatnonzero(core[s:e])
                     if len(chunks) > 1:
-                        near, b = np.concatenate(chunks[::-1], axis=1), size
-                        cols = _part(w, window, c, b)
+                        near, b = np.concatenate(chunks[::-1], axis=1), window.size
+                        cols = window[c:b]
+                        at = _as_slice(cols)
             if rows is not None:
                 m = min(b, p)
-                before = _part(w, window, c, m)
+                before = _as_slice(window[c:m])
                 col_counts = _count_true(near[:, : m - c], axis=0)
                 counts[before] += col_counts
                 core[before] = counts[before] >= min_pts
@@ -708,13 +731,13 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
                 joined = rows
                 if joined.size < e - s:
                     near = near[joined]
-                if not (met := core[cols]).all():
+                if not (met := core[at]).all():
                     near &= met
                 if b <= p:  # off the diagonal a row may meet no core column
                     hit = near.any(axis=1)
                     joined, near = joined[hit], near[hit]
                 if joined.size:
-                    _join(parent[:e], joined + s, _indices(cols), near)
+                    _join(parent[:e], joined + s, cols, near)
                 if c == 0 or np.all(parent[s:e] == parent[first]):
                     break
             b, c = c, max(0, 2 * c - p)
@@ -727,17 +750,6 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
             _join(parent, rows, cols, near)
     border = np.flatnonzero(~core & (counts > 1))
     return core, parent, _core_blocks(plan, border, cores, epsilon, stats)
-
-
-def _part(w: int, window: np.ndarray | None, a: int, b: int):
-    """Positions [a, b) of a block's window: the columns [w + a, w + b) of
-    the key window, or ``window[a:b]``."""
-    return slice(w + a, w + b) if window is None else window[a:b]
-
-
-def _indices(cols) -> np.ndarray:
-    """Columns, a slice or an index array, as an index array."""
-    return np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols
 
 
 def _one_column(lo: np.ndarray, hi: np.ndarray, min_pts: int):
@@ -817,17 +829,18 @@ def _core_blocks(plan, rows: np.ndarray, cores: np.ndarray, epsilon: float, stat
     ``cores`` (ascending) they can be within ``epsilon`` of: yields each
     block, its window of ``cores`` and the block's ``near`` mask, and skips
     an empty window. The plan splits the rows into runs that share one rule
-    (``runs``), and gives a block of a run its columns as ranges
-    (``ranges``): for the key window, the one run from the key ball of the
-    block's first row to that of its last, which never move back."""
+    (``runs``), and gives the blocks of a run their columns as ranges, all
+    at once (``ranges``): for the key window, the one range from the key
+    ball of the block's first row to that of its last."""
     step = _block_rows(max(1, cores.size))
     for run in plan.runs(rows):
-        for s in range(0, run.size, step):
-            block = run[s : s + step]
-            starts, stops = plan.ranges(block[0], block[-1])
-            a, b = np.searchsorted(cores, starts), np.searchsorted(cores, stops)
-            cols = cores[a[0] : b[0]] if a.size == 1 else cores[_spans(a, b)]
+        last = np.minimum(np.arange(step, run.size + step, step), run.size) - 1
+        starts, stops = plan.ranges(run[::step], run[last])
+        a, b = np.searchsorted(cores, starts), np.searchsorted(cores, stops)
+        for j, s in enumerate(range(0, run.size, step)):
+            cols = cores[_spans(a[j], b[j])]
             if cols.size:
+                block = run[s : s + step]
                 yield block, cols, plan.block(block, cols, stats) <= epsilon
 
 
@@ -857,21 +870,29 @@ def _join(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, near: np.ndarr
 def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Join the trees of ``a[i]`` and ``b[i]``: hook each larger root under
     the smaller, and let the roots just hooked jump among themselves to
-    their new roots, until every pair shares a root; then one gather points
-    every node at its root. Takes and leaves every node pointing at its
-    root. Every parent index is at most its node's, so any prefix of the
-    forest is a forest."""
+    their new roots, until every pair shares a root. A root hooked in one
+    round may point at a root that a later round hooks, so at the end all
+    the roots hooked in any round jump among themselves once more; then one
+    gather points every node at its root. Takes and leaves every node
+    pointing at its root. Every parent index is at most its node's, so any
+    prefix of the forest is a forest."""
     ra, rb = parent[a], parent[b]
-    hooked = False
+    hooked = []
     while (apart := ra != rb).any():
         high = np.maximum(ra[apart], rb[apart])
         low = np.minimum(ra[apart], rb[apart])
         np.minimum.at(parent, high, low)
+        hooked.append(high)
         # a hooked root's new parent is smaller, a root or hooked itself
         rb = parent[high]
         while not np.array_equal(up := parent[rb], rb):
             parent[high] = rb = up
-        ra, hooked = parent.take(low, out=low), True
+        ra = parent.take(low, out=low)
+    if len(hooked) > 1:
+        high = np.concatenate(hooked)
+        top = parent[high]
+        while not np.array_equal(up := parent[top], top):
+            parent[high] = top = up
     if hooked:
         parent[:] = parent[parent]
 

@@ -42,7 +42,7 @@ PLAN = core._plan
 
 def key_window(points, lo, hi, epsilon, shared, stats):
     """A stand-in for ``core._plan`` that always runs the key window."""
-    return core._KeyPlan(points, lo, hi)
+    return core._key_window(points, lo, hi)
 
 
 def group_bound(points, lo, hi, epsilon, shared, stats):
@@ -51,7 +51,7 @@ def group_bound(points, lo, hi, epsilon, shared, stats):
     either plan costs."""
     plan = PLAN(points, lo, hi, epsilon, shared, stats)
     groups = points._groups
-    return core._GroupPlan(groups, lo, hi, groups.candidates(epsilon)) if groups else plan
+    return core._GroupPlan(points, groups, lo, hi, groups.candidates(epsilon)) if groups else plan
 
 
 def brute_force_dbscan(x: np.ndarray, eps: float, min_pts: int,

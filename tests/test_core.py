@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -451,6 +453,25 @@ class TestPreparedPoints:
         assert stats.dbscan_invocations == 2
         assert first.labels.tolist() == second.labels.tolist() == [0] * 6
 
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_a_set_is_freed_with_its_last_reference(self, monkeypatch, n):
+        # a set holds its matrix (6 rows fit 50 cells) or its groups and
+        # its one-group layout (10 rows do not); were any of them to point
+        # back at the set, every searched set and its matrix would stay
+        # alive until the cycle collector ran
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 50)
+        points = PreparedPoints(np.c_[np.arange(float(n)), np.zeros(n)])
+        for eps in (1.0, 3.0):
+            dbscan(points, eps, 3)
+        assert (points._matrix is not None) == (n == 6) and (points._groups is not None) == (n == 10)
+        ref = weakref.ref(points)
+        gc.disable()
+        try:
+            del points
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_the_metric_must_be_the_prepared_one(self):
         with pytest.raises(ValueError, match="prepared for metric 'euclidean', not 'cosine'"):
             dbscan(PreparedPoints(np.ones((3, 2))), 1.0, 2, metric="cosine")
@@ -510,9 +531,31 @@ class TestGroupBound:
         # not pay for itself
         built = []
         monkeypatch.setattr(core, "_BLOCK_CELLS", 50)
-        monkeypatch.setattr(core, "_Groups", lambda *args: built.append(args))
+        monkeypatch.setattr(core, "_farthest_first", lambda *args: built.append(args))
         lab = dbscan(np.c_[np.arange(10.0), np.zeros(10)], 1.0, 3)
         assert lab.labels.tolist() == [0] * 10 and not built
+
+
+class TestUnion:
+    def test_a_root_hooked_in_an_earlier_round_reaches_the_new_root(self):
+        # round 1 hooks root 3 under 1 and root 2 under 0; round 2 hooks 1
+        # under 0. Node 4, a child of 3, must end at 0, not at 1
+        parent = np.array([0, 1, 2, 3, 3])
+        core._union(parent, np.array([3, 3, 2]), np.array([2, 1, 0]))
+        assert parent.tolist() == [0] * 5
+
+    def test_a_run_whose_joins_hook_roots_over_several_rounds(self, monkeypatch):
+        # in blocks of 50 cells this set joins a tree through roots hooked
+        # in different rounds of one _union call; a node left pointing at a
+        # hooked root was labelled as a second cluster of a run with one
+        x = np.array([[0, 4], [3, 4], [2, 1], [5, 0], [4, 5], [2, 5], [1, 0], [2, 4], [2, 4],
+                      [3, 2], [2, 1], [0, 4], [2, 3]], dtype=float)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 50)
+        expected = brute_force_dbscan(x, 1.5, 4)
+        for points in (x, PreparedPoints(x)):
+            lab = dbscan(points, 1.5, 4)
+            assert np.array_equal(lab.labels, expected)
+            assert lab.n_clusters == 1 and lab.labels.max() == 0
 
 
 class TestCounting:

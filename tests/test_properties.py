@@ -461,3 +461,21 @@ def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
         for lab in (runs["group"][i], runs["picked"][i]):
             assert np.array_equal(lab.labels, expected) and np.array_equal(lab.roles, key.roles), eps
             assert (lab.n_clusters, lab.n_noise) == (key.n_clusters, key.n_noise), eps
+
+
+@SETTINGS
+@given(data=st.data())
+def test_union_points_every_node_at_the_smallest_index_of_its_tree(data):
+    # a flat forest (each node at its tree's smallest index) joined along
+    # random pairs must be the flat forest of the joined trees
+    n = data.draw(st.integers(1, 40))
+    tree = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    parent = np.array([np.flatnonzero(tree == t)[0] for t in tree])
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    a, b = np.array([p for p, _ in pairs], dtype=np.intp), np.array([q for _, q in pairs], dtype=np.intp)
+    expected = parent.copy()
+    for p, q in pairs:  # merge the two trees by relabelling, one pair at a time
+        low, high = sorted((expected[p], expected[q]))
+        expected[expected == high] = low
+    core._union(parent, a, b)
+    assert parent.tolist() == expected.tolist()
