@@ -24,13 +24,14 @@ core rows with the core columns near them in a union-find forest over all
 N points, whose roots are each tree's smallest index. So a count that
 has reached ``min_pts`` no longer matters, and a pair of core points in
 one tree adds no join: a block meets its nearest columns first, itself and
-the max(``min_pts``, block rows) columns before it, and skips the far rest
-of its window once its rows and those far columns are all core in one
-tree (compare Gan & Tao, "DBSCAN Revisited: Mis-Claim, Un-Fixability, and
-Approximation", 2015, whose dense cells make points core without range
-queries). Until then the nearest chunk doubles, and a block whose far
-columns are not yet core in one tree meets its whole window at once. A
-pair seen while an end was not yet core is left out, and that end is
+the max(``min_pts``, block rows) columns before it (block rows at most
+``_block_rows(N)`` here, however many the block holds), and skips the far
+rest of its window once its rows and those far columns are all core in
+one tree (compare Gan & Tao, "DBSCAN Revisited: Mis-Claim, Un-Fixability,
+and Approximation", 2015, whose dense cells make points core without
+range queries). Until then the nearest chunk doubles, and a block whose
+far columns are not yet core in one tree meets its whole window at once.
+A pair seen while an end was not yet core is left out, and that end is
 late: it had a neighbour while not yet core. After the pass, unless the
 core points already form one tree, each late core point meets the core
 points in its window once more. The border pass then finds the core
@@ -55,17 +56,19 @@ prepared (each ternary search prepares its rows once), the first run that
 needs a block builds farthest-first groups, ceil(sqrt(N / 2)) centres with
 the radius of each group (Gonzalez, 1985). Each run then picks one of two
 plans before any block (``_plan``): the key window, or the group bound,
-in which the rows run in the order of their groups and a block of one
-group's rows meets only the columns of the groups whose centres lie within
-``epsilon`` plus both radii, each cut to the block's key window. On
-high-dimensional data, where one coordinate rules out few pairs, that is
-far fewer. A margin covers the kernel's rounding, so no pair within
+in which the rows run in the order of their groups, each group in the
+fewest blocks that fit one block's cells against the group's window, and
+a block of one group's rows meets only the columns of the groups whose
+centres lie within ``epsilon`` plus both radii, each cut to the block's
+key window. On high-dimensional data, where one coordinate rules out few
+pairs, that is far fewer. A margin covers the kernel's rounding, so no pair within
 ``epsilon`` is left out (``_Groups``). The plan with fewer cells, counting
 each block as ``_BLOCK_COST`` cells, runs. The key window is the same plan
 (``_GroupPlan``) with every row in one group, so the counts pass, its skip
 rule, the late re-check and the border pass are one code on either plan's
-columns. A matrix that ``dbscan`` prepares for its one run builds no
-groups.
+columns; the key window's blocks are ``_block_rows(N)`` sorted rows, laid
+out once per set. A matrix that ``dbscan`` prepares for its one run builds
+no groups.
 
 With one column the key ball is the ball itself, and a point's count is
 its run's length. The clusters are the runs of core points each within
@@ -134,7 +137,10 @@ class RunStats:
     builds the set's groups, once: each of its ceil(sqrt(N / 2)) centres at
     most against all N rows, N x D cells a centre. A run on the group plan
     computes its blocks against the kept groups' columns instead of the
-    key window's, counted the same way, rows x cols x D.
+    key window's, counted the same way, rows x cols x D; its blocks are
+    sized by their group's window, so they hold more rows at low D, and
+    the first nearest chunk of each holds at most max(``min_pts``,
+    ``_block_rows(N)``) columns before its rows.
     ``dbscan_invocations`` counts the runs, cached or not.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
@@ -341,7 +347,9 @@ class _Groups:
     row ``j`` exactly when ``pos[i]`` lies in ``[lo[pos[j]], hi[pos[j]]]``.
 
     With no ``group``, the set is one group, its sorted rows themselves,
-    whose blocks read the set's cached matrix: the key window. The groups
+    whose blocks read the set's cached matrix: the key window, whose
+    ``layout`` (each block's rows [s, e), one range a block) does not
+    depend on the radius and is built here once. The groups
     keep no reference to the set, which holds them, so a set is freed with
     its last reference rather than by the cycle collector. Otherwise
     ``group`` is each sorted row's group, and ``_farthest_first`` sets
@@ -385,20 +393,18 @@ class _Groups:
         if group is None:
             self.pos, self.x, self.order = np.arange(n), points.x, points.order
             self.key, self.sizes = self.pos, np.array([n])
+            # one group's window is all N rows at every radius, so its
+            # blocks are _block_rows(N) rows, laid out once per set
+            step = _block_rows(n)
+            s = np.arange(0, n, step)
+            self.layout = s, np.minimum(s + step, n), np.arange(s.size + 1)
         else:
+            self.layout = None
             self.pos = np.argsort(group, kind="stable")
             self.x, self.order = points.x[self.pos], points.order[self.pos]
             self.key = group[self.pos] * n + self.pos
             self.sizes = np.bincount(group)
         self.starts = np.concatenate(([0], np.cumsum(self.sizes)))
-        # each group in blocks of _block_rows(N) rows: block j holds the
-        # rows [s[j], e[j]) of group block_group[j]
-        step = _block_rows(n)
-        counts = -(-self.sizes // step)
-        self.block_group = group = np.repeat(np.arange(counts.size), counts)
-        first = np.cumsum(counts) - counts  # each group's first block
-        self.s = self.starts[group] + (np.arange(group.size) - first[group]) * step
-        self.e = np.minimum(self.s + step, self.starts[group + 1])
         self.radius = self.between = None
 
     def candidates(self, epsilon: float) -> np.ndarray:
@@ -454,30 +460,58 @@ def _farthest_first(points: PreparedPoints, stats: RunStats | None) -> _Groups:
 
 class _GroupPlan:
     """The rows of ``groups`` in the order of their groups, each group in
-    blocks of ``_block_rows(N)`` rows. A block of group A's rows [s, e)
-    meets the columns of the groups B < A that ``keep[A]`` keeps, and of A
-    up to e, each cut to the block's key window, as a few ranges. All of
-    them are found at once, before any block, and ``cost`` is the plan's
-    cells with no skipped columns, rows x window, plus ``_BLOCK_COST`` a
-    block. A set of rows of one group meets the kept groups on both sides,
-    cut the same way. On one group, with ``keep`` [[True]], this is the key
-    window: a block [s, e) of the sorted rows meets the columns [lo_s, e),
-    and a set of rows the columns from the key ball of its first row to
-    that of its last."""
+    the fewest blocks of equal rows that fit ``_BLOCK_CELLS`` against the
+    group's whole window (the last block may hold fewer). A block of group
+    A's rows [s, e) meets the columns of the groups B < A that ``keep[A]``
+    keeps, and of A up to e, each cut to the block's key window, as a few
+    ranges. All of them are found at once, before any block, and ``cost``
+    is the plan's cells with no skipped columns, rows x window, plus
+    ``_BLOCK_COST`` a block. A block's window lies in its group's, so the
+    block fits, unless it is one row. A set of rows of one group meets the
+    kept groups on both sides, cut the same way. On one group, with
+    ``keep`` [[True]], this is the key window: the group's window is all N
+    rows, so a block is ``_block_rows(N)`` sorted rows [s, e), laid out
+    once per set, and meets the columns [lo_s, e); a set of rows meets the
+    columns from the key ball of its first row to that of its last."""
 
     def __init__(self, points: PreparedPoints, groups: _Groups, lo: np.ndarray, hi: np.ndarray,
                  keep: np.ndarray):
         self.points, self.groups, self.lo, self.hi, self.keep = points, groups, lo, hi, keep
-        self.order, self.s, self.e = groups.order, groups.s, groups.e
-        # each block's kept groups B <= A, ascending, A last
-        block, kept = np.nonzero(keep[groups.block_group])
-        below = kept <= groups.block_group[block]
-        block, kept = block[below], kept[below]
-        self.bounds = np.searchsorted(block, np.arange(self.s.size + 1))
+        self.order = groups.order
+        if groups.layout is not None:
+            self.s, self.e, self.bounds = groups.layout
+            self.first, self.stop = lo[self.s], self.e
+            self.cost = int(np.dot(self.e - self.s, self.e - self.first))
+        else:
+            self._size_blocks()
+        self.cost += _BLOCK_COST * self.s.size
+
+    def _size_blocks(self) -> None:
+        """Each group's blocks, sized by the group's window, and each
+        block's ranges; sets ``cost`` to the cells they plan."""
+        g = self.groups
+        # each group's kept groups B <= A, ascending, A last (a group always
+        # keeps itself), in the key window of the whole group
+        group, kept = np.nonzero(np.tril(self.keep))
+        bounds = np.searchsorted(group, np.arange(g.sizes.size + 1))
+        heads, ends = bounds[:-1], bounds[1:]
+        first, stop = self._window(kept, g.starts[group], g.starts[group + 1] - 1)
+        stop[ends - 1] = g.starts[1:]
+        step = np.maximum(1, _BLOCK_CELLS // np.add.reduceat(stop - first, heads))
+        counts = -(-g.sizes // step)
+        # block j holds the rows [s[j], e[j]) of group block_group[j], and
+        # meets that group's kept groups
+        block_group = np.repeat(np.arange(counts.size), counts)
+        nth = np.arange(block_group.size) - (np.cumsum(counts) - counts)[block_group]
+        self.s = g.starts[block_group] + nth * step[block_group]
+        self.e = np.minimum(self.s + step[block_group], g.starts[block_group + 1])
+        pairs = (ends - heads)[block_group]
+        self.bounds = np.concatenate(([0], np.cumsum(pairs)))
+        block = np.repeat(np.arange(block_group.size), pairs)
+        kept = kept[_spans(heads[block_group], ends[block_group])]
         self.first, self.stop = self._window(kept, self.s[block], self.e[block] - 1)
-        own = self.bounds[1:] - 1
-        self.stop[own] = self.e
-        self.cost = int(np.dot((self.e - self.s)[block], self.stop - self.first)) + _BLOCK_COST * self.s.size
+        self.stop[self.bounds[1:] - 1] = self.e
+        self.cost = int(np.dot((self.e - self.s)[block], self.stop - self.first))
 
     def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
         """The kernel of the rows ``rows`` of ``groups.x`` against ``cols``:
@@ -650,14 +684,21 @@ def _plan(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: float
     return group if group.cost < key.cost else key
 
 
-# What one block costs beyond its cells, in cells, in _plan's choice. On a
-# 2-core host a block took about 80-110 us beyond its cells, and a cell
-# 3.5-8 ns at D = 2 to 16. Timed over the probes of every ternary search of
-# `tune` on the benchmark's blobs16 and blobs2-large sets (euclidean,
-# manhattan and cosine), each plan per probe, the choice by cells alone
-# took 1310 ms in all against 1211 ms for the faster plan of each probe,
-# and 1300 ms with 20,000 here; 10,000 to 25,000 gave 1301-1306 ms, and
-# 40,000 1350 ms, as the groups lost the 2000 x 4 sets.
+# What one block costs beyond its cells, in cells, in _plan's choice. With
+# each group in blocks sized by its window, a least-squares fit over the
+# probes below gave about 71 us a block and 2.6 + 0.37 D ns a cell on a
+# 2-core host: 21,000 cells at D = 2, 8,000 at D = 16. Timed over the 192
+# probes on grouped sets of `tune`'s searches and `tse`'s lower bound and
+# final clustering on the benchmark's blobs16 and blobs2-large sets at
+# seeds 0 and 5 (euclidean, manhattan and cosine), each plan per probe,
+# the choice by cells alone took 1149 and 1131 ms against 1071 and 1108 ms
+# for the faster plan of each probe, and 1127 and 1125 ms with 20,000
+# here; 10,000 gave 1146 and 1132 ms, 25,000 1133 and 1120 ms, and 40,000
+# 1204 and 1187 ms, as the key window ran and lost on the 2000 x 4 sets.
+# Planned cells do not see the skip rule, which on the one-cluster cosine
+# 8000 x 2 set at seed 0 cuts the key window to 0.09 of its cells and the
+# groups to 0.28, so there the groups are picked and lose (15 against 12
+# ms a probe)
 _BLOCK_COST = 20_000
 
 
@@ -665,13 +706,15 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
     """The counts pass and the late re-check on the rows of ``plan`` (see
     ``_GroupPlan``). Each block [s, e) of the counts pass meets its window:
     its own rows and the columns before them that the plan keeps. It meets
-    the nearest chunk of its window first and stops once its rows and the
-    columns left are core in one tree. Returns the
-    core mask, the forest of the core components (each core point's root is
-    its tree's smallest index), and the border blocks: each non-core row
-    with a neighbour against the core points in its window (see
-    ``_core_blocks``)."""
+    the nearest chunk of its window first, at first at most
+    ``_block_rows(N)`` columns before the rows however many rows the block
+    holds, and stops once its rows and the columns left are core in one
+    tree. Returns the core mask, the forest of the core components (each
+    core point's root is its tree's smallest index), and the border blocks:
+    each non-core row with a neighbour against the core points in its
+    window (see ``_core_blocks``)."""
     n = plan.order.size
+    nearest = _block_rows(n)
     # distances are symmetric bit for bit, so the rows [s, e) meet only
     # columns before e: the row sums count their neighbours there, and the
     # column sums give the columns before s their neighbours in [s, e)
@@ -685,13 +728,16 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
         # row s is at position p of the block's window
         p = window.size - (e - s)
         # the block meets its nearest columns first, from position c on:
-        # itself and the max(min_pts, e - s) columns before it. Counts
+        # itself and the max(min_pts, min(e - s, _block_rows(N))) columns
+        # before it: a key-window block, of _block_rows(N) rows at most,
+        # meets as many columns as it has rows, and a larger one no more,
+        # or it would compute the far columns its skip leaves out. Counts
         # matter only until a point is core, and a pair of core points in one
         # tree adds no join, so once the rows and the far columns before c
         # are core in one tree, those columns can change nothing. Until then
         # the chunk before the rows doubles; a block whose far columns are
         # not core in one tree meets its whole window at once
-        c = max(0, p - max(min_pts, e - s))
+        c = max(0, p - max(min_pts, min(e - s, nearest)))
         if c > 0:
             first, end = window[0], window[c - 1]
             if not (core[first] and parent[end] == parent[first]
@@ -779,7 +825,9 @@ def _one_column(lo: np.ndarray, hi: np.ndarray, min_pts: int):
 def _ball_ends(key: np.ndarray, epsilon: float, metric: str, stats: RunStats | None) -> np.ndarray:
     """The last row within ``epsilon`` of each row of the ascending ``key``.
     The kernel grows with the gap in sorted order, so one call checks a
-    guess from the keys alone on its pair and on the next row's. A row that
+    guess from the keys alone, the rows whose gap is at most the gap at
+    which the kernel reaches ``epsilon`` (sqrt(2 epsilon) under cosine,
+    where it is gap^2 / 2), on its pair and on the next row's. A row that
     either check refutes searches the bracket [a, b) they leave, a near and
     b far or n: it gallops from the guess in doubling steps until a probe
     lands past the end, then halves, in O(log N) checks, one call a round
@@ -787,8 +835,9 @@ def _ball_ends(key: np.ndarray, epsilon: float, metric: str, stats: RunStats | N
     equal keys, which are equally far. A sum or gap that overflows is inf,
     as cdist's difference of the pair is, and warns of nothing."""
     n = key.size
+    reach = math.sqrt(2.0 * epsilon) if metric == "cosine" else epsilon
     with np.errstate(over="ignore"):
-        hi = np.searchsorted(key, key + epsilon, side="right") - 1
+        hi = np.searchsorted(key, key + reach, side="right") - 1
         on = np.flatnonzero(hi < n - 1)  # the rows with a row past the guess
         near = _gap_kernel(np.concatenate((key - key[hi], key[on] - key[hi[on] + 1])), metric, stats) <= epsilon
         back, ahead = np.flatnonzero(~near[:n]), on[near[on] & near[n:]]

@@ -94,17 +94,23 @@ def cond(bounds: SearchBounds, m_l: float, m_r: float, k_l: int, k_r: int) -> Se
     return SearchBounds(m_l, bounds.upper)
 
 
-def _prober(x: np.ndarray, cfg: TuneConfig, stats: RunStats | None):
-    """The k(eps) probe of the validated rows ``x``, which are prepared once
-    for every radius it is called at. Under cosine, rows with no direction
-    (a dimension subsample may zero them out) have no angle, and count as
+def _prober(x, cfg: TuneConfig, stats: RunStats | None):
+    """The k(eps) probe of the rows ``x``, a matrix prepared here once for
+    every radius the probe is called at, or a :class:`PreparedPoints` of
+    ``cfg.metric``. Under cosine, rows of a matrix with no direction (a
+    dimension subsample may zero them out) have no angle, and count as
     noise at every radius."""
-    n = len(x)
-    if cfg.metric == "cosine":
-        x = x[_has_direction(x)]
-    if not len(x):
-        return lambda epsilon: CurveSample(epsilon, 0, 1.0)
-    points = PreparedPoints(x, cfg.metric)
+    if isinstance(x, PreparedPoints):
+        points = x
+        n = len(points)
+    else:
+        x = validate_points(x)
+        n = len(x)
+        if cfg.metric == "cosine":
+            x = x[_has_direction(x)]
+        if not len(x):
+            return lambda epsilon: CurveSample(epsilon, 0, 1.0)
+        points = PreparedPoints(x, cfg.metric)
 
     def probe(epsilon: float) -> CurveSample:
         labeling = dbscan(points, epsilon, cfg.min_pts, metric=cfg.metric, stats=stats)
@@ -124,9 +130,11 @@ def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
     never empties. If no pair was probed, it warns and returns the
     interval's midpoint. So at most 2*itr DBSCAN probes, and whenever one
     ran the result lies strictly inside the initial bounds.
-    Under cosine, rows with no direction (zero rows) count as noise.
+    ``x`` is a matrix, or a :class:`PreparedPoints` of ``cfg.metric`` that
+    the probes share, as ``dbscan`` takes. Under cosine, rows of a matrix
+    with no direction (zero rows) count as noise.
     """
-    probe = _prober(validate_points(x), cfg, stats)
+    probe = _prober(x, cfg, stats)
     mid = None
     for _ in range(cfg.itr):
         m_l = (2 * bounds.lower + bounds.upper) / 3
@@ -188,12 +196,16 @@ def _resolve_bounds(x: np.ndarray, cfg: TuneConfig, stats: RunStats | None) -> S
 
 
 def _tune(x, cfg: TuneConfig, stats: RunStats | None, final_stage) -> tuple[float, Labeling]:
-    """Bounds, then ``final_stage`` inside them, then an uncounted clustering at the result."""
+    """Bounds, then ``final_stage(x, points, bounds, cfg, stats)`` inside
+    them, with ``points`` the rows prepared once, then an uncounted
+    clustering of ``points`` at the result, which reuses whatever the
+    final stage's probes built on them (a matrix or groups)."""
     x = validate_points(x)
     if len(x) < cfg.min_pts:
         raise ValueError(f"need at least min_pts={cfg.min_pts} points, got {len(x)}")
-    epsilon = final_stage(x, _resolve_bounds(x, cfg, stats), cfg, stats)
-    return epsilon, dbscan(x, epsilon, cfg.min_pts, metric=cfg.metric)
+    points = PreparedPoints(x, cfg.metric)
+    epsilon = final_stage(x, points, _resolve_bounds(x, cfg, stats), cfg, stats)
+    return epsilon, dbscan(points, epsilon, cfg.min_pts, metric=cfg.metric)
 
 
 def ts_clustering(x, cfg: TuneConfig, stats: RunStats | None = None) -> tuple[float, Labeling]:
@@ -201,9 +213,10 @@ def ts_clustering(x, cfg: TuneConfig, stats: RunStats | None = None) -> tuple[fl
 
     Three ternary searches (upper bound, lower bound, final) cost at most
     6*itr DBSCAN probes, fewer only when an interval collapses to float
-    resolution; the returned labeling is one extra run at the tuned radius.
+    resolution; the returned labeling is one extra run at the tuned radius,
+    on the prepared set the final search probed.
     """
-    return _tune(x, cfg, stats, ternary_search)
+    return _tune(x, cfg, stats, lambda x, points, *search: ternary_search(points, *search))
 
 
 def tse_estimate(x, bounds: SearchBounds, cfg: TuneConfig,
@@ -226,5 +239,7 @@ def tse_estimate(x, bounds: SearchBounds, cfg: TuneConfig,
 
 
 def tse_clustering(x, cfg: TuneConfig, stats: RunStats | None = None) -> tuple[float, Labeling]:
-    """Like ts_clustering but with the subsampled estimator as the final stage."""
-    return _tune(x, cfg, stats, tse_estimate)
+    """Like ts_clustering but with the subsampled estimator as the final
+    stage, whose probes run on subsamples; the final clustering runs on the
+    full rows, prepared for it."""
+    return _tune(x, cfg, stats, lambda x, points, *search: tse_estimate(x, *search))

@@ -498,6 +498,34 @@ class TestGroupBound:
                 assert np.array_equal(lab.labels, expected), (eps, plan)
         assert len(points._groups.sizes) == 5
 
+    def test_each_group_takes_the_fewest_blocks_its_window_allows(self, monkeypatch):
+        # the 45 collinear rows above, over a budget of 300 cells. Farthest-
+        # first from 0 takes 71, then 32 (32 from 0, 39 from 71), then 16
+        # (16 from both 0 and 32, before 55), then 55 (16 from 71); each row
+        # joins its nearest centre, a tie the earlier one. So the groups of
+        # the centres 0, 71, 32, 16 and 55 hold 0-8 (7 rows with the copy of
+        # 0), 70-71 (2), 27-43 (11 with the copy of 29), 9-21 (11 with the
+        # copy of 15) and 44-62 (14 with the copies of 45 and 61). At eps 71
+        # every row is within eps of every other, every pair of groups is
+        # kept, and group A's window holds the rows of the groups before it
+        # and its own: 7, 9, 20, 31 and 45 columns. So each group takes
+        # blocks of 300 // window rows: 42, 33, 15, 9 and 6, and the groups
+        # split into 1, 1, 1, 2 (9 + 2) and 3 (6 + 6 + 2) blocks: 8, where
+        # blocks of _block_rows(45) = 6 rows would take 2, 1, 2, 2 and 3
+        line = np.array([0, 1, 2, 3, 5, 8, 9, 10, 11, 15, 16, 17, 18, 19, 20, 21, 27, 28, 29, 30,
+                         31, 32, 40, 41, 42, 43, 44, 45, 46, 47, 55, 56, 57, 58, 59, 60, 61, 62, 70, 71.0])
+        x = np.c_[np.r_[line, line[::9]], np.zeros(45)]
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 300)
+        plans = []
+        monkeypatch.setattr(core, "_plan", lambda *args: plans.append(group_bound(*args)) or plans[-1])
+        points = PreparedPoints(x)
+        lab = dbscan(points, 71.0, 4)
+        assert np.array_equal(lab.labels, brute_force_dbscan(x, 71.0, 4))
+        assert points._groups.sizes.tolist() == [7, 2, 11, 11, 14]
+        (plan,) = plans
+        assert (plan.e - plan.s).tolist() == [7, 2, 11, 9, 2, 6, 6, 2]
+        assert all((e - s) * window.size <= 300 for s, e, window in plan.blocks())
+
     def test_the_build_counts_its_cells_once(self, monkeypatch):
         # the points 0, ..., 9 beside a zero column, over a budget of 50
         # cells: N^2 = 100 does not fit, so the first run builds the groups.

@@ -427,7 +427,11 @@ def test_searches_read_the_cached_matrix_as_they_would_compute_it(metric, data):
 @given(data=st.data())
 def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
     # a budget of a few cells puts N^2 over one block from N = 3 on, so a
-    # prepared set builds its groups at its first run. The key window, the
+    # prepared set builds its groups at its first run; at 1, 3 and 7 cells
+    # a group takes a block a row, at 50 a small group fits one block and a
+    # larger one needs several, and at 200 (N >= 15) every group fits one
+    # block. Every group-plan block fits the budget unless it is one row.
+    # The key window, the
     # group bound and the plan dbscan picks run on the same set, with
     # duplicate rows, at every exact pairwise kernel value (the closed
     # ball's edge, where the triangle inequality of collinear rows is
@@ -444,14 +448,21 @@ def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
         x = x * data.draw(st.sampled_from([1.0, 1e-300, 1e300]))
     min_pts = data.draw(st.integers(2, len(x) + 1))
     radii = data.draw(st.lists(st.sampled_from(edge_radii(x, metric)), min_size=1, max_size=8))
-    cells = data.draw(st.sampled_from([1, 3, 7]))
-    runs = {}
+    cells = data.draw(st.sampled_from([1, 3, 7, 50, 200]))
+    runs, plans = {}, []
+
+    def recorded(*args):
+        plans.append(group_bound(*args))
+        return plans[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_CELLS", cells)
         points = PreparedPoints(x, metric)
-        for name, plan in (("key", key_window), ("group", group_bound), ("picked", PLAN)):
+        for name, plan in (("key", key_window), ("group", recorded), ("picked", PLAN)):
             mp.setattr(core, "_plan", plan)
             runs[name] = [dbscan(points, eps, min_pts, metric) for eps in radii]
+    for plan in plans:
+        assert all(e - s == 1 or (e - s) * window.size <= cells for s, e, window in plan.blocks())
     top = np.abs(points.x).max()
     assert bool(points._groups) == (len(x) ** 2 > cells and 2.0 ** -450 <= top <= 2.0 ** 450)
     for i, eps in enumerate(radii):

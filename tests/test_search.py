@@ -8,6 +8,7 @@ import tsdbscan.core
 import tsdbscan.search
 from tsdbscan import (
     CurveSample,
+    PreparedPoints,
     RunStats,
     SearchBounds,
     TuneConfig,
@@ -113,6 +114,22 @@ class TestTernarySearch:
             stats = RunStats()
             assert 0.0 < ternary_search(points, SearchBounds(0.0, 1.5), cfg, stats) < 1.5
             assert stats.dbscan_invocations == 2 * cfg.itr
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    def test_a_prepared_set_searches_as_its_matrix(self, metric):
+        # ternary_search takes a prepared set as dbscan does: the same
+        # probes, so the same radius and counters; a set prepared for
+        # another metric is refused
+        x = np.random.default_rng(3).random((60, 3)) + 0.1
+        cfg = TuneConfig(min_pts=4, itr=4, metric=metric)
+        bounds = SearchBounds(0.0, 1.0)
+        on_matrix, on_set = RunStats(), RunStats()
+        assert ternary_search(PreparedPoints(x, metric), bounds, cfg, on_set) == \
+            ternary_search(x, bounds, cfg, on_matrix)
+        assert on_set == on_matrix and on_set.dbscan_invocations == 2 * cfg.itr
+        other = "euclidean" if metric != "euclidean" else "manhattan"
+        with pytest.raises(ValueError, match="prepared for metric"):
+            ternary_search(PreparedPoints(x, other), bounds, cfg)
 
     def test_a_small_search_computes_its_matrix_once(self, monkeypatch):
         # the points 0, 1, ..., 9 beside a zero column: N^2 = 100 cells fit
@@ -271,6 +288,30 @@ class TestTsClustering:
         stats = RunStats()
         ts_clustering(x, cfg, stats)
         assert stats.dbscan_invocations == 6 * cfg.itr
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    @pytest.mark.parametrize("tune", [ts_clustering, tse_clustering])
+    def test_the_final_clustering_is_the_run_on_the_matrix(self, monkeypatch, tune, metric):
+        # over a budget of 1000 cells the 120 x 3 rows (14400 cells) build
+        # groups wherever a caller prepared them: the final search's set,
+        # whose groups the final clustering of ts_clustering reuses, and
+        # the set tse_clustering prepares for its final clustering. The
+        # row subsets of the upper bound and of TSE (24 rows) cache their
+        # matrix, and the projections onto ceil(0.2 * 3) = 1 dimension need
+        # no block, so each pipeline builds once. The final clustering runs
+        # uncounted: the counters hold the searches' probes alone
+        monkeypatch.setattr(tsdbscan.core, "_BLOCK_CELLS", 1000)
+        build, builds = tsdbscan.core._farthest_first, []
+        monkeypatch.setattr(tsdbscan.core, "_farthest_first", lambda *args: builds.append(1) or build(*args))
+        x, _ = synth_blobs(4, 30, 3, 20.0, 0)
+        cfg = TuneConfig(min_pts=4, itr=4, m=3, seed=0, metric=metric)
+        stats = RunStats()
+        eps, lab = tune(x, cfg, stats)
+        expected = dbscan(x, eps, cfg.min_pts, metric=metric)
+        assert np.array_equal(lab.labels, expected.labels) and np.array_equal(lab.roles, expected.roles)
+        assert len(builds) == 1
+        probes = 6 * cfg.itr if tune is ts_clustering else 4 * cfg.itr + 2 * cfg.itr * cfg.m
+        assert stats.dbscan_invocations == probes
 
     def test_underflowing_distances_warn_of_a_zero_diameter_bound(self):
         # distinct points, but every distance between them underflows to 0;

@@ -6,9 +6,11 @@ less than it did."""
 import importlib
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from scipy.spatial.distance import cdist
 
 from tsdbscan import core
 from tsdbscan.cli import main
@@ -117,16 +119,31 @@ def test_traced_group_builds_pass_the_counter_check(tmp_path, monkeypatch):
     # its 90 x 2 projection of the lower bound (8100 cells each) no longer
     # fit one block, so the first probe of each search builds the set's
     # groups inside its traced dbscan: ceil(sqrt(90 / 2)) = 7 centres, each
-    # a 1 x 90 kernel block, counted in that run. The 18-row subsets of the
-    # upper bound and of TSE (324 cells) still cache their matrix
+    # a 1 x 90 kernel block, counted in that run. The final clustering of
+    # tune reuses the final search's set and builds nothing; that of tse
+    # prepares the 90 x 8 rows once more and builds its 7 centres inside
+    # the uncounted final-clustering span, which the counter check leaves
+    # out. The 18-row subsets of the upper bound and of TSE (324 cells)
+    # still cache their matrix. The tracer wraps the kernel recorded here,
+    # so the k-th kernel span is the k-th call recorded
     monkeypatch.setattr(core, "_BLOCK_CELLS", 1000)
+    shapes = []
+
+    def recorded(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return cdist(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(core, "cdist", recorded)
     commands = {"tune": ["--itr", 2], "tse": ["--itr", 2, "--m", 2]}
     tracing, spans, reports = traced(tmp_path, commands)
     assert reports["tune"]["dbscan_invocations"] == 6 * 2
     assert reports["tse"]["dbscan_invocations"] == 4 * 2 + 2 * 2 * 2
-    builds = [attrs for name, parent, _, _, attrs in spans
-              if name == "core.distance" and spans[parent][0] == "core.dbscan" and attrs in ((90, 8), (90, 2))]
-    # tune builds for its lower bound and its final search, tse for its lower bound
-    assert sorted(builds) == [(90, 2)] * 14 + [(90, 8)] * 7
+    command, stage, _ = tracing._annotate(spans)
+    kernels = [i for i, span in enumerate(spans) if span[0] == "core.distance"]
+    assert len(kernels) == len(shapes)
+    builds = Counter((command[i], stage[spans[i][1]], b[1]) for i, (a, b) in zip(kernels, shapes)
+                     if a[0] == 1 and b[0] == 90 and spans[spans[i][1]][0] == "core.dbscan")
+    assert builds == {("cli.tune", "search.lower_bound", 2): 7, ("cli.tune", "search.final_search", 8): 7,
+                      ("cli.tse", "search.lower_bound", 2): 7, ("cli.tse", "search.final_clustering", 8): 7}
     checks = tracing.counter_check(spans, reports)
     assert len(checks) == len(commands) and all(ok for _, ok, _ in checks), checks
