@@ -54,21 +54,21 @@ run computes its whole distance matrix, and every block of every run on
 it is a slice or a gather of that matrix. Otherwise, on a set a caller
 prepared (each ternary search prepares its rows once), the first run that
 needs a block builds farthest-first groups, ceil(sqrt(N / 2)) centres with
-the radius of each group (Gonzalez, 1985). Each run then picks one of two
-plans before any block (``_plan``): the key window, or the group bound,
-in which the rows run in the order of their groups, each group in the
-fewest blocks that fit one block's cells against the group's window, and
-a block of one group's rows meets only the columns of the groups whose
-centres lie within ``epsilon`` plus both radii, each cut to the block's
-key window. On high-dimensional data, where one coordinate rules out few
-pairs, that is far fewer. A margin covers the kernel's rounding, so no pair within
-``epsilon`` is left out (``_Groups``). The plan with fewer cells, counting
-each block as ``_BLOCK_COST`` cells, runs. The key window is the same plan
-(``_GroupPlan``) with every row in one group, so the counts pass, its skip
-rule, the late re-check and the border pass are one code on either plan's
-columns; the key window's blocks are ``_block_rows(N)`` sorted rows, laid
-out once per set. A matrix that ``dbscan`` prepares for its one run builds
-no groups.
+the radius of each group (Gonzalez, 1985), unless its scale rules them
+out (``_Groups``). Every run on a set with groups runs the group bound
+(``_plan``), in which the rows run in the order of their groups, each
+group in the fewest blocks that fit one block's cells against the
+group's window, and a block of one group's rows meets only the columns
+of the groups whose centres lie within ``epsilon`` plus both radii, each
+cut to the block's key window. On high-dimensional data, where one
+coordinate rules out few pairs, that is far fewer. A margin covers the
+kernel's rounding, so no pair within ``epsilon`` is left out. Every other
+run, on a matrix that ``dbscan`` prepares for its one run (which builds
+no groups) or on a set with no groups, runs the key window. That is the
+same plan (``_GroupPlan``) with every row in one group, so the counts
+pass, its skip rule, the late re-check and the border pass are one code
+on either plan's columns; the key window's blocks are ``_block_rows(N)``
+sorted rows, laid out once per set.
 
 With one column the key ball is the ball itself, and a point's count is
 its run's length. The clusters are the runs of core points each within
@@ -284,7 +284,7 @@ class PreparedPoints:
     gather of it: the same values bit for bit, because each kernel value
     depends on its pair alone. Otherwise, on a set a caller prepared for
     many runs, that first run builds the set's farthest-first groups
-    (``_farthest_first``), counted in its ``stats``, and every run may probe
+    (``_farthest_first``), counted in its ``stats``, and every run probes
     through them (``_plan``). One column needs no block.
     """
 
@@ -430,8 +430,9 @@ def _farthest_first(points: PreparedPoints, stats: RunStats | None) -> _Groups:
     n = len(x)
     kernel = "manhattan" if points.metric == "manhattan" else "euclidean"
     # ceil(sqrt(N / 2)) groups: each is one block or more, so fewer
-    # groups run fewer blocks, and too few prune little. Over the probes
-    # timed for _BLOCK_COST, the group plan took 1.1-1.3x as long with
+    # groups run fewer blocks, and too few prune little. Over the probes on
+    # grouped sets of tune's and tse's searches on the 2000 x 16 and
+    # 8000 x 2 blob sets, the group plan took 1.1-1.3x as long with
     # ceil(sqrt(N)) groups at D <= 16, and ceil(sqrt(N / 8)), 16 groups
     # for 20 blobs at N = 2000, took 2.8-5.7x as long at D >= 13
     most = math.isqrt((n - 1) // 2) + 1
@@ -464,11 +465,10 @@ class _GroupPlan:
     group's whole window (the last block may hold fewer). A block of group
     A's rows [s, e) meets the columns of the groups B < A that ``keep[A]``
     keeps, and of A up to e, each cut to the block's key window, as a few
-    ranges. All of them are found at once, before any block, and ``cost``
-    is the plan's cells with no skipped columns, rows x window, plus
-    ``_BLOCK_COST`` a block. A block's window lies in its group's, so the
-    block fits, unless it is one row. A set of rows of one group meets the
-    kept groups on both sides, cut the same way. On one group, with
+    ranges, all found at once, before any block. A block's window lies in
+    its group's, so the block fits, unless it is one row. A set of rows of
+    one group meets the kept groups on both sides, cut the same way. A set
+    with groups always runs this plan on them (``_plan``). On one group, with
     ``keep`` [[True]], this is the key window: the group's window is all N
     rows, so a block is ``_block_rows(N)`` sorted rows [s, e), laid out
     once per set, and meets the columns [lo_s, e); a set of rows meets the
@@ -481,14 +481,12 @@ class _GroupPlan:
         if groups.layout is not None:
             self.s, self.e, self.bounds = groups.layout
             self.first, self.stop = lo[self.s], self.e
-            self.cost = int(np.dot(self.e - self.s, self.e - self.first))
         else:
             self._size_blocks()
-        self.cost += _BLOCK_COST * self.s.size
 
     def _size_blocks(self) -> None:
         """Each group's blocks, sized by the group's window, and each
-        block's ranges; sets ``cost`` to the cells they plan."""
+        block's ranges."""
         g = self.groups
         # each group's kept groups B <= A, ascending, A last (a group always
         # keeps itself), in the key window of the whole group
@@ -511,7 +509,6 @@ class _GroupPlan:
         kept = kept[_spans(heads[block_group], ends[block_group])]
         self.first, self.stop = self._window(kept, self.s[block], self.e[block] - 1)
         self.stop[self.bounds[1:] - 1] = self.e
-        self.cost = int(np.dot((self.e - self.s)[block], self.stop - self.first))
 
     def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
         """The kernel of the rows ``rows`` of ``groups.x`` against ``cols``:
@@ -588,9 +585,10 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     once with the kernel on pairs of keys, each one cell at D = 1 in
     ``stats``, and each block of rows meets only the columns in its rows'
     runs, and of those only the nearest once the rest can change nothing.
-    On a prepared set too large for one block, a run may instead take the
-    rows by farthest-first group, each block meeting only the groups it can
-    reach (see ``_plan``); labels, roles and counts are the same either way.
+    On a prepared set too large for one block, a run instead takes the rows
+    by farthest-first group where the scale allows, each block meeting only
+    the groups it can reach (see ``_plan``); labels, roles and counts are
+    the same either way.
     With one column the run is the ball, so no distance block is computed.
     The labeling knows its cluster and noise counts at once, and numbers
     ``labels`` and ``roles`` only when one of them is first read.
@@ -669,37 +667,14 @@ def _label_points(order: np.ndarray, core: np.ndarray, parent: np.ndarray, first
 
 def _plan(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: float, shared: bool,
           stats: RunStats | None):
-    """The plan of a run's blocks, picked before any block: the key window,
-    or, on a set a caller prepared whose N^2 exceeds one block, the group
-    bound where it plans fewer cells, each block counted as
-    ``_BLOCK_COST`` cells more. The cells planned are those of the counts
-    pass with no skipped columns: rows x the key window, or rows x the
-    ranges of the kept groups (see ``_GroupPlan``), by the same rule."""
-    key = _key_window(points, lo, hi)
+    """The plan of a run's blocks, one per run: the group bound on a set a
+    caller prepared whose N^2 exceeds one block and whose scale allows
+    groups (``PreparedPoints._grouping``), else the key window."""
     n = len(points)
     groups = points._grouping(stats) if shared and n * n > _BLOCK_CELLS else None
     if groups is None:
-        return key
-    group = _GroupPlan(points, groups, lo, hi, groups.candidates(epsilon))
-    return group if group.cost < key.cost else key
-
-
-# What one block costs beyond its cells, in cells, in _plan's choice. With
-# each group in blocks sized by its window, a least-squares fit over the
-# probes below gave about 71 us a block and 2.6 + 0.37 D ns a cell on a
-# 2-core host: 21,000 cells at D = 2, 8,000 at D = 16. Timed over the 192
-# probes on grouped sets of `tune`'s searches and `tse`'s lower bound and
-# final clustering on the benchmark's blobs16 and blobs2-large sets at
-# seeds 0 and 5 (euclidean, manhattan and cosine), each plan per probe,
-# the choice by cells alone took 1149 and 1131 ms against 1071 and 1108 ms
-# for the faster plan of each probe, and 1127 and 1125 ms with 20,000
-# here; 10,000 gave 1146 and 1132 ms, 25,000 1133 and 1120 ms, and 40,000
-# 1204 and 1187 ms, as the key window ran and lost on the 2000 x 4 sets.
-# Planned cells do not see the skip rule, which on the one-cluster cosine
-# 8000 x 2 set at seed 0 cuts the key window to 0.09 of its cells and the
-# groups to 0.28, so there the groups are picked and lose (15 against 12
-# ms a probe)
-_BLOCK_COST = 20_000
+        return _key_window(points, lo, hi)
+    return _GroupPlan(points, groups, lo, hi, groups.candidates(epsilon))
 
 
 def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):

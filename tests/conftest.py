@@ -36,22 +36,15 @@ def brute_force_distances(x: np.ndarray, metric: str = "euclidean") -> np.ndarra
     raise ValueError(f"unknown metric {metric!r}")
 
 
-# the plan choice of a dbscan run, for the two stand-ins below
+# the plan of a dbscan run, kept here so a test that patches core._plan
+# can still run or record it: the group bound wherever the set has groups
 PLAN = core._plan
 
 
 def key_window(points, lo, hi, epsilon, shared, stats):
-    """A stand-in for ``core._plan`` that always runs the key window."""
+    """A stand-in for ``core._plan`` that always runs the key window, the
+    reference run on a set with groups."""
     return core._key_window(points, lo, hi)
-
-
-def group_bound(points, lo, hi, epsilon, shared, stats):
-    """A stand-in for ``core._plan`` that runs the group bound wherever the
-    set has groups (it builds them where ``core._plan`` would), whatever
-    either plan costs."""
-    plan = PLAN(points, lo, hi, epsilon, shared, stats)
-    groups = points._groups
-    return core._GroupPlan(points, groups, lo, hi, groups.candidates(epsilon)) if groups else plan
 
 
 def brute_force_dbscan(x: np.ndarray, eps: float, min_pts: int,

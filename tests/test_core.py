@@ -19,7 +19,7 @@ from tsdbscan import (
 )
 from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE, KCurve, validate_points
 
-from conftest import PLAN, brute_force_dbscan, distance, group_bound, key_window
+from conftest import PLAN, brute_force_dbscan, distance, key_window
 
 
 class TestDistance:
@@ -455,8 +455,9 @@ class TestPreparedPoints:
 
     @pytest.mark.parametrize("n", [6, 10])
     def test_a_set_is_freed_with_its_last_reference(self, monkeypatch, n):
-        # a set holds its matrix (6 rows fit 50 cells) or its groups and
-        # its one-group layout (10 rows do not); were any of them to point
+        # a set holds its matrix and its one-group layout (6 rows fit 50
+        # cells) or its groups, which its runs take in place of the one-group
+        # layout (10 rows do not); were any of them to point
         # back at the set, every searched set and its matrix would stay
         # alive until the cycle collector ran
         monkeypatch.setattr(core, "_BLOCK_CELLS", 50)
@@ -477,6 +478,12 @@ class TestPreparedPoints:
             dbscan(PreparedPoints(np.ones((3, 2))), 1.0, 2, metric="cosine")
 
 
+# 40 points on a line, some doubled, beside a zero column: 45 rows
+_LINE = np.array([0, 1, 2, 3, 5, 8, 9, 10, 11, 15, 16, 17, 18, 19, 20, 21, 27, 28, 29, 30,
+                  31, 32, 40, 41, 42, 43, 44, 45, 46, 47, 55, 56, 57, 58, 59, 60, 61, 62, 70, 71.0])
+COLLINEAR = np.c_[np.r_[_LINE, _LINE[::9]], np.zeros(45)]
+
+
 class TestGroupBound:
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
     def test_collinear_rows_at_every_exact_radius(self, monkeypatch, metric):
@@ -485,18 +492,39 @@ class TestGroupBound:
         # so at each radius some pair of groups sits exactly on the bound.
         # N^2 exceeds the budget, so the set builds ceil(sqrt(45 / 2)) = 5
         # groups at its first run
-        line = np.array([0, 1, 2, 3, 5, 8, 9, 10, 11, 15, 16, 17, 18, 19, 20, 21, 27, 28, 29, 30,
-                         31, 32, 40, 41, 42, 43, 44, 45, 46, 47, 55, 56, 57, 58, 59, 60, 61, 62, 70, 71.0])
-        x = np.c_[np.r_[line, line[::9]], np.zeros(45)]
+        x = COLLINEAR
         monkeypatch.setattr(core, "_BLOCK_CELLS", 1000)
         points = PreparedPoints(x, metric)
         for eps in range(1, 72):
             expected = brute_force_dbscan(x, eps, 4, metric)
-            for plan in (key_window, group_bound, PLAN):
+            for plan in (key_window, PLAN):
                 monkeypatch.setattr(core, "_plan", plan)
                 lab = dbscan(points, float(eps), 4, metric)
                 assert np.array_equal(lab.labels, expected), (eps, plan)
         assert len(points._groups.sizes) == 5
+
+    def test_a_set_with_groups_runs_them_at_every_radius(self, monkeypatch):
+        # the 45 collinear rows over a budget of 1000 cells: N^2 = 2025 does
+        # not fit, so the prepared set builds groups, and every run goes
+        # through them, never through the set as one group. A matrix that
+        # dbscan prepares for its one run, a prepared set whose N^2 fits
+        # (31^2 = 961), and rows scaled by 2^500, outside the scales the
+        # bound is proved for, build no groups and run the key window
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 1000)
+        plans = []
+        monkeypatch.setattr(core, "_plan", lambda *args: plans.append(PLAN(*args)) or plans[-1])
+        points = PreparedPoints(COLLINEAR)
+        for eps in range(1, 72):
+            dbscan(points, float(eps), 4)
+        assert len(plans) == 71 and all(plan.groups is points._groups for plan in plans)
+        assert points._whole is None
+        for x, eps, prepared in ((COLLINEAR, 10.0, False), (COLLINEAR[:31], 10.0, True),
+                                 (COLLINEAR * 2.0 ** 500, 10 * 2.0 ** 500, True)):
+            plans.clear()
+            lab = dbscan(PreparedPoints(x) if prepared else x, eps, 4)
+            assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 4))
+            (plan,) = plans
+            assert plan.groups is plan.points._whole and not plan.points._groups
 
     def test_each_group_takes_the_fewest_blocks_its_window_allows(self, monkeypatch):
         # the 45 collinear rows above, over a budget of 300 cells. Farthest-
@@ -512,12 +540,10 @@ class TestGroupBound:
         # blocks of 300 // window rows: 42, 33, 15, 9 and 6, and the groups
         # split into 1, 1, 1, 2 (9 + 2) and 3 (6 + 6 + 2) blocks: 8, where
         # blocks of _block_rows(45) = 6 rows would take 2, 1, 2, 2 and 3
-        line = np.array([0, 1, 2, 3, 5, 8, 9, 10, 11, 15, 16, 17, 18, 19, 20, 21, 27, 28, 29, 30,
-                         31, 32, 40, 41, 42, 43, 44, 45, 46, 47, 55, 56, 57, 58, 59, 60, 61, 62, 70, 71.0])
-        x = np.c_[np.r_[line, line[::9]], np.zeros(45)]
+        x = COLLINEAR
         monkeypatch.setattr(core, "_BLOCK_CELLS", 300)
         plans = []
-        monkeypatch.setattr(core, "_plan", lambda *args: plans.append(group_bound(*args)) or plans[-1])
+        monkeypatch.setattr(core, "_plan", lambda *args: plans.append(PLAN(*args)) or plans[-1])
         points = PreparedPoints(x)
         lab = dbscan(points, 71.0, 4)
         assert np.array_equal(lab.labels, brute_force_dbscan(x, 71.0, 4))

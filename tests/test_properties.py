@@ -15,7 +15,7 @@ from tsdbscan import NOISE, approximate_diameter_ub, core, dbscan, search
 from tsdbscan.search import SearchBounds, TuneConfig, ternary_search, ts_clustering, tse_clustering
 from tsdbscan.core import METRICS, KCurve, PreparedPoints, RunStats, _distance_block, _validate
 
-from conftest import PLAN, brute_force_dbscan, brute_force_distances, distance, group_bound, key_window
+from conftest import PLAN, brute_force_dbscan, brute_force_distances, distance, key_window
 
 # the bound's approximation factor: 2 from the triangle inequality, 4
 # under cosine, where the triangle inequality holds only for angles
@@ -431,14 +431,14 @@ def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
     # a group takes a block a row, at 50 a small group fits one block and a
     # larger one needs several, and at 200 (N >= 15) every group fits one
     # block. Every group-plan block fits the budget unless it is one row.
-    # The key window, the
-    # group bound and the plan dbscan picks run on the same set, with
-    # duplicate rows, at every exact pairwise kernel value (the closed
-    # ball's edge, where the triangle inequality of collinear rows is
-    # tight) and the float below it. Rows at 1e-300 or 1e300 are outside
-    # the scales the bound is proved for: the set builds no groups, and
-    # every plan is the key window. Under cosine the unit rows have no
-    # such scale, and rows scaled as scaled_rows does keep a direction
+    # The key window and the plan dbscan runs, the group bound wherever
+    # the set has groups, run on the same set, with duplicate rows, at
+    # every exact pairwise kernel value (the closed ball's edge, where the
+    # triangle inequality of collinear rows is tight) and the float below
+    # it. Rows at 1e-300 or 1e300 are outside the scales the bound is
+    # proved for: the set builds no groups, and both runs are the key
+    # window. Under cosine the unit rows have no such scale, and rows
+    # scaled as scaled_rows does keep a direction
     x = data.draw(point_sets_with_duplicates(metric))
     if x.shape[1] == 1:
         x = np.c_[x, 0 * x]  # groups need two columns
@@ -452,13 +452,13 @@ def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
     runs, plans = {}, []
 
     def recorded(*args):
-        plans.append(group_bound(*args))
+        plans.append(PLAN(*args))
         return plans[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_CELLS", cells)
         points = PreparedPoints(x, metric)
-        for name, plan in (("key", key_window), ("group", recorded), ("picked", PLAN)):
+        for name, plan in (("key", key_window), ("group", recorded)):
             mp.setattr(core, "_plan", plan)
             runs[name] = [dbscan(points, eps, min_pts, metric) for eps in radii]
     for plan in plans:
@@ -469,9 +469,9 @@ def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
         expected = brute_force_dbscan(x, eps, min_pts, metric)
         key = runs["key"][i]
         assert np.array_equal(key.labels, expected), eps
-        for lab in (runs["group"][i], runs["picked"][i]):
-            assert np.array_equal(lab.labels, expected) and np.array_equal(lab.roles, key.roles), eps
-            assert (lab.n_clusters, lab.n_noise) == (key.n_clusters, key.n_noise), eps
+        lab = runs["group"][i]
+        assert np.array_equal(lab.labels, expected) and np.array_equal(lab.roles, key.roles), eps
+        assert (lab.n_clusters, lab.n_noise) == (key.n_clusters, key.n_noise), eps
 
 
 @SETTINGS
