@@ -62,7 +62,18 @@ group's window, and a block of one group's rows meets only the columns
 of the groups whose centres lie within ``epsilon`` plus both radii, each
 cut to the block's key window. On high-dimensional data, where one
 coordinate rules out few pairs, that is far fewer. A margin covers the
-kernel's rounding, so no pair within ``epsilon`` is left out. Every other
+kernel's rounding, so no pair within ``epsilon`` is left out. The same
+bound the other way round puts a pair of groups inside when their
+centres' distance plus both radii, with the margin, is within
+``epsilon``: every pair there is within it, so no block meets it. Each
+row's count starts at the sizes of the groups its group is inside with,
+itself among them when its group is inside itself. The core points of
+such pairs join at group level, before the pass by the counts they start
+with and after it by the final core mask, and a border point takes the
+core points of its group's inside partners as it takes those of its
+computed columns (the dense cells of Gan & Tao, above, and the inclusion
+and exclusion of Gray & Moore's dual-tree range counts, "N-Body Problems
+in Statistical Learning", 2001). Every other
 run, on a matrix that ``dbscan`` prepares for its one run (which builds
 no groups) or on a set with no groups, runs the key window. That is the
 same plan (``_GroupPlan``) with every row in one group, so the counts
@@ -140,7 +151,11 @@ class RunStats:
     key window's, counted the same way, rows x cols x D; its blocks are
     sized by their group's window, so they hold more rows at low D, and
     the first nearest chunk of each holds at most max(``min_pts``,
-    ``_block_rows(N)``) columns before its rows.
+    ``_block_rows(N)``) columns before its rows. A pair of groups whose
+    every pair is within the radius (``_Groups.pairs``) counts and joins
+    with no cell, so on such a set the counter falls with the radius's
+    share of inside pairs, while each cell it counts is still one computed
+    kernel value.
     ``dbscan_invocations`` counts the runs, cached or not.
     ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
     and add to neither of the other two counters.
@@ -348,8 +363,8 @@ class _Groups:
 
     With no ``group``, the set is one group, its sorted rows themselves,
     whose blocks read the set's cached matrix: the key window, whose
-    ``layout`` (each block's rows [s, e), one range a block) does not
-    depend on the radius and is built here once. The groups
+    ``layout`` (each block's rows [s, e), one range a block, each block
+    on its diagonal) does not depend on the radius and is built here once. The groups
     keep no reference to the set, which holds them, so a set is freed with
     its last reference rather than by the cycle collector. Otherwise
     ``group`` is each sorted row's group, and ``_farthest_first`` sets
@@ -375,12 +390,32 @@ class _Groups:
             <= d(c_A, c_B) - d(c_A, p) - d(c_B, q) <= d(p, q)
             <= reach (1 + k) + 2^-499,
 
-    with k = (D + 4) u + u (the square root of ``reach``). ``candidates``
-    rules the pair of groups out only when d^(c_A, c_B) (1 - m) exceeds
+    with k = (D + 4) u + u (the square root of ``reach``). ``pairs`` rules
+    the pair of groups out only when d^(c_A, c_B) (1 - m) exceeds
     (reach + r_A + r_B) (1 + m) + 2^-496, with m = (D + 8) 2^-51: m covers k
     and the test's own four roundings, and 2^-496 the absolute terms. So no
     pair within ``epsilon`` lies in two groups ruled out, and every kernel
     value a run compares is still its own pair's, from ``_distance_block``.
+
+    **Inclusion.** The same bounds the other way round put every pair of
+    A and B within ``epsilon``. By the triangle inequality on the exact d,
+
+        d(p, q) <= d(c_A, c_B) + d(c_A, p) + d(c_B, q)
+            <= (d^(c_A, c_B) + r_A + r_B) (1 + k) + 3 2^-499,
+
+    and the kernel rounds d(p, q) up by at most (D + 4) u relative and
+    2^-499 absolute. ``pairs`` puts the pair of groups inside only when
+    (d^(c_A, c_B) + r_A + r_B) (1 + m) + 2^-496 is at most reach (1 - m):
+    m again covers both relative errors, the test's own roundings and, on
+    the right, that of sqrt(2 epsilon), and 2^-496 the absolute terms.
+    Under cosine that bounds the chord of p and q by sqrt(2 epsilon) (1 -
+    m), so the kernel, (|p - q|^2 / 2)^ with its (D + 4) u of rounding and
+    at most D 2^-1075 from squares that underflow, is at most ``epsilon``:
+    the test needs reach >= 2^-496, so ``epsilon`` >= 2^-993, far above
+    those absolute terms. At ``epsilon`` >= 2 the clip puts every pair
+    within it. So every kernel value of an inside
+    pair, were it computed, would be at most ``epsilon``: a run counts and
+    joins such a pair without computing it.
     A sum that could overflow would void the relative bound, but
     coordinates of magnitude up to 2^450 keep every difference, square and
     sum finite, so every centre distance and radius is finite too; and
@@ -397,7 +432,7 @@ class _Groups:
             # blocks are _block_rows(N) rows, laid out once per set
             step = _block_rows(n)
             s = np.arange(0, n, step)
-            self.layout = s, np.minimum(s + step, n), np.arange(s.size + 1)
+            self.layout = s, np.minimum(s + step, n), np.arange(s.size + 1), np.ones(s.size, dtype=bool)
         else:
             self.layout = None
             self.pos = np.argsort(group, kind="stable")
@@ -407,14 +442,20 @@ class _Groups:
         self.starts = np.concatenate(([0], np.cumsum(self.sizes)))
         self.radius = self.between = None
 
-    def candidates(self, epsilon: float) -> np.ndarray:
-        """G x G: the pairs of groups that may hold a pair within
-        ``epsilon`` (see the class docstring)."""
-        reach = math.sqrt(2.0 * epsilon) if self.metric == "cosine" else epsilon
+    def pairs(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+        """Two G x G masks: ``keep``, the pairs of groups that may hold a
+        pair within ``epsilon``, and ``inside``, those whose every pair lies
+        within it, a part of ``keep`` (see the class docstring)."""
+        cosine = self.metric == "cosine"
+        reach = math.sqrt(2.0 * epsilon) if cosine else epsilon
         r, m = self.radius, (self.x.shape[1] + 8) * 2.0 ** -51
+        spread = r[:, None] + r
         with np.errstate(over="ignore"):
-            far = self.between * (1 - m) > (reach + r[:, None] + r) * (1 + m) + _GROUP_TINY
-        return ~far
+            far = self.between * (1 - m) > (reach + spread) * (1 + m) + _GROUP_TINY
+            inside = (self.between + spread) * (1 + m) + _GROUP_TINY <= reach * (1 - m)
+        if cosine and epsilon >= 2:  # the kernel is clipped at 2
+            inside[:] = True
+        return ~far, inside
 
 
 def _farthest_first(points: PreparedPoints, stats: RunStats | None) -> _Groups:
@@ -462,24 +503,29 @@ def _farthest_first(points: PreparedPoints, stats: RunStats | None) -> _Groups:
 class _GroupPlan:
     """The rows of ``groups`` in the order of their groups, each group in
     the fewest blocks of equal rows that fit ``_BLOCK_CELLS`` against the
-    group's whole window (the last block may hold fewer). A block of group
-    A's rows [s, e) meets the columns of the groups B < A that ``keep[A]``
-    keeps, and of A up to e, each cut to the block's key window, as a few
-    ranges, all found at once, before any block. A block's window lies in
-    its group's, so the block fits, unless it is one row. A set of rows of
-    one group meets the kept groups on both sides, cut the same way. A set
-    with groups always runs this plan on them (``_plan``). On one group, with
-    ``keep`` [[True]], this is the key window: the group's window is all N
-    rows, so a block is ``_block_rows(N)`` sorted rows [s, e), laid out
-    once per set, and meets the columns [lo_s, e); a set of rows meets the
-    columns from the key ball of its first row to that of its last."""
+    group's whole window (the last block may hold fewer). The groups meet
+    only the pairs ``keep`` keeps and ``inside`` does not hold whole: a
+    block of group A's rows [s, e) meets the columns of those groups B < A,
+    and of A up to e unless A is inside itself, each cut to the block's key
+    window, as a few ranges, all found at once, before any block. A group
+    whose every kept pair B <= A is inside runs no block. A block's window
+    lies in its group's, so the block fits, unless it is one row. A set of
+    rows of one group meets those groups on both sides, cut the same way.
+    A set with groups always runs this plan on them (``_plan``). On one
+    group, with ``keep`` [[True]] and ``inside`` [[False]], this is the key
+    window: the group's window is all N rows, so a block is
+    ``_block_rows(N)`` sorted rows [s, e), laid out once per set, and meets
+    the columns [lo_s, e); a set of rows meets the columns from the key
+    ball of its first row to that of its last."""
 
     def __init__(self, points: PreparedPoints, groups: _Groups, lo: np.ndarray, hi: np.ndarray,
-                 keep: np.ndarray):
-        self.points, self.groups, self.lo, self.hi, self.keep = points, groups, lo, hi, keep
+                 keep: np.ndarray, inside: np.ndarray):
+        self.points, self.groups, self.lo, self.hi, self.inside = points, groups, lo, hi, inside
         self.order = groups.order
+        # the pairs of groups whose cells a run computes
+        self.meets = keep & ~inside
         if groups.layout is not None:
-            self.s, self.e, self.bounds = groups.layout
+            self.s, self.e, self.bounds, self.diagonal = groups.layout
             self.first, self.stop = lo[self.s], self.e
         else:
             self._size_blocks()
@@ -488,27 +534,30 @@ class _GroupPlan:
         """Each group's blocks, sized by the group's window, and each
         block's ranges."""
         g = self.groups
-        # each group's kept groups B <= A, ascending, A last (a group always
-        # keeps itself), in the key window of the whole group
-        group, kept = np.nonzero(np.tril(self.keep))
-        bounds = np.searchsorted(group, np.arange(g.sizes.size + 1))
-        heads, ends = bounds[:-1], bounds[1:]
+        # the groups B <= A that each group meets, ascending, A last unless
+        # A is inside itself (a group always keeps itself), in the key window
+        # of the whole group; a group that meets none runs no block
+        group, kept = np.nonzero(np.tril(self.meets))
+        runs, heads, pairs = np.unique(group, return_index=True, return_counts=True)
+        ends = heads + pairs
         first, stop = self._window(kept, g.starts[group], g.starts[group + 1] - 1)
-        stop[ends - 1] = g.starts[1:]
-        step = np.maximum(1, _BLOCK_CELLS // np.add.reduceat(stop - first, heads))
-        counts = -(-g.sizes // step)
-        # block j holds the rows [s[j], e[j]) of group block_group[j], and
-        # meets that group's kept groups
-        block_group = np.repeat(np.arange(counts.size), counts)
-        nth = np.arange(block_group.size) - (np.cumsum(counts) - counts)[block_group]
-        self.s = g.starts[block_group] + nth * step[block_group]
-        self.e = np.minimum(self.s + step[block_group], g.starts[block_group + 1])
-        pairs = (ends - heads)[block_group]
-        self.bounds = np.concatenate(([0], np.cumsum(pairs)))
-        block = np.repeat(np.arange(block_group.size), pairs)
-        kept = kept[_spans(heads[block_group], ends[block_group])]
+        diagonal = kept[ends - 1] == runs
+        stop[ends[diagonal] - 1] = g.starts[runs[diagonal] + 1]
+        width = np.add.reduceat(stop - first, heads)
+        step = np.maximum(1, _BLOCK_CELLS // np.maximum(width, 1))
+        counts = -(-g.sizes[runs] // step)
+        # block j holds the rows [s[j], e[j]) of the group runs[run[j]], and
+        # meets the groups that group meets
+        run = np.repeat(np.arange(counts.size), counts)
+        nth = np.arange(run.size) - (np.cumsum(counts) - counts)[run]
+        self.s = g.starts[runs][run] + nth * step[run]
+        self.e = np.minimum(self.s + step[run], g.starts[runs + 1][run])
+        self.diagonal = diagonal[run]
+        self.bounds = np.concatenate(([0], np.cumsum(pairs[run])))
+        block = np.repeat(np.arange(run.size), pairs[run])
+        kept = kept[_spans(heads[run], ends[run])]
         self.first, self.stop = self._window(kept, self.s[block], self.e[block] - 1)
-        self.stop[self.bounds[1:] - 1] = self.e
+        self.stop[self.bounds[1:][self.diagonal] - 1] = self.e[self.diagonal]
 
     def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
         """The kernel of the rows ``rows`` of ``groups.x`` against ``cols``:
@@ -528,22 +577,28 @@ class _GroupPlan:
                 np.searchsorted(g.key, base + self.hi[g.pos[last]], side="right"))
 
     def blocks(self):
-        """Each block's rows [s, e) and its window, the ascending columns it
-        meets, which end with [s, e)."""
+        """Each block's rows [s, e), its window, the ascending columns it
+        meets, which end with [s, e) when the block holds its diagonal, and
+        how many of them lie before s. Skips a block whose window is empty."""
         bounds = self.bounds.tolist()
-        for j, (s, e) in enumerate(zip(self.s.tolist(), self.e.tolist())):
+        for j, (s, e, diagonal) in enumerate(zip(self.s.tolist(), self.e.tolist(), self.diagonal.tolist())):
             pairs = slice(bounds[j], bounds[j + 1])
-            yield s, e, _spans(self.first[pairs], self.stop[pairs])
+            window = _spans(self.first[pairs], self.stop[pairs])
+            if window.size:
+                yield s, e, window, window.size - (e - s) if diagonal else window.size
 
     def runs(self, rows: np.ndarray) -> list:
+        """The ascending ``rows`` split by group, leaving out the groups that
+        meet no group."""
         cut = np.searchsorted(rows, self.groups.starts).tolist()
-        return [rows[a:b] for a, b in zip(cut, cut[1:]) if a < b]
+        live = self.meets.any(axis=1).tolist()
+        return [rows[a:b] for a, b, met in zip(cut, cut[1:], live) if a < b and met]
 
     def ranges(self, first: np.ndarray, last: np.ndarray) -> tuple:
         """Rows of one group in blocks from ``first[j]`` to ``last[j]``:
         block j meets the ranges [starts[j, k], stops[j, k])."""
         a = np.searchsorted(self.groups.starts, first[0], side="right") - 1
-        return self._window(np.flatnonzero(self.keep[a]), first[:, None], last[:, None])
+        return self._window(np.flatnonzero(self.meets[a]), first[:, None], last[:, None])
 
 
 def _key_window(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray) -> _GroupPlan:
@@ -551,7 +606,8 @@ def _key_window(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray) -> _Grou
     keeps for its later runs."""
     if points._whole is None:
         points._whole = _Groups(points)
-    return _GroupPlan(points, points._whole, lo, hi, np.ones((1, 1), dtype=bool))
+    return _GroupPlan(points, points._whole, lo, hi, np.ones((1, 1), dtype=bool),
+                      np.zeros((1, 1), dtype=bool))
 
 
 def _as_slice(cols: np.ndarray):
@@ -563,12 +619,12 @@ def _as_slice(cols: np.ndarray):
 
 
 def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The ascending indices of the ranges [starts[k], stops[k]), k >= 1 of them."""
+    """The ascending indices of the ranges [starts[k], stops[k])."""
     if starts.size == 1:
         return np.arange(starts[0], stops[0])
     lengths = stops - starts
     ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
@@ -612,27 +668,20 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     lo = np.searchsorted(hi, np.arange(n))
     if points.x.shape[1] == 1:
         order = points.order
-        core, parent, border_blocks = _one_column(lo, hi, min_pts)
+        forest = _one_column(order, lo, hi, min_pts)
     else:
         plan = _plan(points, lo, hi, epsilon, shared, stats)
         order = plan.order
-        core, parent, border_blocks = _windowed(plan, epsilon, min_pts, stats)
+        forest = _windowed(plan, epsilon, min_pts, stats)
 
     # the clusters are the forest's trees of core points; a border point is in
     # a core point's ball, and noise in none. Each border point keeps the
     # smallest caller index of the trees in its ball, by which labels number
     # the clusters on first read
+    core, parent, _, border, _ = forest
     cores = np.flatnonzero(core)
-    first, border, border_first = None, [], []
-    for rows, cols, near in border_blocks:
-        if first is None:
-            first = _tree_first(order, parent, cores)
-        best = np.where(near, first[parent[cols]], n).min(axis=1)
-        border.append(rows[best < n])
-        border_first.append(best[best < n])
-    n_border = sum(rows.size for rows in border)
-    return Labeling(int(np.count_nonzero(parent[cores] == cores)), n - cores.size - n_border,
-                    order, core, parent, first, border, border_first)
+    return Labeling(int(np.count_nonzero(parent[cores] == cores)), n - cores.size - border.size,
+                    order, *forest)
 
 
 def _tree_first(order: np.ndarray, parent: np.ndarray, cores: np.ndarray) -> np.ndarray:
@@ -643,7 +692,7 @@ def _tree_first(order: np.ndarray, parent: np.ndarray, cores: np.ndarray) -> np.
 
 
 def _label_points(order: np.ndarray, core: np.ndarray, parent: np.ndarray, first: np.ndarray | None,
-                  border: list, border_first: list) -> tuple[np.ndarray, np.ndarray]:
+                  border: np.ndarray, border_first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and roles in the caller's order, from the sorted rows' core
     mask and forest: clusters are numbered by the smallest caller index
     among their core points, and each border row in ``border`` takes the
@@ -655,8 +704,7 @@ def _label_points(order: np.ndarray, core: np.ndarray, parent: np.ndarray, first
     ids = np.sort(first[cores[parent[cores] == cores]])  # one per cluster
     labels = np.full(n, NOISE, dtype=np.int64)
     labels[cores] = np.searchsorted(ids, first[parent[cores]])
-    for rows, best in zip(border, border_first):
-        labels[rows] = np.searchsorted(ids, best)
+    labels[border] = np.searchsorted(ids, border_first)
     roles = np.full(n, ROLE_NOISE, dtype=np.int8)
     roles[labels != NOISE] = ROLE_BORDER
     roles[core] = ROLE_CORE
@@ -669,39 +717,57 @@ def _plan(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: float
           stats: RunStats | None):
     """The plan of a run's blocks, one per run: the group bound on a set a
     caller prepared whose N^2 exceeds one block and whose scale allows
-    groups (``PreparedPoints._grouping``), else the key window."""
+    groups (``PreparedPoints._grouping``), with the pairs of groups it keeps
+    and those inside at ``epsilon`` (``_Groups.pairs``), else the key
+    window, which keeps its one pair and holds none inside."""
     n = len(points)
     groups = points._grouping(stats) if shared and n * n > _BLOCK_CELLS else None
     if groups is None:
         return _key_window(points, lo, hi)
-    return _GroupPlan(points, groups, lo, hi, groups.candidates(epsilon))
+    return _GroupPlan(points, groups, lo, hi, *groups.pairs(epsilon))
 
 
 def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
-    """The counts pass and the late re-check on the rows of ``plan`` (see
-    ``_GroupPlan``). Each block [s, e) of the counts pass meets its window:
-    its own rows and the columns before them that the plan keeps. It meets
-    the nearest chunk of its window first, at first at most
-    ``_block_rows(N)`` columns before the rows however many rows the block
-    holds, and stops once its rows and the columns left are core in one
-    tree. Returns the core mask, the forest of the core components (each
-    core point's root is its tree's smallest index), and the border blocks:
-    each non-core row with a neighbour against the core points in its
-    window (see ``_core_blocks``)."""
+    """The counts pass, the late re-check and the border pass on the rows of
+    ``plan`` (see ``_GroupPlan``). Each row's count starts at the sizes of
+    the groups its group is inside with, every pair there within
+    ``epsilon``, and the core points these counts make join at group level
+    (``_join_inside``) before any block. Each block [s, e) of the counts
+    pass meets its window: its own rows, unless its group is inside
+    itself, and the columns before them that the plan meets. It meets the
+    nearest chunk of its window first, at first at most ``_block_rows(N)``
+    columns before the rows however many rows the block holds, and stops
+    once its rows and the columns left are core in one tree. After the pass
+    the inside pairs join again, by the final core mask. Returns the core
+    mask, the forest of the core components (each core point's root is its
+    tree's smallest index), each tree's smallest caller index
+    (``_tree_first``, None when no point is a border point), and the border
+    points with the least of that index over the core points in each one's
+    ball (see ``_borders``)."""
     n = plan.order.size
     nearest = _block_rows(n)
+    sizes = plan.groups.sizes
     # distances are symmetric bit for bit, so the rows [s, e) meet only
     # columns before e: the row sums count their neighbours there, and the
-    # column sums give the columns before s their neighbours in [s, e)
-    counts = np.zeros(n, dtype=np.int64)
-    core = np.zeros(n, dtype=bool)
+    # column sums give the columns before s their neighbours in [s, e). A
+    # row's inside pairs, its own row among them when its group is inside
+    # itself, count before any block
+    counts = np.repeat(plan.inside @ sizes, sizes)
+    core = counts >= min_pts
     # the forest of core components; each root is its tree's smallest index,
     # and _union leaves every node pointing at its root
     parent = np.arange(n)
+    # the points core by their inside pairs alone are core for good: their
+    # group-level joins hold now, so the skip rule and the joins of the
+    # blocks find them in one tree. These joins reach rows past any block,
+    # so every join runs on the whole forest
+    if core.any():
+        _join_inside(plan, parent, np.flatnonzero(core))
     late = np.zeros(n, dtype=bool)  # had a neighbour while not yet core
-    for s, e, window in plan.blocks():
-        # row s is at position p of the block's window
-        p = window.size - (e - s)
+    for s, e, window, p in plan.blocks():
+        # row s is at position p of the block's window; a block that holds
+        # its diagonal counts each of its rows once more, as its own column
+        itself = int(p < window.size)
         # the block meets its nearest columns first, from position c on:
         # itself and the max(min_pts, min(e - s, _block_rows(N))) columns
         # before it: a key-window block, of _block_rows(N) rows at most,
@@ -730,13 +796,13 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
                 chunks.append(near)
                 more = _count_true(near, axis=1)
                 row_counts = more if len(chunks) == 1 else np.add(row_counts, more, dtype=np.int64)
-                if c == 0 or row_counts.min() >= min_pts:
+                if c == 0 or (counts[s:e] + row_counts).min() >= min_pts:
                     # counts only grow, so these points are core for good; a
                     # pair with an end not yet core is left out, and that end
                     # is late
                     counts[s:e] += row_counts
                     core[s:e] = counts[s:e] >= min_pts
-                    late[s:e] |= (row_counts > 1) & ~core[s:e]
+                    late[s:e] |= (row_counts > itself) & ~core[s:e]
                     rows = np.flatnonzero(core[s:e])
                     if len(chunks) > 1:
                         near, b = np.concatenate(chunks[::-1], axis=1), window.size
@@ -758,22 +824,70 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
                     hit = near.any(axis=1)
                     joined, near = joined[hit], near[hit]
                 if joined.size:
-                    _join(parent[:e], joined + s, cols, near)
+                    _join(parent, joined + s, cols, near)
                 if c == 0 or np.all(parent[s:e] == parent[first]):
                     break
             b, c = c, max(0, 2 * c - p)
 
-    # each late core point meets the core points in its window again, for
-    # the pairs the pass left out, unless those already form one tree
     cores = np.flatnonzero(core)
+    if cores.size:
+        _join_inside(plan, parent, cores)
+    # each late core point meets the core points in its window again, for
+    # the pairs the pass left out, unless those already form one tree. A
+    # row's window leaves out its inside groups, its own among them when
+    # its group is inside itself, so a row may meet no core column there
     if np.any(parent[cores] != parent[cores[:1]]):
         for rows, cols, near in _core_blocks(plan, cores[late[cores]], cores, epsilon, stats):
-            _join(parent, rows, cols, near)
+            hit = near.any(axis=1)
+            if hit.any():
+                _join(parent, rows[hit], cols, near[hit])
     border = np.flatnonzero(~core & (counts > 1))
-    return core, parent, _core_blocks(plan, border, cores, epsilon, stats)
+    if not (cores.size and border.size):
+        return core, parent, None, border[:0], border[:0]
+    first = _tree_first(plan.order, parent, cores)
+    # a border point of group A is within epsilon of every core point of the
+    # groups A is inside with; these need not lie in one tree
+    tree = np.full(n, n)
+    tree[cores] = first[parent[cores]]
+    least = np.minimum.reduceat(tree, plan.groups.starts[:-1])
+    group = np.searchsorted(plan.groups.starts, border, side="right") - 1
+    best = np.where(plan.inside, least, n).min(axis=1)[group]
+    blocks = _core_blocks(plan, border, cores, epsilon, stats)
+    return (core, parent, first) + _borders(border, best, first, parent, blocks)
 
 
-def _one_column(lo: np.ndarray, hi: np.ndarray, min_pts: int):
+def _join_inside(plan, parent: np.ndarray, cores: np.ndarray) -> None:
+    """The joins of the pairs of groups ``plan.inside`` holds whole among
+    the ascending points ``cores``, each core for good: every pair there is
+    within ``epsilon``. So the core points of a group that is inside with a
+    group holding a core point, itself included, are all within ``epsilon``
+    of that point, and join the group's first core point; and the first
+    core points of two groups that are inside with each other join."""
+    starts = plan.groups.starts
+    group = np.searchsorted(starts, cores, side="right") - 1
+    held = np.zeros(starts.size - 1, dtype=bool)
+    held[group] = True
+    lead = cores[np.minimum(np.searchsorted(group, np.arange(held.size)), cores.size - 1)]
+    inside = plan.inside & held & held[:, None]
+    member = inside.any(axis=1)[group]
+    a, b = np.nonzero(np.triu(inside, 1))
+    _union(parent, np.concatenate((cores[member], lead[a])), np.concatenate((lead[group[member]], lead[b])))
+
+
+def _borders(rows: np.ndarray, best: np.ndarray, first: np.ndarray, parent: np.ndarray, blocks) -> tuple:
+    """The border points among the non-core ``rows`` and the smallest caller
+    index among the trees of the core points in the ball of each: the least
+    of ``best`` and, in ``blocks`` of some of ``rows`` against the core
+    points near them, ``first`` of the near columns' roots."""
+    n = parent.size
+    for block, cols, near in blocks:
+        at = np.searchsorted(rows, block)
+        best[at] = np.minimum(best[at], np.where(near, first[parent[cols]], n).min(axis=1))
+    found = best < n
+    return rows[found], best[found]
+
+
+def _one_column(order: np.ndarray, lo: np.ndarray, hi: np.ndarray, min_pts: int):
     """The exact engine on one column, with the returns of ``_windowed``:
     each ball is its run [lo_i, hi_i], and a count is the run's length. Two
     core points within ``epsilon`` are within it of every core point between
@@ -788,13 +902,15 @@ def _one_column(lo: np.ndarray, hi: np.ndarray, min_pts: int):
     starts[1:] = hi[cores[:-1]] < cores[1:]
     parent = np.arange(hi.size)
     parent[cores] = cores[starts][np.cumsum(starts) - 1]
-    if not cores.size:
-        return core, parent, []
     border = np.flatnonzero(~core & (counts > 1))
+    if not (cores.size and border.size):
+        return core, parent, None, border[:0], border[:0]
+    first = _tree_first(order, parent, cores)
     at = np.searchsorted(cores, border)
     left, right = cores[np.maximum(at - 1, 0)], cores[np.minimum(at, cores.size - 1)]
     near = np.stack(((at > 0) & (left >= lo[border]), (at < cores.size) & (right <= hi[border])), axis=1)
-    return core, parent, [(border, np.stack((left, right), axis=1), near)]
+    blocks = [(border, np.stack((left, right), axis=1), near)]
+    return (core, parent, first) + _borders(border, np.full(border.size, hi.size), first, parent, blocks)
 
 
 def _ball_ends(key: np.ndarray, epsilon: float, metric: str, stats: RunStats | None) -> np.ndarray:
@@ -876,9 +992,9 @@ def _count_true(near: np.ndarray, axis: int) -> np.ndarray:
 
 def _join(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, near: np.ndarray) -> None:
     """Union core point ``rows[i]`` with every core point ``cols[j]`` where
-    ``near[i, j]``; each row is among the columns, so it is near one. Keeps
-    one edge per row and tree: the row's first near column, then, if the
-    near columns lie in several trees, one for each tree the row meets."""
+    ``near[i, j]``; each row is near one of them. Keeps one edge per row
+    and tree: the row's first near column, then, if the near columns lie
+    in several trees, one for each tree the row meets."""
     _union(parent, rows, cols[near.argmax(axis=1)])
     touched = np.flatnonzero(near.any(axis=0))
     roots = parent[cols[touched]]
@@ -898,8 +1014,7 @@ def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     round may point at a root that a later round hooks, so at the end all
     the roots hooked in any round jump among themselves once more; then one
     gather points every node at its root. Takes and leaves every node
-    pointing at its root. Every parent index is at most its node's, so any
-    prefix of the forest is a forest."""
+    pointing at its root."""
     ra, rb = parent[a], parent[b]
     hooked = []
     while (apart := ra != rb).any():

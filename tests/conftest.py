@@ -47,6 +47,23 @@ def key_window(points, lo, hi, epsilon, shared, stats):
     return core._key_window(points, lo, hi)
 
 
+def given_groups(points, group) -> None:
+    """Give the prepared ``points`` the groups ``group``, one number 0 to
+    G - 1 for each caller row, in the order a run takes them. Each group
+    is centred on its first sorted row, with the radii and centre distances
+    the kernel gives, as ``core._farthest_first`` sets them. The group
+    bound holds for any groups whose radii and centre distances are right,
+    not only for farthest-first ones."""
+    groups = core._Groups(points, np.asarray(group)[points.order])
+    centres = groups.pos[groups.starts[:-1]]
+    kernel = "manhattan" if points.metric == "manhattan" else "euclidean"
+    dist = _distance_block(points.x[centres], points.x, kernel, None)
+    of = np.repeat(np.arange(centres.size), groups.sizes)
+    groups.radius = np.maximum.reduceat(dist[of, groups.pos], groups.starts[:-1])
+    groups.between = dist[:, centres]
+    points._groups = groups
+
+
 def brute_force_dbscan(x: np.ndarray, eps: float, min_pts: int,
                        metric: str = "euclidean") -> np.ndarray:
     """Transitive-closure DBSCAN oracle.

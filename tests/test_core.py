@@ -19,7 +19,7 @@ from tsdbscan import (
 )
 from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE, KCurve, validate_points
 
-from conftest import PLAN, brute_force_dbscan, distance, key_window
+from conftest import PLAN, brute_force_dbscan, distance, given_groups, key_window
 
 
 class TestDistance:
@@ -532,25 +532,153 @@ class TestGroupBound:
         # (16 from both 0 and 32, before 55), then 55 (16 from 71); each row
         # joins its nearest centre, a tie the earlier one. So the groups of
         # the centres 0, 71, 32, 16 and 55 hold 0-8 (7 rows with the copy of
-        # 0), 70-71 (2), 27-43 (11 with the copy of 29), 9-21 (11 with the
-        # copy of 15) and 44-62 (14 with the copies of 45 and 61). At eps 71
-        # every row is within eps of every other, every pair of groups is
-        # kept, and group A's window holds the rows of the groups before it
-        # and its own: 7, 9, 20, 31 and 45 columns. So each group takes
-        # blocks of 300 // window rows: 42, 33, 15, 9 and 6, and the groups
-        # split into 1, 1, 1, 2 (9 + 2) and 3 (6 + 6 + 2) blocks: 8, where
-        # blocks of _block_rows(45) = 6 rows would take 2, 1, 2, 2 and 3
+        # 0, radius 8), 70-71 (2, radius 1), 27-43 (11 with the copy of 29,
+        # radius 11), 9-21 (11 with the copy of 15, radius 7) and 44-62 (14
+        # with the copies of 45 and 61, radius 11). At eps 20 a pair of
+        # groups is inside when its centres' distance plus both radii is
+        # below 20, and kept unless the distance less both radii exceeds 20:
+        # the groups of 0, 71 and 16 are inside themselves (2 r = 16, 2 and
+        # 14), and the pairs (16, 0), (32, 0), (32, 16), (55, 32) and (55,
+        # 71) are kept but not inside. So the groups of 0 and 71 run no
+        # block: every kept pair B <= A is inside. That of 32 meets 8, the
+        # one row of group 0 within 20 of its rows 27-43, and its own 11
+        # rows, 12 columns, in 300 // 12 = 25-row blocks: one. That of 16,
+        # inside itself, meets no diagonal: 0-8 (7 rows) and 27-41 (9)
+        # within 20 of its rows 9-21, 16 columns, in 18-row blocks: one. That of 55 meets 70-71 (2), 27-43 (11) and its
+        # own 14 rows, 27 columns, in 11-row blocks: 11 and 3. Blocks of
+        # _block_rows(45) = 6 rows would take 2, 2 and 3
         x = COLLINEAR
         monkeypatch.setattr(core, "_BLOCK_CELLS", 300)
         plans = []
         monkeypatch.setattr(core, "_plan", lambda *args: plans.append(PLAN(*args)) or plans[-1])
         points = PreparedPoints(x)
-        lab = dbscan(points, 71.0, 4)
-        assert np.array_equal(lab.labels, brute_force_dbscan(x, 71.0, 4))
+        lab = dbscan(points, 20.0, 4)
+        assert np.array_equal(lab.labels, brute_force_dbscan(x, 20.0, 4))
         assert points._groups.sizes.tolist() == [7, 2, 11, 11, 14]
+        assert points._groups.radius.tolist() == [8, 1, 11, 7, 11]
         (plan,) = plans
-        assert (plan.e - plan.s).tolist() == [7, 2, 11, 9, 2, 6, 6, 2]
-        assert all((e - s) * window.size <= 300 for s, e, window in plan.blocks())
+        assert np.flatnonzero(plan.inside.diagonal()).tolist() == [0, 1, 3]
+        assert (plan.e - plan.s).tolist() == [11, 11, 11, 3]
+        assert plan.diagonal.tolist() == [True, False, True, True]
+        assert all((e - s) * window.size <= 300 for s, e, window, _ in plan.blocks())
+
+    @pytest.mark.parametrize("min_pts", [4, 45, 46])
+    def test_a_run_with_every_kept_pair_inside_computes_no_block(self, monkeypatch, min_pts):
+        # the 45 collinear rows over a budget of 1000 cells: their groups
+        # (above) have centres at most 71 apart plus radii at most 80, so at
+        # eps 81 every pair of groups is inside, and a run counts and joins
+        # every pair at group level. Its only kernel cells are the ball
+        # ends: each row's guessed end, the last row, is near, and no row is
+        # past it, one cell (D = 1) each. Every row has all 45 rows in its
+        # ball: one cluster, or all noise at min_pts 46
+        x = COLLINEAR
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 1000)
+        points = PreparedPoints(x)
+        dbscan(points, 1.0, min_pts)  # builds the groups
+        blocks = []
+        distance_block = core._distance_block
+        monkeypatch.setattr(core, "_distance_block",
+                            lambda a, b, *args: blocks.append(a.shape[1]) or distance_block(a, b, *args))
+        stats = RunStats()
+        lab = dbscan(points, 81.0, min_pts, stats=stats)
+        assert stats.point_evaluations == 45 and set(blocks) == {1}
+        assert np.array_equal(lab.labels, brute_force_dbscan(x, 81.0, min_pts))
+        assert (lab.n_clusters, lab.n_noise) == ((1, 0) if min_pts <= 45 else (0, 45))
+
+    @pytest.mark.parametrize("cells", [1, 50])
+    def test_a_border_point_takes_the_core_points_of_its_inside_groups(self, monkeypatch, cells):
+        # the points 2, 5, 10, 16, 24, 25, 26, 28 and 29 on a line: farthest-
+        # first from 2 takes 29, then 16 (14 from 2, 13 from 29), so the
+        # groups are {2, 5} (radius 3), {24, ..., 29} (radius 5) and {10, 16}
+        # (radius 6). At eps 7 only {2, 5} is inside a group, itself (2 x 3
+        # <= 7). 5 is core (2, 5 and 10), and 2, with 2 and 5 alone in its
+        # ball, is a border point whose one core neighbour lies in its
+        # inside group: no block of the run meets the pair
+        x = np.c_[[24.0, 16, 5, 10, 25, 29, 26, 28, 2], np.zeros(9)]
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        plans = []
+        monkeypatch.setattr(core, "_plan", lambda *args: plans.append(PLAN(*args)) or plans[-1])
+        lab = dbscan(PreparedPoints(x), 7.0, 3)
+        assert lab.labels.tolist() == brute_force_dbscan(x, 7.0, 3).tolist() == [0, 1, 1, 1, 0, 0, 0, 0, 1]
+        assert lab.roles[8] == ROLE_BORDER and lab.n_noise == 0
+        (plan,) = plans
+        assert plan.inside.astype(int).tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+    def test_a_row_with_no_diagonal_is_late_by_one_neighbour(self, monkeypatch):
+        # nine points in one-row blocks. Farthest-first from (0, 5) takes
+        # (7, 10), then (2, 11): the groups are the six points around (0,
+        # 5) (radius 4), {(7, 10), (8, 8)} (radius sqrt 5) and {(2, 11)}.
+        # At eps 6 the second and third groups are each inside themselves,
+        # so their blocks hold no diagonal, and each row starts with its
+        # group's size. Row (7, 10) meets one neighbour in its block, (4, 5),
+        # 5.8 away, while its count is 3 < min_pts: it is late, though its
+        # block's count is 1. It turns core only as the column of (2, 11),
+        # 5.1 away, so only the late re-check joins it to (4, 5)'s cluster
+        x = np.array([[0.0, 5.0], [3.0, 4.0], [7.0, 10.0], [0.0, 3.0], [8.0, 8.0], [1.0, 5.0],
+                      [1.0, 4.0], [2.0, 11.0], [4.0, 5.0]])
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
+        plans = []
+        monkeypatch.setattr(core, "_plan", lambda *args: plans.append(PLAN(*args)) or plans[-1])
+        lab = dbscan(PreparedPoints(x), 6.0, 4)
+        assert lab.labels.tolist() == brute_force_dbscan(x, 6.0, 4).tolist() == [0] * 9
+        roles = [ROLE_CORE] * 4 + [ROLE_BORDER] + [ROLE_CORE] * 2 + [ROLE_BORDER, ROLE_CORE]
+        assert lab.roles.tolist() == roles
+        (plan,) = plans
+        assert np.flatnonzero(plan.inside.diagonal()).tolist() == [1, 2]
+
+    def test_a_late_row_whose_own_group_is_inside_may_meet_no_core_column(self, monkeypatch):
+        # the groups {(1, 2), (2, 2)} (centre (1, 2), radius 1), {(0, 0)}
+        # and {(0, 1), (1, 0), (1, 2)} (centre (0, 1), radius sqrt 2), in
+        # one-row blocks at eps 1: only {(0, 0)} is inside a group, itself,
+        # and it is far from the first. (0, 0) is late: the block of (0, 1)
+        # meets it while its count is 2 < min_pts 3, and that of (1, 0)
+        # makes it core. Both end as border points, so in the late re-check
+        # its one core column, (1, 2) in its key window but sqrt 5 away, is
+        # not near it: the row must join nothing
+        x = np.array([[1, 2], [2, 2], [0, 0], [0, 1], [1, 0], [1, 2]], dtype=float)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
+        points = PreparedPoints(x)
+        given_groups(points, [0, 0, 1, 2, 2, 2])
+        assert np.flatnonzero(points._groups.pairs(1.0)[1]).tolist() == [4]
+        lab = dbscan(points, 1.0, 3)
+        assert lab.labels.tolist() == brute_force_dbscan(x, 1.0, 3).tolist() == [0, 0, 1, 1, 1, 0]
+        assert lab.roles.tolist() == [ROLE_CORE] * 3 + [ROLE_BORDER] * 2 + [ROLE_CORE]
+
+    def test_an_inside_pair_spanning_a_hooked_root_stays_joined(self, monkeypatch):
+        # the points 1, 6, 4 and 3 on a line, each its own group of radius
+        # 0, in that order, at eps 2 and min_pts 2: 4 and 3 are inside each
+        # other, and the pairs (1, 3) and (4, 6), exactly 2 apart, are kept
+        # but not inside, for the margin. 4 and 3 are core by that pair
+        # alone and join before any block. The block of 4 then hooks their
+        # root under 6's, and that of 3, past it, joins 3 to 1: 3 must point
+        # at the new root by then, or the join of 3 and 1 overwrites the
+        # hook, and the chain 1 - 3 - 4 - 6 splits in two
+        x = np.c_[[1.0, 6, 4, 3], np.zeros(4)]
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
+        points = PreparedPoints(x)
+        given_groups(points, [0, 1, 2, 3])
+        assert points._groups.pairs(2.0)[1].astype(int).tolist() == [[1, 0, 0, 0], [0, 1, 0, 0],
+                                                                     [0, 0, 1, 1], [0, 0, 1, 1]]
+        lab = dbscan(points, 2.0, 2)
+        assert lab.labels.tolist() == brute_force_dbscan(x, 2.0, 2).tolist() == [0] * 4
+
+    def test_an_inside_pair_keeps_its_margin(self, monkeypatch):
+        # three rows of one direction, the last scaled by 1e-160, so its
+        # unit row differs from the others' by rounding: two groups, each of
+        # radius 0, whose centres' chord b is about 1.9e-16. At eps b^2 / 2
+        # the chord bound sqrt(2 eps) reaches b, but the pair's kernel
+        # exceeds eps: the margin keeps the pair out of the inside ones, and
+        # the run computes it
+        x = np.array([[0.625] * 3, [0.625] * 3, [6.25e-161] * 3])
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
+        points = PreparedPoints(x, "cosine")
+        groups = points._grouping(None)
+        b = groups.between[0, 1]
+        eps = b * b / 2
+        assert groups.radius.tolist() == [0, 0] and math.sqrt(2 * eps) >= b
+        assert not groups.pairs(eps)[1][0, 1]
+        lab = dbscan(points, eps, 2, "cosine")
+        assert lab.labels.tolist() == brute_force_dbscan(x, eps, 2, "cosine").tolist() == [0, 0, NOISE]
 
     def test_the_build_counts_its_cells_once(self, monkeypatch):
         # the points 0, ..., 9 beside a zero column, over a budget of 50
