@@ -51,7 +51,12 @@ All of this before the radius matters, the validation, the sort and the
 sorted copy, is done once by :class:`PreparedPoints`, which any number of
 runs at different radii share. When N^2 fits one block, the set's first
 run computes its whole distance matrix, and every block of every run on
-it is a slice or a gather of that matrix. Otherwise, on a set a caller
+it is a slice or a gather of that matrix. On such a set a caller
+prepared, with two columns or more, a run needs no block at all: the set
+builds its ``KCurve`` at a ``min_pts`` once, from the matrix, and each
+run reads its cluster and noise counts off it, the very counts its passes
+would give, and runs the passes only when its labels are first read.
+Otherwise, on a set a caller
 prepared (each ternary search prepares its rows once), the first run that
 needs a block builds farthest-first groups, ceil(sqrt(N / 2)) centres with
 the radius of each group (Gonzalez, 1985), unless its scale rules them
@@ -75,7 +80,8 @@ computed columns (the dense cells of Gan & Tao, above, and the inclusion
 and exclusion of Gray & Moore's dual-tree range counts, "N-Body Problems
 in Statistical Learning", 2001). Every other
 run, on a matrix that ``dbscan`` prepares for its one run (which builds
-no groups) or on a set with no groups, runs the key window. That is the
+no groups) or on a set with no groups, and the pass that a first read of
+labels runs on a set that caches its matrix, runs the key window. That is the
 same plan (``_GroupPlan``) with every row in one group, so the counts
 pass, its skip rule, the late re-check and the border pass are one code
 on either plan's columns; the key window's blocks are ``_block_rows(N)``
@@ -155,10 +161,17 @@ class RunStats:
     every pair is within the radius (``_Groups.pairs``) counts and joins
     with no cell, so on such a set the counter falls with the radius's
     share of inside pairs, while each cell it counts is still one computed
-    kernel value.
-    ``dbscan_invocations`` counts the runs, cached or not.
-    ``curve_builds`` counts :class:`KCurve` builds, which run no DBSCAN
-    and add to neither of the other two counters.
+    kernel value. A run that reads its counts off a cached set's curve
+    (see ``dbscan``) checks no ball end and computes no cell but the
+    matrix, in the set's first run; a first read of its labels runs the
+    pass then, which adds its ball-end cells to the run's ``stats`` and
+    reads every block from the matrix.
+    ``dbscan_invocations`` counts the runs, cached, read off a curve or
+    not. ``curve_builds`` counts :class:`KCurve` builds: each of
+    ``sweep_curve``, and each a cached set makes for a ``min_pts``, in the
+    run that first needs it. A build runs no DBSCAN and computes no counted
+    cell: a sweep's build computes its distances uncounted, and a cached
+    set's reads its matrix.
     """
 
     dbscan_invocations: int = 0
@@ -181,18 +194,19 @@ class Labeling:
 
     ``n_clusters`` and ``n_noise`` are known at once. ``labels`` and
     ``roles`` are numbered only when one of them is first read
-    (``_label_points(*forest)``): a probe that reads only the counts builds
-    no per-point array.
+    (``_label_points(*forest())``): a probe that reads only the counts
+    builds no per-point array. ``forest`` returns the run's forest, which a
+    run that read its counts off the set's curve computes only then.
     """
 
-    def __init__(self, n_clusters: int, n_noise: int, *forest):
+    def __init__(self, n_clusters: int, n_noise: int, forest):
         self.n_clusters, self.n_noise = n_clusters, n_noise
         self._labels = self._roles = None
         self._deferred = forest
 
     def _build(self) -> None:
         if self._deferred is not None:
-            self._labels, self._roles = _label_points(*self._deferred)
+            self._labels, self._roles = _label_points(*self._deferred())
             self._deferred = None
 
     @property
@@ -297,10 +311,14 @@ class PreparedPoints:
     distance block computes the whole matrix of the sorted rows, counted in
     that run's ``stats``, and every block of every run is then a slice or a
     gather of it: the same values bit for bit, because each kernel value
-    depends on its pair alone. Otherwise, on a set a caller prepared for
-    many runs, that first run builds the set's farthest-first groups
-    (``_farthest_first``), counted in its ``stats``, and every run probes
-    through them (``_plan``). One column needs no block.
+    depends on its pair alone. On such a set a caller prepared, with two
+    columns or more, a run reads its counts off the set's :class:`KCurve`
+    for its ``min_pts``, built from the matrix by the first run that needs
+    it, counted in that run's ``curve_builds``, and kept. Otherwise, on a
+    set a caller prepared for many runs, that first run builds the set's
+    farthest-first groups (``_farthest_first``), counted in its ``stats``,
+    and every run probes through them (``_plan``). One column needs no
+    block.
     """
 
     def __init__(self, points, metric: str = "euclidean"):
@@ -313,15 +331,16 @@ class PreparedPoints:
         self.x = x[self.order]
         self.key = np.ascontiguousarray(self.x[:, widest])
         self._matrix = None
+        self._curves = {}  # min_pts -> the KCurve of the cached matrix
         self._whole = None  # the set as one group, for the key window
         self._groups = None  # False once the scale rules groups out
 
     def __len__(self) -> int:
         return self.order.size
 
-    def _block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
-        """The kernel of the sorted rows ``rows`` against ``cols``: two
-        slices, or ascending index arrays."""
+    def _cached(self, stats: RunStats | None) -> np.ndarray | None:
+        """The whole matrix of the sorted rows, computed on first use, or
+        None when N^2 exceeds one block."""
         x, n = self.x, len(self.x)
         if self._matrix is None and n * n <= _BLOCK_CELLS:
             # the matrix outlives the many short-lived arrays of the runs
@@ -330,11 +349,27 @@ class PreparedPoints:
             # hole that the heap can neither trim nor reuse whole
             matrix = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=np.float64).reshape(n, n)
             self._matrix = _distance_block(x, x, self.metric, stats, matrix)
-        if self._matrix is None:
-            return _distance_block(x[rows], x[cols], self.metric, stats)
+        return self._matrix
+
+    def _block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
+        """The kernel of the sorted rows ``rows`` against ``cols``: two
+        slices, or ascending index arrays."""
+        matrix = self._cached(stats)
+        if matrix is None:
+            return _distance_block(self.x[rows], self.x[cols], self.metric, stats)
         if isinstance(rows, slice) or isinstance(cols, slice):
-            return self._matrix[rows, cols]
-        return self._matrix[np.ix_(rows, cols)]
+            return matrix[rows, cols]
+        return matrix[np.ix_(rows, cols)]
+
+    def _curve(self, min_pts: int, stats: RunStats | None) -> KCurve:
+        """The curve of the cached matrix at ``min_pts``, built on first use."""
+        curve = self._curves.get(min_pts)
+        if curve is None:
+            self._cached(stats)
+            curve = self._curves[min_pts] = KCurve(self, min_pts, self.metric)
+            if stats is not None:
+                stats.curve_builds += 1
+        return curve
 
     def _grouping(self, stats: RunStats | None) -> _Groups | None:
         """The set's farthest-first groups, built on first use, or None where
@@ -646,6 +681,12 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     the groups it can reach (see ``_plan``); labels, roles and counts are
     the same either way.
     With one column the run is the ball, so no distance block is computed.
+    On a prepared set whose N^2 fits one block, so that it caches its
+    matrix, with two columns or more, a run checks no ball end and runs no
+    pass: its counts are read off the set's :class:`KCurve` at ``min_pts``
+    (``PreparedPoints._curve``), the very counts the pass would give, and
+    a first read of its labels or roles runs the pass then, counted in
+    ``stats``.
     The labeling knows its cluster and noise counts at once, and numbers
     ``labels`` and ``roles`` only when one of them is first read.
     """
@@ -659,29 +700,37 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     n = len(points)
     if stats is not None:
         stats.dbscan_invocations += 1
-
-    # every pass below runs on the rows in the order of its plan, sorted or
-    # grouped, scattered back through the plan's ``order`` at the end. The
-    # kernel is symmetric bit for bit, so sorted row j <= i lies in the key
-    # ball of i exactly when i lies in that of j; and hi never decreases
-    hi = _ball_ends(points.key, epsilon, metric, stats)
-    lo = np.searchsorted(hi, np.arange(n))
-    if points.x.shape[1] == 1:
-        order = points.order
-        forest = _one_column(order, lo, hi, min_pts)
-    else:
-        plan = _plan(points, lo, hi, epsilon, shared, stats)
-        order = plan.order
-        forest = _windowed(plan, epsilon, min_pts, stats)
+    if shared and points.x.shape[1] > 1 and n * n <= _BLOCK_CELLS:
+        curve = points._curve(min_pts, stats)
+        return Labeling(curve.k(epsilon), curve.n_noise(epsilon),
+                        lambda: _forest(points, epsilon, min_pts, shared, stats))
 
     # the clusters are the forest's trees of core points; a border point is in
     # a core point's ball, and noise in none. Each border point keeps the
     # smallest caller index of the trees in its ball, by which labels number
     # the clusters on first read
-    core, parent, _, border, _ = forest
+    forest = _forest(points, epsilon, min_pts, shared, stats)
+    _, core, parent, _, border, _ = forest
     cores = np.flatnonzero(core)
     return Labeling(int(np.count_nonzero(parent[cores] == cores)), n - cores.size - border.size,
-                    order, *forest)
+                    lambda: forest)
+
+
+def _forest(points: PreparedPoints, epsilon: float, min_pts: int, shared: bool,
+            stats: RunStats | None) -> tuple:
+    """The ball ends and the passes of one run: the order of the plan's
+    rows, then the returns of ``_windowed`` (``_one_column`` on one
+    column)."""
+    # every pass below runs on the rows in the order of its plan, sorted or
+    # grouped, scattered back through the plan's ``order`` at the end. The
+    # kernel is symmetric bit for bit, so sorted row j <= i lies in the key
+    # ball of i exactly when i lies in that of j; and hi never decreases
+    hi = _ball_ends(points.key, epsilon, points.metric, stats)
+    lo = np.searchsorted(hi, np.arange(len(points)))
+    if points.x.shape[1] == 1:
+        return (points.order, *_one_column(points.order, lo, hi, min_pts))
+    plan = _plan(points, lo, hi, epsilon, shared, stats)
+    return (plan.order, *_windowed(plan, epsilon, min_pts, stats))
 
 
 def _tree_first(order: np.ndarray, parent: np.ndarray, cores: np.ndarray) -> np.ndarray:
@@ -1046,42 +1095,74 @@ class KCurve:
     the mutual-reachability weights max(d_ij, core_i, core_j) (OPTICS,
     HDBSCAN). A point stops being noise once eps reaches its reach radius
     min_j max(d_ij, core_j), where it first lies in a core point's ball (its
-    own included). The build compares the very distances ``dbscan`` does:
-    O(N^2) time, memory O(N) plus one block of ``_BLOCK_CELLS`` cells, reused
-    by every step.
+    own included). The build compares the very distances ``dbscan`` does.
+
+    ``points`` is a matrix, or a :class:`PreparedPoints` of ``metric``. The
+    build reads its rows' distances from the set's cached matrix when it
+    holds one (``PreparedPoints._curve``), and otherwise computes them,
+    uncounted: a block of rows at a time for the core distances and reach
+    radii, then one row a step of Prim's loop. O(N^2) time, memory O(N)
+    plus a block of a sixteenth of ``_BLOCK_CELLS`` cells.
     """
 
     def __init__(self, points, min_pts: int, metric: str = "euclidean"):
-        x = _validate(points, metric)
         _check_min_pts(min_pts)
+        if isinstance(points, PreparedPoints):
+            if points.metric != metric:
+                raise ValueError(f"points prepared for metric {points.metric!r}, not {metric!r}")
+            x, matrix = points.x, points._matrix
+        else:
+            x, matrix = _validate(points, metric), None
         n = len(x)
-        core = np.full(n, np.inf)
-        if min_pts <= n:
-            step = _block_rows(n)
-            buffer = np.empty((min(step, n), n))
-            for s in range(0, n, step):
-                block = _distance_block(x[s : s + step], x, metric, None, buffer[: n - s])
-                block.partition(min_pts - 1, axis=1)
-                core[s : s + step] = block[:, min_pts - 1]
 
-        # dense Prim: scipy's sparse MST would drop the zero-weight edges
-        # between duplicate rows
-        reach = np.empty(n)
-        edges = np.empty(n - 1)
-        rest = np.arange(1, n)  # vertices not yet in the tree
-        key = np.full(n - 1, np.inf)  # lightest edge from the tree to each of rest
-        v = 0
-        for t in range(n):
-            m = np.maximum(_distance_block(x[v : v + 1], x, metric, None)[0], core)
-            reach[v] = m.min()
-            if t == n - 1:
-                break
-            np.minimum(key, np.maximum(m[rest], core[v]), out=key)
-            # argmin over rest only: when every key is inf, an argmin over
-            # masked full-length keys would pick a vertex already in the tree
-            i = int(np.argmin(key))
-            edges[t], v = key[i], rest[i]
-            rest, key = np.delete(rest, i), np.delete(key, i)
+        def rows(s: int, e: int) -> np.ndarray:
+            """The distances of the rows [s, e) to every row."""
+            if matrix is not None:
+                return matrix[s:e]
+            return _distance_block(x[s:e], x, metric, None)
+
+        # a block of rows at a time, a sixteenth of _BLOCK_CELLS, so that the
+        # block and its temporaries stay small next to the heap a search
+        # leaves, and a build raises no peak: each row's core distance from
+        # a sorted copy (the cached matrix is only read), then each row v
+        # brings max(d_vj, core_v) to the reach radius of every j, by
+        # symmetry the term of v in the reach of j
+        core = np.full(n, np.inf)
+        reach = np.full(n, np.inf)
+        if min_pts <= n:
+            step = max(1, _block_rows(n) // 16)
+            for s in range(0, n, step):
+                block = rows(s, s + step)
+                c = core[s : s + step] = np.partition(block, min_pts - 1, axis=1)[:, min_pts - 1]
+                np.minimum(reach, np.maximum(block, c[:, None]).min(axis=0), out=reach)
+
+        # Prim, one row a step; scipy's sparse MST would drop the zero-weight
+        # edges between duplicate rows. ``key`` is the lightest edge from the
+        # tree to each vertex, and ``left`` each vertex's core distance until
+        # it joins the tree; both are inf on the tree, which the maximum with
+        # ``left`` keeps so. A vertex whose core distance is inf is core at
+        # no radius and has only inf edges. When the lightest key left is
+        # inf, as where distances overflow, so is every edge from the tree
+        # to the vertices left: the next tree starts at the vertex left with
+        # the least core distance, and the loop stops once that is inf too,
+        # at once when min_pts > N
+        edges = np.full(n - 1, np.inf)
+        key = np.full(n, np.inf)
+        left = core.copy()
+        m = np.empty(n)
+        t = 0
+        v = int(left.argmin())
+        while left[v] < np.inf:
+            left[v] = key[v] = np.inf
+            np.maximum(rows(v, v + 1)[0], core[v], out=m)
+            np.maximum(m, left, out=m)
+            np.minimum(key, m, out=key)
+            v = int(key.argmin())
+            if key[v] < np.inf:
+                edges[t] = key[v]
+                t += 1
+            else:
+                v = int(left.argmin())
 
         self.n_points = n
         self._core = np.sort(core)
@@ -1092,9 +1173,13 @@ class KCurve:
         """The ``n_clusters`` of ``dbscan(points, epsilon, min_pts, metric)``."""
         return _count_at_most(self._core, epsilon) - _count_at_most(self._edges, epsilon)
 
+    def n_noise(self, epsilon: float) -> int:
+        """The ``n_noise`` of ``dbscan(points, epsilon, min_pts, metric)``."""
+        return self.n_points - _count_at_most(self._reach, epsilon)
+
     def noise(self, epsilon: float) -> float:
         """The noise fraction ``n_noise / N`` of ``dbscan(points, epsilon, min_pts, metric)``."""
-        return (self.n_points - _count_at_most(self._reach, epsilon)) / self.n_points
+        return self.n_noise(epsilon) / self.n_points
 
 
 def _count_at_most(ascending: np.ndarray, epsilon: float) -> int:

@@ -440,18 +440,24 @@ class TestPreparedPoints:
 
     def test_the_matrix_is_computed_by_the_first_run_only(self):
         # the points 0, ..., 5 beside a zero column: the first run computes
-        # the 6 x 6 x 2 matrix; each run checks the ball ends on the key,
-        # one cell each, every guessed end i + 1 (the last row for rows 4
-        # and 5) and, for the rows 0 to 3, the row past it
+        # the 6 x 6 x 2 matrix and builds the set's curve at min_pts 3, which
+        # computes no cell, and both runs read their counts off that curve,
+        # checking no ball end. A first read of a run's labels runs its pass
+        # on the matrix, which checks the ball ends on the key, one cell
+        # each, every guessed end i + 1 (the last row for rows 4 and 5) and,
+        # for the rows 0 to 3, the row past it: 6 + 4 cells a read
         x = np.c_[np.arange(6.0), np.zeros(6)]
         points = PreparedPoints(x)
         stats = RunStats()
         first = dbscan(points, 1.0, 3, stats=stats)
-        assert stats.point_evaluations == 6 * 6 * 2 + 6 + 4
+        assert stats == RunStats(dbscan_invocations=1, point_evaluations=6 * 6 * 2, curve_builds=1)
         second = dbscan(points, 1.0, 3, stats=stats)
+        assert stats == RunStats(dbscan_invocations=2, point_evaluations=6 * 6 * 2, curve_builds=1)
+        assert (first.n_clusters, first.n_noise) == (second.n_clusters, second.n_noise) == (1, 0)
+        assert first.labels.tolist() == [0] * 6
+        assert stats.point_evaluations == 6 * 6 * 2 + 6 + 4
+        assert second.labels.tolist() == [0] * 6
         assert stats.point_evaluations == 6 * 6 * 2 + 2 * (6 + 4)
-        assert stats.dbscan_invocations == 2
-        assert first.labels.tolist() == second.labels.tolist() == [0] * 6
 
     @pytest.mark.parametrize("n", [6, 10])
     def test_a_set_is_freed_with_its_last_reference(self, monkeypatch, n):

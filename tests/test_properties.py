@@ -160,6 +160,58 @@ def test_kcurve_matches_dbscan(metric, data):
         assert (curve.k(eps), curve.noise(eps)) == k_and_noise(x, eps, min_pts, metric), eps
 
 
+@st.composite
+def cached_sets(draw, metric):
+    """Rows whose prepared set caches its matrix and reads its counts off a
+    curve, two columns or more, and a ``min_pts`` up to N + 1: 1 to 12
+    rows, some drawn again, and one of them repeated up to ``min_pts``
+    times more, so a set may hold ``min_pts`` equal rows with zero-weight
+    edges. Outside cosine the rows are scaled by 1, 1e-300 or 1e300, at
+    which squares underflow or distances overflow to inf, and manhattan's
+    sums of four differences of rows at 1e305 overflow too; under cosine
+    a row at those scales has no direction, and scaled_rows keeps one."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(2, 4))
+    x = draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3, allow_subnormal=False, width=64)))
+    x = np.vstack([x, x[draw(st.lists(st.integers(0, n - 1), max_size=3))]])
+    min_pts = draw(st.integers(2, len(x) + 1))
+    x = np.vstack([x, np.repeat(x[draw(st.integers(0, n - 1))][None], draw(st.integers(0, min_pts)), axis=0)])
+    if metric == "cosine":
+        return draw(scaled_rows(metric, x)), min_pts
+    scales = [1.0, 1e-300, 1e300] + ([1e305] if metric == "manhattan" else [])
+    return x * np.array(draw(st.lists(st.sampled_from(scales), min_size=len(x), max_size=len(x))))[:, None], min_pts
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the oracle's squares
+@SETTINGS
+@given(data=st.data())
+def test_counts_read_off_a_cached_sets_curve_match_the_oracle_and_the_pass(metric, data):
+    # a prepared set that caches its matrix answers each run's counts off
+    # its curve; a first read of the labels runs the pass on the same set.
+    # Both must give the oracle's counts, and the pass its labels, at the
+    # exact pairwise distances (the closed ball's edge), the floats on
+    # either side of them, 1e-300, and under cosine radii of 2 or more,
+    # where the kernel's clip puts every pair within the radius
+    x, min_pts = data.draw(cached_sets(metric))
+    exact = np.unique(brute_force_distances(x, metric))
+    exact = exact[(exact > 0) & (exact < np.inf)]
+    beside = np.concatenate((np.nextafter(exact, 0), np.nextafter(exact, np.inf)))
+    radii = [1e-300, *exact.tolist(), *beside[(beside > 0) & (beside < np.inf)].tolist()]
+    radii = data.draw(st.lists(st.sampled_from(radii), min_size=1, max_size=10))
+    if metric == "cosine":
+        radii += data.draw(st.lists(st.floats(2.0, 4.0), min_size=1, max_size=2))
+    points = PreparedPoints(x, metric)
+    stats = RunStats()
+    for eps in radii:
+        lab = dbscan(points, eps, min_pts, metric, stats)
+        counts = lab.n_clusters, lab.n_noise
+        expected = brute_force_dbscan(x, eps, min_pts, metric)
+        assert counts == (np.unique(expected[expected != NOISE]).size, np.count_nonzero(expected == NOISE)), eps
+        assert np.array_equal(lab.labels, expected), eps
+        assert counts == (np.unique(lab.labels[lab.labels != NOISE]).size, np.count_nonzero(lab.labels == NOISE))
+    assert (stats.dbscan_invocations, stats.curve_builds) == (len(radii), 1)
+
+
 @pytest.mark.parametrize("metric", METRICS)
 @SETTINGS
 @given(data=st.data())

@@ -134,14 +134,13 @@ class TestTernarySearch:
     def test_a_small_search_computes_its_matrix_once(self, monkeypatch):
         # the points 0, 1, ..., 9 beside a zero column: N^2 = 100 cells fit
         # one block, so the first probe computes the whole 10 x 10 x 2
-        # matrix and every block of the 2 * itr probes reads it. With
-        # min_pts 3, each probe finds one cluster: eps 3 and 6 (the thirds
-        # of [0, 9]) give k 1 and 1, so the interval becomes [0, 3], and its
-        # thirds are eps 1 and 2. Each probe also checks the ball ends on
-        # the key, the first column, one cell each (D = 1): every row's
-        # guessed end i + eps, exact for integer gaps, which is near, and,
-        # for the 9 - eps rows whose end is not the last row, the row past
-        # it, which is far. So 10 + 6, 10 + 3, 10 + 8 and 10 + 7 cells
+        # matrix and builds the set's curve from it, and each of the 2 * itr
+        # probes reads its counts off that curve. With min_pts 3, each probe
+        # finds one cluster: eps 3 and 6 (the thirds of [0, 9]) give k 1 and
+        # 1, so the interval becomes [0, 3], and its thirds are eps 1 and 2.
+        # A probe reads no labels, so none checks a ball end on the key:
+        # the matrix is the one kernel call and its cells all the counter
+        # holds
         x = np.c_[np.arange(10.0), np.zeros(10)]
         calls = []
 
@@ -153,11 +152,24 @@ class TestTernarySearch:
         cfg = TuneConfig(min_pts=3, itr=2)
         stats = RunStats()
         assert ternary_search(x, SearchBounds(0.0, 9.0), cfg, stats) == 1.5
-        ball_ends = [b[0] for a, b in calls if a == (1, 1)]
-        assert [c for c in calls if c[0] != (1, 1)] == [((10, 2), (10, 2))]
-        assert sum(ball_ends) == 4 * 10 + 6 + 3 + 8 + 7
-        assert stats.point_evaluations == 10 * 10 * 2 + sum(ball_ends)
-        assert stats.dbscan_invocations == 2 * cfg.itr
+        assert calls == [((10, 2), (10, 2))]
+        assert stats == RunStats(dbscan_invocations=2 * cfg.itr, point_evaluations=10 * 10 * 2,
+                                 curve_builds=1)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    def test_a_cached_search_reads_every_probe_off_one_curve(self, monkeypatch, metric):
+        # 60 x 3 rows cache their matrix: the 12 probes of a search build
+        # the set's curve once, at the first probe, and run no pass
+        def refuse(*args):
+            raise AssertionError("a probe ran the pass")
+
+        monkeypatch.setattr(tsdbscan.core, "_windowed", refuse)
+        x = np.random.default_rng(4).random((60, 3)) + 0.1
+        cfg = TuneConfig(min_pts=4, itr=6, metric=metric)
+        stats = RunStats()
+        assert 0.0 < ternary_search(x, SearchBounds(0.0, 1.0), cfg, stats) < 1.0
+        assert (stats.dbscan_invocations, stats.curve_builds) == (12, 1)
+        assert stats.point_evaluations == 60 * 60 * 3
 
     def test_interval_shrink_rate(self):
         # cond keeps at most 2/3 per iteration; final midpoint must sit
