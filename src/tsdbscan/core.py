@@ -52,10 +52,11 @@ sorted copy, is done once by :class:`PreparedPoints`, which any number of
 runs at different radii share. When N^2 fits one block, the set's first
 run computes its whole distance matrix, and every block of every run on
 it is a slice or a gather of that matrix. On such a set a caller
-prepared, with two columns or more, a run needs no block at all: the set
-builds its ``KCurve`` at a ``min_pts`` once, from the matrix, and each
-run reads its cluster and noise counts off it, the very counts its passes
-would give, and runs the passes only when its labels are first read.
+prepared, and on any set a caller prepared with one column, a run needs
+no block at all: the set builds its ``KCurve`` at a ``min_pts`` once, from
+the matrix, or from the sorted keys on one column, and each run reads its
+cluster and noise counts off it, the very counts its passes would give,
+and runs the passes only when its labels are first read.
 Otherwise, on a set a caller
 prepared (each ternary search prepares its rows once), the first run that
 needs a block builds farthest-first groups, ceil(sqrt(N / 2)) centres with
@@ -93,6 +94,10 @@ its run's length. The clusters are the runs of core points each within
 the nearest core point on each side within ``epsilon``: no distance block
 is computed. Each kernel value on the key is its pair's bit for bit, from
 the pair's difference (``_gap_kernel``), and counts as one cell at D = 1.
+The same order gives the one-column curve in O(N log N): a point's core
+distance, the least radius that joins it to a core point before it, and
+the least that puts it in a core point's ball, each one kernel value
+(``_one_column_radii``), with no distance block either.
 """
 
 from __future__ import annotations
@@ -161,17 +166,21 @@ class RunStats:
     every pair is within the radius (``_Groups.pairs``) counts and joins
     with no cell, so on such a set the counter falls with the radius's
     share of inside pairs, while each cell it counts is still one computed
-    kernel value. A run that reads its counts off a cached set's curve
-    (see ``dbscan``) checks no ball end and computes no cell but the
-    matrix, in the set's first run; a first read of its labels runs the
-    pass then, which adds its ball-end cells to the run's ``stats`` and
-    reads every block from the matrix.
+    kernel value. A run that reads its counts off a set's curve (see
+    ``dbscan``) checks no ball end and computes no cell but the matrix, in
+    the set's first run, or on one column the curve's own cells, in the
+    run that builds it; a first read of its labels runs the pass then,
+    which adds its ball-end cells to the run's ``stats`` and reads every
+    block, if any, from the matrix.
     ``dbscan_invocations`` counts the runs, cached, read off a curve or
     not. ``curve_builds`` counts :class:`KCurve` builds: each of
-    ``sweep_curve``, and each a cached set makes for a ``min_pts``, in the
-    run that first needs it. A build runs no DBSCAN and computes no counted
-    cell: a sweep's build computes its distances uncounted, and a cached
-    set's reads its matrix.
+    ``sweep_curve``, and each a prepared set makes for a ``min_pts``, in
+    the run that first needs it. A build runs no DBSCAN. A sweep's build
+    computes its distances uncounted, and a cached set's reads its matrix
+    and computes no cell. A prepared one-column set's build computes at
+    most 3N kernel values, one cell each at D = 1, in the ``stats`` of the
+    run that builds it: those are the only cells a search on one column
+    counts until a run's labels are read.
     """
 
     dbscan_invocations: int = 0
@@ -311,14 +320,16 @@ class PreparedPoints:
     distance block computes the whole matrix of the sorted rows, counted in
     that run's ``stats``, and every block of every run is then a slice or a
     gather of it: the same values bit for bit, because each kernel value
-    depends on its pair alone. On such a set a caller prepared, with two
-    columns or more, a run reads its counts off the set's :class:`KCurve`
-    for its ``min_pts``, built from the matrix by the first run that needs
-    it, counted in that run's ``curve_builds``, and kept. Otherwise, on a
-    set a caller prepared for many runs, that first run builds the set's
-    farthest-first groups (``_farthest_first``), counted in its ``stats``,
-    and every run probes through them (``_plan``). One column needs no
-    block.
+    depends on its pair alone. On such a set a caller prepared, and on
+    one with one column at any N, a run reads its counts off the set's
+    :class:`KCurve` for its ``min_pts``, built by the first run that needs
+    it, from the matrix, or on one column from ``key`` with its kernel
+    values counted in that run's ``stats``; the build counts in the run's
+    ``curve_builds``, and the curve is kept. One column needs no matrix
+    and no block. Otherwise, on a set a caller prepared for many runs, that
+    first run builds the set's farthest-first groups (``_farthest_first``),
+    counted in its ``stats``, and every run probes through them
+    (``_plan``).
     """
 
     def __init__(self, points, metric: str = "euclidean"):
@@ -331,7 +342,7 @@ class PreparedPoints:
         self.x = x[self.order]
         self.key = np.ascontiguousarray(self.x[:, widest])
         self._matrix = None
-        self._curves = {}  # min_pts -> the KCurve of the cached matrix
+        self._curves = {}  # min_pts -> the KCurve of the keys or the cached matrix
         self._whole = None  # the set as one group, for the key window
         self._groups = None  # False once the scale rules groups out
 
@@ -362,11 +373,13 @@ class PreparedPoints:
         return matrix[np.ix_(rows, cols)]
 
     def _curve(self, min_pts: int, stats: RunStats | None) -> KCurve:
-        """The curve of the cached matrix at ``min_pts``, built on first use."""
+        """The set's curve at ``min_pts``, built on first use: from the keys
+        on one column, else from the cached matrix."""
         curve = self._curves.get(min_pts)
         if curve is None:
-            self._cached(stats)
-            curve = self._curves[min_pts] = KCurve(self, min_pts, self.metric)
+            if self.x.shape[1] > 1:
+                self._cached(stats)
+            curve = self._curves[min_pts] = KCurve(self, min_pts, self.metric, stats)
             if stats is not None:
                 stats.curve_builds += 1
         return curve
@@ -681,12 +694,13 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     the groups it can reach (see ``_plan``); labels, roles and counts are
     the same either way.
     With one column the run is the ball, so no distance block is computed.
-    On a prepared set whose N^2 fits one block, so that it caches its
-    matrix, with two columns or more, a run checks no ball end and runs no
-    pass: its counts are read off the set's :class:`KCurve` at ``min_pts``
+    On a prepared set with one column, or whose N^2 fits one block so that
+    it caches its matrix, a run checks no ball end and runs no pass: its
+    counts are read off the set's :class:`KCurve` at ``min_pts``
     (``PreparedPoints._curve``), the very counts the pass would give, and
     a first read of its labels or roles runs the pass then, counted in
-    ``stats``.
+    ``stats``. A matrix ``dbscan`` prepares for its one run always runs
+    the passes.
     The labeling knows its cluster and noise counts at once, and numbers
     ``labels`` and ``roles`` only when one of them is first read.
     """
@@ -700,7 +714,7 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     n = len(points)
     if stats is not None:
         stats.dbscan_invocations += 1
-    if shared and points.x.shape[1] > 1 and n * n <= _BLOCK_CELLS:
+    if shared and (points.x.shape[1] == 1 or n * n <= _BLOCK_CELLS):
         curve = points._curve(min_pts, stats)
         return Labeling(curve.k(epsilon), curve.n_noise(epsilon),
                         lambda: _forest(points, epsilon, min_pts, shared, stats))
@@ -1097,74 +1111,38 @@ class KCurve:
     min_j max(d_ij, core_j), where it first lies in a core point's ball (its
     own included). The build compares the very distances ``dbscan`` does.
 
-    ``points`` is a matrix, or a :class:`PreparedPoints` of ``metric``. The
-    build reads its rows' distances from the set's cached matrix when it
-    holds one (``PreparedPoints._curve``), and otherwise computes them,
-    uncounted: a block of rows at a time for the core distances and reach
-    radii, then one row a step of Prim's loop. O(N^2) time, memory O(N)
-    plus a block of a sixteenth of ``_BLOCK_CELLS`` cells.
+    ``points`` is a matrix, or a :class:`PreparedPoints` of ``metric``. On
+    two columns or more the build reads its rows' distances from the set's
+    cached matrix when it holds one (``PreparedPoints._curve``), and
+    otherwise computes them: a block of rows at a time for the core
+    distances and reach radii, then one row a step of Prim's loop
+    (``_prim_radii``). O(N^2) time, memory O(N) plus a block of a
+    sixteenth of ``_BLOCK_CELLS`` cells. On one column it works on the
+    sorted keys (``_one_column_radii``): a point's ``min_pts`` nearest
+    points are a window of sorted rows, and a core point joins the core
+    point before it, and so its cluster, once eps reaches its join radius
+    max(core_p, min over the rows q before p of max(d_pq, core_q)), which
+    stands in for the tree's edges; the finite join radii are the edges of
+    a minimum spanning tree. O(N log N) time, memory O(N) a level of the
+    sparse table of ``_join_gaps`` (at most log2 N levels), and one kernel
+    value for each of at most 3N radii. ``stats``, when given, counts the
+    kernel cells the build computes; ``sweep_curve`` passes none.
     """
 
-    def __init__(self, points, min_pts: int, metric: str = "euclidean"):
+    def __init__(self, points, min_pts: int, metric: str = "euclidean", stats: RunStats | None = None):
         _check_min_pts(min_pts)
         if isinstance(points, PreparedPoints):
             if points.metric != metric:
                 raise ValueError(f"points prepared for metric {points.metric!r}, not {metric!r}")
-            x, matrix = points.x, points._matrix
+            x, key, matrix = points.x, points.key, points._matrix
         else:
             x, matrix = _validate(points, metric), None
-        n = len(x)
-
-        def rows(s: int, e: int) -> np.ndarray:
-            """The distances of the rows [s, e) to every row."""
-            if matrix is not None:
-                return matrix[s:e]
-            return _distance_block(x[s:e], x, metric, None)
-
-        # a block of rows at a time, a sixteenth of _BLOCK_CELLS, so that the
-        # block and its temporaries stay small next to the heap a search
-        # leaves, and a build raises no peak: each row's core distance from
-        # a sorted copy (the cached matrix is only read), then each row v
-        # brings max(d_vj, core_v) to the reach radius of every j, by
-        # symmetry the term of v in the reach of j
-        core = np.full(n, np.inf)
-        reach = np.full(n, np.inf)
-        if min_pts <= n:
-            step = max(1, _block_rows(n) // 16)
-            for s in range(0, n, step):
-                block = rows(s, s + step)
-                c = core[s : s + step] = np.partition(block, min_pts - 1, axis=1)[:, min_pts - 1]
-                np.minimum(reach, np.maximum(block, c[:, None]).min(axis=0), out=reach)
-
-        # Prim, one row a step; scipy's sparse MST would drop the zero-weight
-        # edges between duplicate rows. ``key`` is the lightest edge from the
-        # tree to each vertex, and ``left`` each vertex's core distance until
-        # it joins the tree; both are inf on the tree, which the maximum with
-        # ``left`` keeps so. A vertex whose core distance is inf is core at
-        # no radius and has only inf edges. When the lightest key left is
-        # inf, as where distances overflow, so is every edge from the tree
-        # to the vertices left: the next tree starts at the vertex left with
-        # the least core distance, and the loop stops once that is inf too,
-        # at once when min_pts > N
-        edges = np.full(n - 1, np.inf)
-        key = np.full(n, np.inf)
-        left = core.copy()
-        m = np.empty(n)
-        t = 0
-        v = int(left.argmin())
-        while left[v] < np.inf:
-            left[v] = key[v] = np.inf
-            np.maximum(rows(v, v + 1)[0], core[v], out=m)
-            np.maximum(m, left, out=m)
-            np.minimum(key, m, out=key)
-            v = int(key.argmin())
-            if key[v] < np.inf:
-                edges[t] = key[v]
-                t += 1
-            else:
-                v = int(left.argmin())
-
-        self.n_points = n
+            key = np.sort(x[:, 0]) if x.shape[1] == 1 else None
+        if x.shape[1] == 1:
+            core, edges, reach = _one_column_radii(key, min_pts, metric, stats)
+        else:
+            core, edges, reach = _prim_radii(x, matrix, min_pts, metric, stats)
+        self.n_points = len(x)
         self._core = np.sort(core)
         self._edges = np.sort(edges)
         self._reach = np.sort(reach)
@@ -1186,6 +1164,160 @@ def _count_at_most(ascending: np.ndarray, epsilon: float) -> int:
     """How many values are <= epsilon: the closed ball."""
     _check_epsilon(epsilon)
     return int(np.searchsorted(ascending, epsilon, side="right"))
+
+
+def _prim_radii(x: np.ndarray, matrix: np.ndarray | None, min_pts: int, metric: str,
+                stats: RunStats | None) -> tuple:
+    """The core distances, the edges of a minimum spanning tree over the
+    mutual-reachability weights and the reach radii of the rows ``x``, read
+    from ``matrix`` when given, else computed into ``stats``, by dense Prim."""
+    n = len(x)
+
+    def rows(s: int, e: int) -> np.ndarray:
+        """The distances of the rows [s, e) to every row."""
+        if matrix is not None:
+            return matrix[s:e]
+        return _distance_block(x[s:e], x, metric, stats)
+
+    # a block of rows at a time, a sixteenth of _BLOCK_CELLS, so that the
+    # block and its temporaries stay small next to the heap a search
+    # leaves, and a build raises no peak: each row's core distance from
+    # a sorted copy (the cached matrix is only read), then each row v
+    # brings max(d_vj, core_v) to the reach radius of every j, by
+    # symmetry the term of v in the reach of j
+    core = np.full(n, np.inf)
+    reach = np.full(n, np.inf)
+    if min_pts <= n:
+        step = max(1, _block_rows(n) // 16)
+        for s in range(0, n, step):
+            block = rows(s, s + step)
+            c = core[s : s + step] = np.partition(block, min_pts - 1, axis=1)[:, min_pts - 1]
+            np.minimum(reach, np.maximum(block, c[:, None]).min(axis=0), out=reach)
+
+    # Prim, one row a step; scipy's sparse MST would drop the zero-weight
+    # edges between duplicate rows. ``key`` is the lightest edge from the
+    # tree to each vertex, and ``left`` each vertex's core distance until
+    # it joins the tree; both are inf on the tree, which the maximum with
+    # ``left`` keeps so. A vertex whose core distance is inf is core at
+    # no radius and has only inf edges. When the lightest key left is
+    # inf, as where distances overflow, so is every edge from the tree
+    # to the vertices left: the next tree starts at the vertex left with
+    # the least core distance, and the loop stops once that is inf too,
+    # at once when min_pts > N
+    edges = np.full(n - 1, np.inf)
+    key = np.full(n, np.inf)
+    left = core.copy()
+    m = np.empty(n)
+    t = 0
+    v = int(left.argmin())
+    while left[v] < np.inf:
+        left[v] = key[v] = np.inf
+        np.maximum(rows(v, v + 1)[0], core[v], out=m)
+        np.maximum(m, left, out=m)
+        np.minimum(key, m, out=key)
+        v = int(key.argmin())
+        if key[v] < np.inf:
+            edges[t] = key[v]
+            t += 1
+        else:
+            v = int(left.argmin())
+    return core, edges, reach
+
+
+def _one_column_radii(key: np.ndarray, min_pts: int, metric: str, stats: RunStats | None) -> tuple:
+    """The core distance c_p, the join radius max(c_p, r_p) and the reach
+    radius min(c_p, r_p, l_p) of each row of the ascending one-column
+    ``key``, with r_p = min over the rows q < p of max(K(key_p - key_q),
+    c_q), l_p the same over q > p, and inf where no such row is. The
+    kernel K of a gap is monotone, so each radius is K of the same
+    expression in the gaps with c_q's gap in place of c_q: the three are
+    found on the gaps (``_core_gaps``, ``_join_gaps``), and one
+    ``_gap_kernel`` call on their finite values, counted in ``stats``,
+    turns them into radii, each its pair's kernel value bit for bit."""
+    n = key.size
+    if min_pts > n:
+        return (np.full(n, np.inf),) * 3
+    with np.errstate(over="ignore"):
+        core = _core_gaps(key, min_pts)
+        behind = _join_gaps(key, core)
+        # the rows ahead of a row are those behind it on the negated keys in
+        # reverse, whose differences are the same floats: negation is exact
+        ahead = _join_gaps(-key[::-1], core[::-1])[::-1]
+    gaps = np.concatenate((core, np.maximum(core, behind), np.minimum(core, np.minimum(behind, ahead))))
+    radii = np.full(gaps.size, np.inf)
+    finite = gaps < np.inf
+    radii[finite] = _gap_kernel(gaps[finite], metric, stats)
+    return radii[:n], radii[n : 2 * n], radii[2 * n :]
+
+
+def _core_gaps(key: np.ndarray, min_pts: int) -> np.ndarray:
+    """The gap from each row of the ascending ``key`` to its ``min_pts``-th
+    nearest row, itself included: those rows are a window of ``min_pts``
+    sorted rows that holds it, so the gap is the least, over such windows,
+    of the larger gap to the window's two ends. As the window's start s
+    grows, the gap behind shrinks and the gap ahead grows, so a binary
+    search over s finds the first start whose gap behind is at most its
+    gap ahead, in O(log ``min_pts``) rounds; the least is the gap ahead
+    there or the gap behind at the start before it."""
+    n = key.size
+    p = np.arange(n)
+    lo, hi = np.maximum(p - (min_pts - 1), 0), np.minimum(p, n - min_pts)
+    a, b = lo, hi + 1
+    while (live := a < b).any():
+        s = np.where(live, (a + b) >> 1, lo)
+        first = key[s + min_pts - 1] - key >= key - key[s]
+        a, b = np.where(live & ~first, s + 1, a), np.where(live & first, s, b)
+    behind = np.where(a > lo, key - key[np.maximum(a - 1, 0)], np.inf)
+    ahead = np.where(a <= hi, key[np.minimum(a, hi) + min_pts - 1] - key, np.inf)
+    return np.minimum(behind, ahead)
+
+
+def _join_gaps(key: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """For each row p of the ascending ``key``, the least over the rows q < p
+    of max(key_p - key_q, core_q), inf at row 0.
+
+    Write G(j) = key_p - key_j, which shrinks as j grows, and h(j) the least
+    ``core`` over the rows [j, p), which grows with j. The least above is
+    the least over j of max(G(j), h(j)), since the row q of h(j) has
+    G(q) <= G(j). So with j0 the last row j where h(j) <= G(j), the least
+    is G(j0) or h(j0 + 1). Each row finds j0 by an exponential search down
+    from p: it takes the runs of 1, 2, 4, ... rows below the rows it has
+    taken while h stays above G at a run's start, then halves the first run
+    it could not take, with the least ``core`` over each run of 2^L rows
+    from level L of a sparse table, built only as high as some row climbs.
+    That is O(log N) rounds over all rows at once, about twice the log of
+    p - j0 on each row."""
+    n = key.size
+    levels = [core]  # level L: the least core over the 2^L rows from each row
+    j = np.arange(n)  # the rows [j, p) are taken: h > G at each of them
+    least = np.full(n, np.inf)  # the least core over the rows taken
+
+    def take(rows: np.ndarray, level: int) -> np.ndarray:
+        """Takes the 2^``level`` rows below the rows taken by each of
+        ``rows`` where h stays above G at their start; returns where it did."""
+        start = j[rows] - (1 << level)
+        at = np.maximum(start, 0)
+        h = np.minimum(least[rows], levels[level][at])
+        ok = (start >= 0) & (h > key[rows] - key[at])
+        j[rows[ok]], least[rows[ok]] = start[ok], h[ok]
+        return ok
+
+    # each climbing row has taken 2^L - 1 rows at level L, so 2^L <= N
+    # there, and level L holds N - 2^L + 1 >= 1 values
+    rows, stopped = np.arange(1, n), []
+    while rows.size:
+        if stopped:
+            half = 1 << (len(stopped) - 1)
+            levels.append(np.minimum(levels[-1][:-half], levels[-1][half:]))
+        ok = take(rows, len(stopped))
+        stopped.append(rows[~ok])
+        rows = rows[ok]
+    # the rows that stopped at each level halve the run they could not take
+    rows = stopped.pop()
+    for level in range(len(stopped) - 1, -1, -1):
+        take(rows, level)
+        rows = np.concatenate((rows, stopped[level]))
+    return np.minimum(least, np.where(j > 0, key - key[np.maximum(j - 1, 0)], np.inf))
 
 
 def approximate_diameter_ub(points, metric: str = "euclidean") -> float:

@@ -19,7 +19,14 @@ _DELIMS = {"csv": ",", "tsv": "\t"}
 
 
 def load_matrix(path, fmt: str = "csv") -> np.ndarray:
-    """Parse a numeric matrix; errors carry the offending line number."""
+    """Parse a numeric matrix; errors carry the offending line number.
+
+    A cell is read by ``float``'s grammar, as ``float`` reads it:
+    surrounding whitespace, underscores between digits and non-ASCII
+    decimal digits included. One numpy call converts all cells, which
+    numpy does through ``float``, so the values are the same bit for bit.
+    Only when a cell does not parse, or a row's width differs from the
+    first row's, are the rows read one at a time, for the first such line."""
     if fmt not in _DELIMS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {tuple(_DELIMS)}")
     delim = _DELIMS[fmt]
@@ -41,22 +48,23 @@ def load_matrix(path, fmt: str = "csv") -> np.ndarray:
         if not numbered:
             raise ValueError(f"{path}: no data rows after header")
 
-    rows = []
-    width = None
-    for lineno, line in numbered:
-        row = try_parse(line)
-        if row is None:
-            raise ValueError(f"{path}: non-numeric cell at line {lineno}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"{path}: ragged row at line {lineno} "
-                             f"({len(row)} cells, expected {width})")
-        rows.append(row)
-    x = np.array(rows, dtype=np.float64)
+    lines = [line for _, line in numbered]
+    widths = [line.count(delim) + 1 for line in lines]
+    try:
+        x = np.array(delim.join(lines).split(delim), dtype=np.float64)
+    except ValueError:  # a cell that float() rejects
+        x = None
+    if x is None or widths.count(widths[0]) < len(widths):
+        # the first line with a cell that does not parse or the wrong width
+        for (lineno, line), width in zip(numbered, widths):
+            if try_parse(line) is None:
+                raise ValueError(f"{path}: non-numeric cell at line {lineno}")
+            if width != widths[0]:
+                raise ValueError(f"{path}: ragged row at line {lineno} "
+                                 f"({width} cells, expected {widths[0]})")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: matrix contains NaN or Inf")
-    return x
+    return x.reshape(len(lines), widths[0])
 
 
 def load_labels(path) -> np.ndarray:

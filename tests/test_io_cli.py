@@ -50,6 +50,50 @@ class TestLoadMatrix:
         p.write_text("0\t1\n2\t3\n")
         assert load_matrix(p, "tsv").tolist() == [[0, 1], [2, 3]]
 
+    def test_cells_are_what_float_reads_bit_for_bit(self, tmp_path):
+        # float's grammar: surrounding whitespace, underscores between
+        # digits, non-ASCII decimal digits, subnormals, a signed zero and
+        # decimals that round, next to the shortest reprs of random floats
+        cells = [" 1_0", "١", "\t2.5 ", "1e5", "-0.0", "4.9e-324", "2.4e-324", "0.1",
+                 "+.5", "1.", " 3", "７", "9007199254740993", "1e-400",
+                 "0.30000000000000004441", *map(repr, (np.random.default_rng(0).normal(size=30) * 1e3).tolist())]
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(",".join(cells[i : i + 3]) for i in range(0, len(cells), 3)) + "\n")
+        got = load_matrix(p)
+        assert got.shape == (len(cells) // 3, 3)
+        assert np.array_equal(got.ravel().view(np.int64), np.array([float(c) for c in cells]).view(np.int64))
+
+    @pytest.mark.parametrize("text, rows", [
+        ("x,y\n0,0\n", [[0, 0]]),
+        ("1,x\n0,0\n", [[0, 0]]),  # one cell that float() rejects makes a header
+        ("\n\n 1 , 2 \n3,4\n", [[1, 2], [3, 4]]),  # a numeric first line is data
+        ("x\n\n5\n\n6\n", [[5], [6]]),
+    ])
+    def test_header_detection(self, tmp_path, text, rows):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        assert load_matrix(p).tolist() == rows
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,0\n1\n", "ragged row at line 2 (1 cells, expected 2)"),
+        ("0,0\n1,oops\n", "non-numeric cell at line 2"),
+        # blank lines count, a header is line 1, and the first bad line
+        # wins: a row whose cell does not parse is non-numeric, whatever
+        # its width
+        ("x,y\n\n0,0\n\n1,2,3\n0x1,0\n", "ragged row at line 5 (3 cells, expected 2)"),
+        ("x,y\n\n0,0\n\n1,1_\n1,2,3\n", "non-numeric cell at line 5"),
+        ("0,0\n1,2,oops\n", "non-numeric cell at line 2"),
+        ("0,0\n1,,2\n", "non-numeric cell at line 2"),
+        ("0,0\n1,2,\n", "non-numeric cell at line 2"),
+        ("0,0\n1,inf\n", "matrix contains NaN or Inf"),
+    ])
+    def test_errors_name_the_first_bad_line(self, tmp_path, text, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as error:
+            load_matrix(p)
+        assert str(error.value) == f"{p}: {message}"
+
 
 class TestLabels:
     def test_noise_mapping(self, tmp_path):

@@ -278,6 +278,43 @@ def test_one_column_matches_two_columns_and_the_oracle(metric, data):
 
 
 @pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the oracle's squares
+@SETTINGS
+@given(data=st.data())
+def test_one_column_curves_match_the_oracle_and_the_pass(metric, data):
+    # on one column, KCurve and a prepared set's runs read their counts off
+    # a curve built on the sorted keys. Both must give the oracle's counts
+    # and the one-shot pass's, at the exact pairwise distances, the floats
+    # on either side of them and 1e-300, on 1 to 16 rows scaled as
+    # one_column scales them, with one row repeated up to min_pts times
+    # more and min_pts up to N + 1. The finite join radii are the edges of
+    # a minimum spanning tree, as dense Prim finds them
+    x = data.draw(one_column(metric))
+    min_pts = data.draw(st.integers(2, len(x) + 1))
+    copies = data.draw(st.integers(0, min_pts))
+    x = np.vstack([x, np.repeat(x[data.draw(st.integers(0, len(x) - 1))][None], copies, axis=0)])
+    exact = np.unique(brute_force_distances(x, metric))
+    exact = exact[(exact > 0) & (exact < np.inf)]
+    beside = np.concatenate((np.nextafter(exact, 0), np.nextafter(exact, np.inf)))
+    radii = [1e-300, *exact.tolist(), *beside[(beside > 0) & (beside < np.inf)].tolist()]
+    radii = data.draw(st.lists(st.sampled_from(radii), min_size=1, max_size=10))
+    curve = KCurve(x, min_pts, metric)
+    points, stats = PreparedPoints(x, metric), RunStats()
+    for eps in radii:
+        expected = brute_force_dbscan(x, eps, min_pts, metric)
+        counts = np.unique(expected[expected != NOISE]).size, np.count_nonzero(expected == NOISE)
+        once = dbscan(x, eps, min_pts, metric)
+        lab = dbscan(points, eps, min_pts, metric, stats)
+        assert (curve.k(eps), curve.n_noise(eps)) == counts == (once.n_clusters, once.n_noise), eps
+        assert (lab.n_clusters, lab.n_noise) == counts, eps
+    assert stats.dbscan_invocations == len(radii) and stats.curve_builds == 1
+    assert stats.point_evaluations <= 3 * len(x)
+    assert np.array_equal(lab.labels, expected)
+    _, edges, _ = core._prim_radii(_validate(x, metric), None, min_pts, metric, None)
+    assert np.array_equal(curve._edges[curve._edges < np.inf], np.sort(edges[edges < np.inf]))
+
+
+@pytest.mark.parametrize("metric", METRICS)
 @SETTINGS
 @given(data=st.data())
 def test_difference_block_is_the_pair_kernel(metric, data):

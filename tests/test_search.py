@@ -171,6 +171,28 @@ class TestTernarySearch:
         assert (stats.dbscan_invocations, stats.curve_builds) == (12, 1)
         assert stats.point_evaluations == 60 * 60 * 3
 
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    def test_a_one_column_search_reads_every_probe_off_one_curve(self, monkeypatch, metric):
+        # a prepared set with one column reads its counts off its curve at
+        # any N: 1000 rows, whose N^2 exceeds one block, so the set caches
+        # no matrix. The 12 probes build the curve once, at the first
+        # probe, and neither check a ball end nor run the pass. The build
+        # computes one kernel value for each row's core distance, join
+        # radius and reach radius, 3N cells at D = 1, less the join radius
+        # of the first sorted row, which has no row before it: inf, with no
+        # kernel value
+        def refuse(*args):
+            raise AssertionError("a probe ran the pass")
+
+        monkeypatch.setattr(tsdbscan.core, "_one_column", refuse)
+        monkeypatch.setattr(tsdbscan.core, "_ball_ends", refuse)
+        x = np.random.default_rng(5).random((1000, 1)) + 0.1
+        assert len(x) ** 2 > tsdbscan.core._BLOCK_CELLS
+        cfg = TuneConfig(min_pts=4, itr=6, metric=metric)
+        stats = RunStats()
+        assert 0.0 < ternary_search(x, SearchBounds(0.0, 0.1), cfg, stats) < 0.1
+        assert stats == RunStats(dbscan_invocations=12, point_evaluations=3 * 1000 - 1, curve_builds=1)
+
     def test_interval_shrink_rate(self):
         # cond keeps at most 2/3 per iteration; final midpoint must sit
         # inside the worst-case residual interval around some point

@@ -77,12 +77,13 @@ def test_patched_name_is_on_the_call_path(calls, module_name, attr):
     assert calls[module_name, attr] > 0
 
 
-def traced(tmp_path, commands):
-    """Runs ``commands`` on a tiny blob set under the benchmark's tracer;
-    returns the tracing module, the spans and each command's report."""
+def traced(tmp_path, commands, dims=8):
+    """Runs ``commands`` on a tiny blob set of 90 rows and ``dims`` columns
+    under the benchmark's tracer; returns the tracing module, the spans and
+    each command's report."""
     tracing = load_tracing()
     data = tmp_path / "synth" / "data.csv"
-    assert main([str(a) for a in ["synth", "--k", 3, "--per-cluster", 30, "--dims", 8,
+    assert main([str(a) for a in ["synth", "--k", 3, "--per-cluster", 30, "--dims", dims,
                                   "--separation", 30, "--seed", 2, "--out", data.parent]]) == 0
     tracer = tracing.Tracer()
     tracer.install()
@@ -145,5 +146,22 @@ def test_traced_group_builds_pass_the_counter_check(tmp_path, monkeypatch):
                      if a[0] == 1 and b[0] == 90 and spans[spans[i][1]][0] == "core.dbscan")
     assert builds == {("cli.tune", "search.lower_bound", 2): 7, ("cli.tune", "search.final_search", 8): 7,
                       ("cli.tse", "search.lower_bound", 2): 7, ("cli.tse", "search.final_clustering", 8): 7}
+    checks = tracing.counter_check(spans, reports)
+    assert len(checks) == len(commands) and all(ok for _, ok, _ in checks), checks
+
+
+def test_traced_one_column_curves_pass_the_counter_check(tmp_path):
+    # at D = 2 the lower bound keeps ceil(0.2 * 2) = 1 column, and so does
+    # each TSE search: their prepared 90 x 1 and 18 x 1 sets read every
+    # probe off a one-column curve, built inside the traced dbscan of each
+    # search's first probe, whose kernel values count as D = 1 cells of
+    # that run. The 18 x 2 upper bound and tune's 90 x 2 final search cache
+    # their matrix and build a curve from it. So tune builds 3 curves, and
+    # tse 1 + 1 for its bounds and one per TSE search
+    commands = {"tune": ["--itr", 2], "tse": ["--itr", 2, "--m", 2]}
+    tracing, spans, reports = traced(tmp_path, commands, dims=2)
+    assert reports["tune"]["curve_builds"] == 3
+    assert reports["tse"]["curve_builds"] == 2 + 2
+    assert reports["tse"]["dbscan_invocations"] == 4 * 2 + 2 * 2 * 2
     checks = tracing.counter_check(spans, reports)
     assert len(checks) == len(commands) and all(ok for _, ok, _ in checks), checks
