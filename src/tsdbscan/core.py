@@ -86,7 +86,7 @@ labels runs on a set that caches its matrix, runs the key window. That is the
 same plan (``_GroupPlan``) with every row in one group, so the counts
 pass, its skip rule, the late re-check and the border pass are one code
 on either plan's columns; the key window's blocks are ``_block_rows(N)``
-sorted rows, laid out once per set.
+sorted rows.
 
 With one column the key ball is the ball itself, and a point's count is
 its run's length. The clusters are the runs of core points each within
@@ -329,7 +329,9 @@ class PreparedPoints:
     and no block. Otherwise, on a set a caller prepared for many runs, that
     first run builds the set's farthest-first groups (``_farthest_first``),
     counted in its ``stats``, and every run probes through them
-    (``_plan``).
+    (``_plan``). The set keeps nothing else: every other run builds its
+    plan afresh, and :class:`KCurve` takes its rows as ``dbscan`` does
+    (``_prepared``).
     """
 
     def __init__(self, points, metric: str = "euclidean"):
@@ -343,7 +345,6 @@ class PreparedPoints:
         self.key = np.ascontiguousarray(self.x[:, widest])
         self._matrix = None
         self._curves = {}  # min_pts -> the KCurve of the keys or the cached matrix
-        self._whole = None  # the set as one group, for the key window
         self._groups = None  # False once the scale rules groups out
 
     def __len__(self) -> int:
@@ -361,16 +362,6 @@ class PreparedPoints:
             matrix = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=np.float64).reshape(n, n)
             self._matrix = _distance_block(x, x, self.metric, stats, matrix)
         return self._matrix
-
-    def _block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
-        """The kernel of the sorted rows ``rows`` against ``cols``: two
-        slices, or ascending index arrays."""
-        matrix = self._cached(stats)
-        if matrix is None:
-            return _distance_block(self.x[rows], self.x[cols], self.metric, stats)
-        if isinstance(rows, slice) or isinstance(cols, slice):
-            return matrix[rows, cols]
-        return matrix[np.ix_(rows, cols)]
 
     def _curve(self, min_pts: int, stats: RunStats | None) -> KCurve:
         """The set's curve at ``min_pts``, built on first use: from the keys
@@ -408,16 +399,13 @@ class _Groups:
     ``key`` = group * N + ``pos`` (ascending, so one ``searchsorted`` finds
     a run of sorted indices in any group). Row ``i`` lies in the key ball of
     row ``j`` exactly when ``pos[i]`` lies in ``[lo[pos[j]], hi[pos[j]]]``.
-
-    With no ``group``, the set is one group, its sorted rows themselves,
-    whose blocks read the set's cached matrix: the key window, whose
-    ``layout`` (each block's rows [s, e), one range a block, each block
-    on its diagonal) does not depend on the radius and is built here once. The groups
-    keep no reference to the set, which holds them, so a set is freed with
-    its last reference rather than by the cycle collector. Otherwise
-    ``group`` is each sorted row's group, and ``_farthest_first`` sets
-    ``radius``, each group's largest distance from its centre, and
-    ``between``, the centres' distances.
+    ``group`` is each sorted row's group. One group is the set's sorted
+    rows themselves, ``x`` the set's own, so its blocks read the set's
+    cached matrix. The groups keep no reference to the set, which may hold
+    them, so a set is freed with its last reference rather than by the
+    cycle collector. ``_farthest_first`` sets ``radius``, each group's
+    largest distance from its centre, and ``between``, the centres'
+    distances.
 
     **Exactness.** Write d for the exact distance of two stored rows (the
     unit rows under cosine) and d^ for the computed one. Every term of the
@@ -470,23 +458,15 @@ class _Groups:
     ``PreparedPoints._grouping`` builds no groups outside [2^-450, 2^450].
     """
 
-    def __init__(self, points: PreparedPoints, group: np.ndarray | None = None):
-        n = len(points)
+    def __init__(self, points: PreparedPoints, group: np.ndarray):
         self.metric = points.metric
-        if group is None:
-            self.pos, self.x, self.order = np.arange(n), points.x, points.order
-            self.key, self.sizes = self.pos, np.array([n])
-            # one group's window is all N rows at every radius, so its
-            # blocks are _block_rows(N) rows, laid out once per set
-            step = _block_rows(n)
-            s = np.arange(0, n, step)
-            self.layout = s, np.minimum(s + step, n), np.arange(s.size + 1), np.ones(s.size, dtype=bool)
-        else:
-            self.layout = None
-            self.pos = np.argsort(group, kind="stable")
-            self.x, self.order = points.x[self.pos], points.order[self.pos]
-            self.key = group[self.pos] * n + self.pos
-            self.sizes = np.bincount(group)
+        self.pos = np.argsort(group, kind="stable")
+        self.sizes = np.bincount(group)
+        # one group takes the sorted rows in place: a copy would not be the
+        # set's x, whose cached matrix its blocks read
+        self.x = points.x if self.sizes.size == 1 else points.x[self.pos]
+        self.order = points.order[self.pos]
+        self.key = group[self.pos] * len(points) + self.pos
         self.starts = np.concatenate(([0], np.cumsum(self.sizes)))
         self.radius = self.between = None
 
@@ -559,12 +539,12 @@ class _GroupPlan:
     whose every kept pair B <= A is inside runs no block. A block's window
     lies in its group's, so the block fits, unless it is one row. A set of
     rows of one group meets those groups on both sides, cut the same way.
-    A set with groups always runs this plan on them (``_plan``). On one
-    group, with ``keep`` [[True]] and ``inside`` [[False]], this is the key
-    window: the group's window is all N rows, so a block is
-    ``_block_rows(N)`` sorted rows [s, e), laid out once per set, and meets
-    the columns [lo_s, e); a set of rows meets the columns from the key
-    ball of its first row to that of its last."""
+    A set with groups always runs this plan on them, and every other run on
+    one group, built afresh (``_plan``). On one group, with ``keep``
+    [[True]] and ``inside`` [[False]], this is the key window: the group's
+    window is all N rows, so a block is ``_block_rows(N)`` sorted rows
+    [s, e) and meets the columns [lo_s, e); a set of rows meets the columns
+    from the key ball of its first row to that of its last."""
 
     def __init__(self, points: PreparedPoints, groups: _Groups, lo: np.ndarray, hi: np.ndarray,
                  keep: np.ndarray, inside: np.ndarray):
@@ -572,11 +552,7 @@ class _GroupPlan:
         self.order = groups.order
         # the pairs of groups whose cells a run computes
         self.meets = keep & ~inside
-        if groups.layout is not None:
-            self.s, self.e, self.bounds, self.diagonal = groups.layout
-            self.first, self.stop = lo[self.s], self.e
-        else:
-            self._size_blocks()
+        self._size_blocks()
 
     def _size_blocks(self) -> None:
         """Each group's blocks, sized by the group's window, and each
@@ -610,11 +586,15 @@ class _GroupPlan:
     def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
         """The kernel of the rows ``rows`` of ``groups.x`` against ``cols``:
         slices or ascending index arrays. One group is the sorted rows
-        themselves, whose matrix the set may cache."""
+        themselves, whose matrix the set may cache: a slice or a gather of
+        it then."""
         x = self.groups.x
-        if x is self.points.x:
-            return self.points._block(rows, cols, stats)
-        return _distance_block(x[rows], x[cols], self.points.metric, stats)
+        matrix = self.points._cached(stats) if x is self.points.x else None
+        if matrix is None:
+            return _distance_block(x[rows], x[cols], self.points.metric, stats)
+        if isinstance(rows, slice) or isinstance(cols, slice):
+            return matrix[rows, cols]
+        return matrix[np.ix_(rows, cols)]
 
     def _window(self, kept: np.ndarray, first, last) -> tuple:
         """The ranges of the groups ``kept`` whose sorted index is in the key
@@ -647,15 +627,6 @@ class _GroupPlan:
         block j meets the ranges [starts[j, k], stops[j, k])."""
         a = np.searchsorted(self.groups.starts, first[0], side="right") - 1
         return self._window(np.flatnonzero(self.meets[a]), first[:, None], last[:, None])
-
-
-def _key_window(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray) -> _GroupPlan:
-    """The key window: the plan of the set as one group, a layout the set
-    keeps for its later runs."""
-    if points._whole is None:
-        points._whole = _Groups(points)
-    return _GroupPlan(points, points._whole, lo, hi, np.ones((1, 1), dtype=bool),
-                      np.zeros((1, 1), dtype=bool))
 
 
 def _as_slice(cols: np.ndarray):
@@ -705,10 +676,7 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     ``labels`` and ``roles`` only when one of them is first read.
     """
     shared = isinstance(points, PreparedPoints)
-    if not shared:
-        points = PreparedPoints(points, metric)
-    elif points.metric != metric:
-        raise ValueError(f"points prepared for metric {points.metric!r}, not {metric!r}")
+    points = _prepared(points, metric)
     _check_epsilon(epsilon)
     _check_min_pts(min_pts)
     n = len(points)
@@ -724,10 +692,20 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     # smallest caller index of the trees in its ball, by which labels number
     # the clusters on first read
     forest = _forest(points, epsilon, min_pts, shared, stats)
-    _, core, parent, _, border, _ = forest
+    _, core, parent, border, _ = forest
     cores = np.flatnonzero(core)
     return Labeling(int(np.count_nonzero(parent[cores] == cores)), n - cores.size - border.size,
                     lambda: forest)
+
+
+def _prepared(points, metric: str) -> PreparedPoints:
+    """``points`` as a :class:`PreparedPoints` of ``metric``: a matrix is
+    prepared here, and a set prepared for another metric is refused."""
+    if not isinstance(points, PreparedPoints):
+        return PreparedPoints(points, metric)
+    if points.metric != metric:
+        raise ValueError(f"points prepared for metric {points.metric!r}, not {metric!r}")
+    return points
 
 
 def _forest(points: PreparedPoints, epsilon: float, min_pts: int, shared: bool,
@@ -754,16 +732,15 @@ def _tree_first(order: np.ndarray, parent: np.ndarray, cores: np.ndarray) -> np.
     return first
 
 
-def _label_points(order: np.ndarray, core: np.ndarray, parent: np.ndarray, first: np.ndarray | None,
-                  border: np.ndarray, border_first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _label_points(order: np.ndarray, core: np.ndarray, parent: np.ndarray, border: np.ndarray,
+                  border_first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and roles in the caller's order, from the sorted rows' core
     mask and forest: clusters are numbered by the smallest caller index
     among their core points, and each border row in ``border`` takes the
     cluster whose smallest caller index is its ``border_first``."""
     n = order.size
     cores = np.flatnonzero(core)
-    if first is None:
-        first = _tree_first(order, parent, cores)
+    first = _tree_first(order, parent, cores)
     ids = np.sort(first[cores[parent[cores] == cores]])  # one per cluster
     labels = np.full(n, NOISE, dtype=np.int64)
     labels[cores] = np.searchsorted(ids, first[parent[cores]])
@@ -778,15 +755,17 @@ def _label_points(order: np.ndarray, core: np.ndarray, parent: np.ndarray, first
 
 def _plan(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: float, shared: bool,
           stats: RunStats | None):
-    """The plan of a run's blocks, one per run: the group bound on a set a
-    caller prepared whose N^2 exceeds one block and whose scale allows
-    groups (``PreparedPoints._grouping``), with the pairs of groups it keeps
-    and those inside at ``epsilon`` (``_Groups.pairs``), else the key
-    window, which keeps its one pair and holds none inside."""
+    """The plan of a run's blocks, built afresh for each run: the group bound
+    on a set a caller prepared whose N^2 exceeds one block and whose scale
+    allows groups (``PreparedPoints._grouping``), with the pairs of groups
+    it keeps and those inside at ``epsilon`` (``_Groups.pairs``), else the
+    key window, the set as one group, which keeps its one pair and holds
+    none inside."""
     n = len(points)
     groups = points._grouping(stats) if shared and n * n > _BLOCK_CELLS else None
     if groups is None:
-        return _key_window(points, lo, hi)
+        return _GroupPlan(points, _Groups(points, np.zeros(n, dtype=np.intp)), lo, hi,
+                          np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool))
     return _GroupPlan(points, groups, lo, hi, *groups.pairs(epsilon))
 
 
@@ -803,10 +782,9 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
     once its rows and the columns left are core in one tree. After the pass
     the inside pairs join again, by the final core mask. Returns the core
     mask, the forest of the core components (each core point's root is its
-    tree's smallest index), each tree's smallest caller index
-    (``_tree_first``, None when no point is a border point), and the border
-    points with the least of that index over the core points in each one's
-    ball (see ``_borders``)."""
+    tree's smallest index), and the border points with the least over the
+    core points in each one's ball of their tree's smallest caller index
+    (``_tree_first``, see ``_borders``)."""
     n = plan.order.size
     nearest = _block_rows(n)
     sizes = plan.groups.sizes
@@ -906,7 +884,7 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
                 _join(parent, rows[hit], cols, near[hit])
     border = np.flatnonzero(~core & (counts > 1))
     if not (cores.size and border.size):
-        return core, parent, None, border[:0], border[:0]
+        return core, parent, border[:0], border[:0]
     first = _tree_first(plan.order, parent, cores)
     # a border point of group A is within epsilon of every core point of the
     # groups A is inside with; these need not lie in one tree
@@ -916,7 +894,7 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
     group = np.searchsorted(plan.groups.starts, border, side="right") - 1
     best = np.where(plan.inside, least, n).min(axis=1)[group]
     blocks = _core_blocks(plan, border, cores, epsilon, stats)
-    return (core, parent, first) + _borders(border, best, first, parent, blocks)
+    return (core, parent) + _borders(border, best, first, parent, blocks)
 
 
 def _join_inside(plan, parent: np.ndarray, cores: np.ndarray) -> None:
@@ -967,13 +945,13 @@ def _one_column(order: np.ndarray, lo: np.ndarray, hi: np.ndarray, min_pts: int)
     parent[cores] = cores[starts][np.cumsum(starts) - 1]
     border = np.flatnonzero(~core & (counts > 1))
     if not (cores.size and border.size):
-        return core, parent, None, border[:0], border[:0]
+        return core, parent, border[:0], border[:0]
     first = _tree_first(order, parent, cores)
     at = np.searchsorted(cores, border)
     left, right = cores[np.maximum(at - 1, 0)], cores[np.minimum(at, cores.size - 1)]
     near = np.stack(((at > 0) & (left >= lo[border]), (at < cores.size) & (right <= hi[border])), axis=1)
     blocks = [(border, np.stack((left, right), axis=1), near)]
-    return (core, parent, first) + _borders(border, np.full(border.size, hi.size), first, parent, blocks)
+    return (core, parent) + _borders(border, np.full(border.size, hi.size), first, parent, blocks)
 
 
 def _ball_ends(key: np.ndarray, epsilon: float, metric: str, stats: RunStats | None) -> np.ndarray:
@@ -1111,13 +1089,14 @@ class KCurve:
     min_j max(d_ij, core_j), where it first lies in a core point's ball (its
     own included). The build compares the very distances ``dbscan`` does.
 
-    ``points`` is a matrix, or a :class:`PreparedPoints` of ``metric``. On
-    two columns or more the build reads its rows' distances from the set's
-    cached matrix when it holds one (``PreparedPoints._curve``), and
-    otherwise computes them: a block of rows at a time for the core
-    distances and reach radii, then one row a step of Prim's loop
-    (``_prim_radii``). O(N^2) time, memory O(N) plus a block of a
-    sixteenth of ``_BLOCK_CELLS`` cells. On one column it works on the
+    ``points`` is a matrix, or a :class:`PreparedPoints` of ``metric``,
+    prepared as ``dbscan`` prepares it (``_prepared``), and the build works
+    on the set's sorted rows. On two columns or more it reads their
+    distances from the set's cached matrix when it holds one
+    (``PreparedPoints._curve``), and otherwise computes them: a block of
+    rows at a time for the core distances and reach radii, then one row a
+    step of Prim's loop (``_prim_radii``). O(N^2) time, memory O(N) plus a
+    block of a sixteenth of ``_BLOCK_CELLS`` cells. On one column it works on the
     sorted keys (``_one_column_radii``): a point's ``min_pts`` nearest
     points are a window of sorted rows, and a core point joins the core
     point before it, and so its cluster, once eps reaches its join radius
@@ -1131,18 +1110,12 @@ class KCurve:
 
     def __init__(self, points, min_pts: int, metric: str = "euclidean", stats: RunStats | None = None):
         _check_min_pts(min_pts)
-        if isinstance(points, PreparedPoints):
-            if points.metric != metric:
-                raise ValueError(f"points prepared for metric {points.metric!r}, not {metric!r}")
-            x, key, matrix = points.x, points.key, points._matrix
+        points = _prepared(points, metric)
+        if points.x.shape[1] == 1:
+            core, edges, reach = _one_column_radii(points.key, min_pts, metric, stats)
         else:
-            x, matrix = _validate(points, metric), None
-            key = np.sort(x[:, 0]) if x.shape[1] == 1 else None
-        if x.shape[1] == 1:
-            core, edges, reach = _one_column_radii(key, min_pts, metric, stats)
-        else:
-            core, edges, reach = _prim_radii(x, matrix, min_pts, metric, stats)
-        self.n_points = len(x)
+            core, edges, reach = _prim_radii(points.x, points._matrix, min_pts, metric, stats)
+        self.n_points = len(points)
         self._core = np.sort(core)
         self._edges = np.sort(edges)
         self._reach = np.sort(reach)

@@ -43,8 +43,9 @@ PLAN = core._plan
 
 def key_window(points, lo, hi, epsilon, shared, stats):
     """A stand-in for ``core._plan`` that always runs the key window, the
-    reference run on a set with groups."""
-    return core._key_window(points, lo, hi)
+    reference run on a set with groups: the plan of a run on a matrix
+    that ``dbscan`` prepares, which builds no groups."""
+    return PLAN(points, lo, hi, epsilon, False, stats)
 
 
 def given_groups(points, group) -> None:

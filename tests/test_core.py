@@ -461,11 +461,11 @@ class TestPreparedPoints:
 
     @pytest.mark.parametrize("n", [6, 10])
     def test_a_set_is_freed_with_its_last_reference(self, monkeypatch, n):
-        # a set holds its matrix and its one-group layout (6 rows fit 50
-        # cells) or its groups, which its runs take in place of the one-group
-        # layout (10 rows do not); were any of them to point
-        # back at the set, every searched set and its matrix would stay
-        # alive until the cycle collector ran
+        # a set holds its matrix and its curve (6 rows fit 50 cells) or its
+        # groups (10 rows do not), and each run builds its own plan, which the
+        # set does not keep; were any of them to point back at the set,
+        # every searched set and its matrix would stay alive until the cycle
+        # collector ran
         monkeypatch.setattr(core, "_BLOCK_CELLS", 50)
         points = PreparedPoints(np.c_[np.arange(float(n)), np.zeros(n)])
         for eps in (1.0, 3.0):
@@ -479,9 +479,11 @@ class TestPreparedPoints:
         finally:
             gc.enable()
 
-    def test_the_metric_must_be_the_prepared_one(self):
+    @pytest.mark.parametrize("build", [lambda points: dbscan(points, 1.0, 2, metric="cosine"),
+                                       lambda points: KCurve(points, 2, "cosine")], ids=["dbscan", "KCurve"])
+    def test_the_metric_must_be_the_prepared_one(self, build):
         with pytest.raises(ValueError, match="prepared for metric 'euclidean', not 'cosine'"):
-            dbscan(PreparedPoints(np.ones((3, 2))), 1.0, 2, metric="cosine")
+            build(PreparedPoints(np.ones((3, 2))))
 
 
 # 40 points on a line, some doubled, beside a zero column: 45 rows
@@ -515,7 +517,9 @@ class TestGroupBound:
         # through them, never through the set as one group. A matrix that
         # dbscan prepares for its one run, a prepared set whose N^2 fits
         # (31^2 = 961), and rows scaled by 2^500, outside the scales the
-        # bound is proved for, build no groups and run the key window
+        # bound is proved for, build no groups and run the key window: the
+        # set's own sorted rows as one group, whose blocks are
+        # _block_rows(N) rows, each on its diagonal
         monkeypatch.setattr(core, "_BLOCK_CELLS", 1000)
         plans = []
         monkeypatch.setattr(core, "_plan", lambda *args: plans.append(PLAN(*args)) or plans[-1])
@@ -523,14 +527,18 @@ class TestGroupBound:
         for eps in range(1, 72):
             dbscan(points, float(eps), 4)
         assert len(plans) == 71 and all(plan.groups is points._groups for plan in plans)
-        assert points._whole is None
         for x, eps, prepared in ((COLLINEAR, 10.0, False), (COLLINEAR[:31], 10.0, True),
                                  (COLLINEAR * 2.0 ** 500, 10 * 2.0 ** 500, True)):
             plans.clear()
             lab = dbscan(PreparedPoints(x) if prepared else x, eps, 4)
             assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 4))
             (plan,) = plans
-            assert plan.groups is plan.points._whole and not plan.points._groups
+            n, step = len(x), core._block_rows(len(x))
+            assert plan.groups.sizes.tolist() == [n] and not plan.points._groups
+            assert plan.groups.x is plan.points.x
+            assert plan.s.tolist() == list(range(0, n, step))
+            assert plan.e.tolist() == [min(s + step, n) for s in range(0, n, step)]
+            assert plan.diagonal.all()
 
     def test_each_group_takes_the_fewest_blocks_its_window_allows(self, monkeypatch):
         # the 45 collinear rows above, over a budget of 300 cells. Farthest-
