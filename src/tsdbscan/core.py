@@ -49,14 +49,13 @@ O(N) plus one block.
 
 All of this before the radius matters, the validation, the sort and the
 sorted copy, is done once by :class:`PreparedPoints`, which any number of
-runs at different radii share. When N^2 fits one block, the set's first
-run computes its whole distance matrix, and every block of every run on
-it is a slice or a gather of that matrix. On such a set a caller
-prepared, and on any set a caller prepared with one column, a run needs
-no block at all: the set builds its ``KCurve`` at a ``min_pts`` once, from
-the matrix, or from the sorted keys on one column, and each run reads its
-cluster and noise counts off it, the very counts its passes would give,
-and runs the passes only when its labels are first read.
+runs at different radii share. On a set a caller prepared whose N^2
+fits one block, and on any set a caller prepared with one column, a run
+needs no block at all: the set builds its ``KCurve`` at a ``min_pts``
+once, from the whole distance matrix of its rows, which the build
+computes and drops, or from the sorted keys on one column, and each run
+reads its cluster and noise counts off it, the very counts its passes
+would give, and runs the passes only when its labels are first read.
 Otherwise, on a set a caller
 prepared (each ternary search prepares its rows once), the first run that
 needs a block builds farthest-first groups, ceil(sqrt(N / 2)) centres with
@@ -82,7 +81,7 @@ and exclusion of Gray & Moore's dual-tree range counts, "N-Body Problems
 in Statistical Learning", 2001). Every other
 run, on a matrix that ``dbscan`` prepares for its one run (which builds
 no groups) or on a set with no groups, and the pass that a first read of
-labels runs on a set that caches its matrix, runs the key window. That is the
+labels runs on a set whose N^2 fits one block, runs the key window. That is the
 same plan (``_GroupPlan``) with every row in one group, so the counts
 pass, its skip rule, the late re-check and the border pass are one code
 on either plan's columns; the key window's blocks are ``_block_rows(N)``
@@ -103,7 +102,6 @@ the least that puts it in a core point's ball, each one kernel value
 from __future__ import annotations
 
 import math
-import mmap
 import operator
 import warnings
 from dataclasses import dataclass
@@ -151,12 +149,9 @@ class RunStats:
     fewer cells. The late re-check adds late core points x their window of
     the core points, unless the core points already form one tree, and the
     border pass non-core points with a neighbour x their window of the core
-    points. When N^2 fits one block, the first run on a
-    :class:`PreparedPoints` that needs a block computes its whole matrix,
-    N^2 x D cells, and every block after that, in that run and in each
-    later run on the same points, reads cached cells and adds none.
-    Otherwise the first run on a set a caller prepared that needs a block
-    builds the set's groups, once: each of its ceil(sqrt(N / 2)) centres at
+    points. On a set a caller prepared whose N^2 exceeds one block, with two
+    columns or more, the first run that needs a block builds the set's
+    groups, once: each of its ceil(sqrt(N / 2)) centres at
     most against all N rows, N x D cells a centre. A run on the group plan
     computes its blocks against the kept groups' columns instead of the
     key window's, counted the same way, rows x cols x D; its blocks are
@@ -167,20 +162,18 @@ class RunStats:
     with no cell, so on such a set the counter falls with the radius's
     share of inside pairs, while each cell it counts is still one computed
     kernel value. A run that reads its counts off a set's curve (see
-    ``dbscan``) checks no ball end and computes no cell but the matrix, in
-    the set's first run, or on one column the curve's own cells, in the
-    run that builds it; a first read of its labels runs the pass then,
-    which adds its ball-end cells to the run's ``stats`` and reads every
-    block, if any, from the matrix.
-    ``dbscan_invocations`` counts the runs, cached, read off a curve or
-    not. ``curve_builds`` counts :class:`KCurve` builds: each of
+    ``dbscan``) checks no ball end and computes no cell but the curve's
+    own, in the run that builds it; a first read of its labels runs the
+    pass then, which adds its ball-end cells and its blocks to the run's
+    ``stats``. ``dbscan_invocations`` counts the runs, read off a curve
+    or not. ``curve_builds`` counts :class:`KCurve` builds: each of
     ``sweep_curve``, and each a prepared set makes for a ``min_pts``, in
     the run that first needs it. A build runs no DBSCAN. A sweep's build
-    computes its distances uncounted, and a cached set's reads its matrix
-    and computes no cell. A prepared one-column set's build computes at
-    most 3N kernel values, one cell each at D = 1, in the ``stats`` of the
-    run that builds it: those are the only cells a search on one column
-    counts until a run's labels are read.
+    computes its distances uncounted. A prepared set's build, in the
+    ``stats`` of the run that builds it, computes its whole matrix in one
+    call, N^2 x D cells, on two columns or more, and on one column at most
+    3N kernel values, one cell each at D = 1: those are the only cells a
+    search on such a set counts until a run's labels are read.
     """
 
     dbscan_invocations: int = 0
@@ -263,10 +256,9 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def _has_direction(x: np.ndarray) -> np.ndarray:
-    """Rows whose squared norm neither underflows to 0 nor overflows: only
-    these can be scaled to unit length."""
-    sq = np.einsum("ij,ij->i", x, x)
-    return (sq > 0) & np.isfinite(sq)
+    """Rows with a nonzero entry: ``_unit_rows`` scales each of them to unit
+    length, also where its squared norm underflows to 0 or overflows."""
+    return np.any(x != 0, axis=1)
 
 
 def _validate(points, metric: str) -> np.ndarray:
@@ -277,8 +269,7 @@ def _validate(points, metric: str) -> np.ndarray:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if metric == "cosine":
         if not np.all(_has_direction(x)):
-            raise ValueError("cosine distance is undefined for zero vectors "
-                             "(and for rows whose squared norm underflows or overflows)")
+            raise ValueError("cosine distance is undefined for zero vectors")
         x = _unit_rows(x)
     return x
 
@@ -293,14 +284,13 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunStats | None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise distances of rows from ``_validate``, into ``out`` when given (a
-    C-contiguous float64 array of the block's shape). Cosine 1 - cos = |u - v|^2 / 2
-    on unit rows, which is exactly 0 between identical rows and clipped to 2,
-    which rounding exceeds by an ulp on opposite rows. Symmetric bit for bit:
-    both orders of a pair sum the same per-dimension terms in the same order."""
-    d = cdist(x_rows, x, metric=_CDIST_NAME[metric], out=out)
+def _distance_block(x_rows: np.ndarray, x: np.ndarray, metric: str, stats: RunStats | None) -> np.ndarray:
+    """Pairwise distances of rows from ``_validate``. Cosine 1 - cos =
+    |u - v|^2 / 2 on unit rows, which is exactly 0 between identical rows
+    and clipped to 2, which rounding exceeds by an ulp on opposite rows.
+    Symmetric bit for bit: both orders of a pair sum the same per-dimension
+    terms in the same order."""
+    d = cdist(x_rows, x, metric=_CDIST_NAME[metric])
     if metric == "cosine":
         d *= 0.5
         np.minimum(d, 2.0, out=d)
@@ -316,22 +306,19 @@ class PreparedPoints:
     ``order`` the caller's index of each sorted row and ``key`` the sorted
     key; none of them depends on the radius.
 
-    When N^2 fits one block (``_BLOCK_CELLS``), the first run that needs a
-    distance block computes the whole matrix of the sorted rows, counted in
-    that run's ``stats``, and every block of every run is then a slice or a
-    gather of it: the same values bit for bit, because each kernel value
-    depends on its pair alone. On such a set a caller prepared, and on
-    one with one column at any N, a run reads its counts off the set's
-    :class:`KCurve` for its ``min_pts``, built by the first run that needs
-    it, from the matrix, or on one column from ``key`` with its kernel
+    On a set a caller prepared whose N^2 fits one block
+    (``_BLOCK_CELLS``), or that has one column at any N, a run reads its
+    counts off the set's :class:`KCurve` for its ``min_pts``, built by the
+    first run that needs it, from the whole matrix of the sorted rows,
+    computed in the build, or on one column from ``key``, with its kernel
     values counted in that run's ``stats``; the build counts in the run's
-    ``curve_builds``, and the curve is kept. One column needs no matrix
-    and no block. Otherwise, on a set a caller prepared for many runs, that
-    first run builds the set's farthest-first groups (``_farthest_first``),
+    ``curve_builds``, and the curve is kept, not the matrix. Otherwise, on
+    a set a caller prepared for many runs, the first run that needs a
+    block builds the set's farthest-first groups (``_farthest_first``),
     counted in its ``stats``, and every run probes through them
     (``_plan``). The set keeps nothing else: every other run builds its
-    plan afresh, and :class:`KCurve` takes its rows as ``dbscan`` does
-    (``_prepared``).
+    plan afresh and computes its own blocks, and :class:`KCurve` takes its
+    rows as ``dbscan`` does (``_prepared``).
     """
 
     def __init__(self, points, metric: str = "euclidean"):
@@ -343,33 +330,17 @@ class PreparedPoints:
         self.order = np.argsort(x[:, widest], kind="stable")
         self.x = x[self.order]
         self.key = np.ascontiguousarray(self.x[:, widest])
-        self._matrix = None
-        self._curves = {}  # min_pts -> the KCurve of the keys or the cached matrix
+        self._curves = {}  # min_pts -> the set's KCurve
         self._groups = None  # False once the scale rules groups out
 
     def __len__(self) -> int:
         return self.order.size
 
-    def _cached(self, stats: RunStats | None) -> np.ndarray | None:
-        """The whole matrix of the sorted rows, computed on first use, or
-        None when N^2 exceeds one block."""
-        x, n = self.x, len(self.x)
-        if self._matrix is None and n * n <= _BLOCK_CELLS:
-            # the matrix outlives the many short-lived arrays of the runs
-            # that read it, so it gets its own anonymous mapping, unmapped
-            # when the set is freed: in the malloc heap it would strand a
-            # hole that the heap can neither trim nor reuse whole
-            matrix = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=np.float64).reshape(n, n)
-            self._matrix = _distance_block(x, x, self.metric, stats, matrix)
-        return self._matrix
-
     def _curve(self, min_pts: int, stats: RunStats | None) -> KCurve:
-        """The set's curve at ``min_pts``, built on first use: from the keys
-        on one column, else from the cached matrix."""
+        """The set's curve at ``min_pts``, built on first use, with the
+        build's cells counted in ``stats``."""
         curve = self._curves.get(min_pts)
         if curve is None:
-            if self.x.shape[1] > 1:
-                self._cached(stats)
             curve = self._curves[min_pts] = KCurve(self, min_pts, self.metric, stats)
             if stats is not None:
                 stats.curve_builds += 1
@@ -400,10 +371,9 @@ class _Groups:
     a run of sorted indices in any group). Row ``i`` lies in the key ball of
     row ``j`` exactly when ``pos[i]`` lies in ``[lo[pos[j]], hi[pos[j]]]``.
     ``group`` is each sorted row's group. One group is the set's sorted
-    rows themselves, ``x`` the set's own, so its blocks read the set's
-    cached matrix. The groups keep no reference to the set, which may hold
-    them, so a set is freed with its last reference rather than by the
-    cycle collector. ``_farthest_first`` sets ``radius``, each group's
+    rows themselves, ``x`` the set's own, not a copy. The groups keep no
+    reference to the set, which may hold them, so a set is freed with its
+    last reference rather than by the cycle collector. ``_farthest_first`` sets ``radius``, each group's
     largest distance from its centre, and ``between``, the centres'
     distances.
 
@@ -462,8 +432,7 @@ class _Groups:
         self.metric = points.metric
         self.pos = np.argsort(group, kind="stable")
         self.sizes = np.bincount(group)
-        # one group takes the sorted rows in place: a copy would not be the
-        # set's x, whose cached matrix its blocks read
+        # one group takes the sorted rows in place, rather than a copy
         self.x = points.x if self.sizes.size == 1 else points.x[self.pos]
         self.order = points.order[self.pos]
         self.key = group[self.pos] * len(points) + self.pos
@@ -546,9 +515,9 @@ class _GroupPlan:
     [s, e) and meets the columns [lo_s, e); a set of rows meets the columns
     from the key ball of its first row to that of its last."""
 
-    def __init__(self, points: PreparedPoints, groups: _Groups, lo: np.ndarray, hi: np.ndarray,
-                 keep: np.ndarray, inside: np.ndarray):
-        self.points, self.groups, self.lo, self.hi, self.inside = points, groups, lo, hi, inside
+    def __init__(self, groups: _Groups, lo: np.ndarray, hi: np.ndarray, keep: np.ndarray,
+                 inside: np.ndarray):
+        self.groups, self.lo, self.hi, self.inside = groups, lo, hi, inside
         self.order = groups.order
         # the pairs of groups whose cells a run computes
         self.meets = keep & ~inside
@@ -585,16 +554,9 @@ class _GroupPlan:
 
     def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
         """The kernel of the rows ``rows`` of ``groups.x`` against ``cols``:
-        slices or ascending index arrays. One group is the sorted rows
-        themselves, whose matrix the set may cache: a slice or a gather of
-        it then."""
+        slices or ascending index arrays."""
         x = self.groups.x
-        matrix = self.points._cached(stats) if x is self.points.x else None
-        if matrix is None:
-            return _distance_block(x[rows], x[cols], self.points.metric, stats)
-        if isinstance(rows, slice) or isinstance(cols, slice):
-            return matrix[rows, cols]
-        return matrix[np.ix_(rows, cols)]
+        return _distance_block(x[rows], x[cols], self.groups.metric, stats)
 
     def _window(self, kept: np.ndarray, first, last) -> tuple:
         """The ranges of the groups ``kept`` whose sorted index is in the key
@@ -665,12 +627,11 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     the groups it can reach (see ``_plan``); labels, roles and counts are
     the same either way.
     With one column the run is the ball, so no distance block is computed.
-    On a prepared set with one column, or whose N^2 fits one block so that
-    it caches its matrix, a run checks no ball end and runs no pass: its
-    counts are read off the set's :class:`KCurve` at ``min_pts``
-    (``PreparedPoints._curve``), the very counts the pass would give, and
-    a first read of its labels or roles runs the pass then, counted in
-    ``stats``. A matrix ``dbscan`` prepares for its one run always runs
+    On a prepared set with one column, or whose N^2 fits one block, a run
+    checks no ball end and runs no pass: its counts are read off the set's
+    :class:`KCurve` at ``min_pts`` (``PreparedPoints._curve``), the very
+    counts the pass would give, and a first read of its labels or roles
+    runs the pass then, counted in ``stats``. A matrix ``dbscan`` prepares for its one run always runs
     the passes.
     The labeling knows its cluster and noise counts at once, and numbers
     ``labels`` and ``roles`` only when one of them is first read.
@@ -764,9 +725,9 @@ def _plan(points: PreparedPoints, lo: np.ndarray, hi: np.ndarray, epsilon: float
     n = len(points)
     groups = points._grouping(stats) if shared and n * n > _BLOCK_CELLS else None
     if groups is None:
-        return _GroupPlan(points, _Groups(points, np.zeros(n, dtype=np.intp)), lo, hi,
+        return _GroupPlan(_Groups(points, np.zeros(n, dtype=np.intp)), lo, hi,
                           np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool))
-    return _GroupPlan(points, groups, lo, hi, *groups.pairs(epsilon))
+    return _GroupPlan(groups, lo, hi, *groups.pairs(epsilon))
 
 
 def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
@@ -1091,13 +1052,13 @@ class KCurve:
 
     ``points`` is a matrix, or a :class:`PreparedPoints` of ``metric``,
     prepared as ``dbscan`` prepares it (``_prepared``), and the build works
-    on the set's sorted rows. On two columns or more it reads their
-    distances from the set's cached matrix when it holds one
-    (``PreparedPoints._curve``), and otherwise computes them: a block of
-    rows at a time for the core distances and reach radii, then one row a
-    step of Prim's loop (``_prim_radii``). O(N^2) time, memory O(N) plus a
-    block of a sixteenth of ``_BLOCK_CELLS`` cells. On one column it works on the
-    sorted keys (``_one_column_radii``): a point's ``min_pts`` nearest
+    on the set's sorted rows. On two columns or more it runs dense Prim
+    (``_prim_radii``): when N^2 fits one block it computes their whole
+    matrix in one call and reads every distance from it, and otherwise
+    computes a block of rows at a time for the core distances and reach
+    radii, then one row a step of Prim's loop. O(N^2) time, memory O(N)
+    plus one block. On one column it works on the sorted keys
+    (``_one_column_radii``): a point's ``min_pts`` nearest
     points are a window of sorted rows, and a core point joins the core
     point before it, and so its cluster, once eps reaches its join radius
     max(core_p, min over the rows q before p of max(d_pq, core_q)), which
@@ -1114,7 +1075,7 @@ class KCurve:
         if points.x.shape[1] == 1:
             core, edges, reach = _one_column_radii(points.key, min_pts, metric, stats)
         else:
-            core, edges, reach = _prim_radii(points.x, points._matrix, min_pts, metric, stats)
+            core, edges, reach = _prim_radii(points.x, min_pts, metric, stats)
         self.n_points = len(points)
         self._core = np.sort(core)
         self._edges = np.sort(edges)
@@ -1139,12 +1100,14 @@ def _count_at_most(ascending: np.ndarray, epsilon: float) -> int:
     return int(np.searchsorted(ascending, epsilon, side="right"))
 
 
-def _prim_radii(x: np.ndarray, matrix: np.ndarray | None, min_pts: int, metric: str,
-                stats: RunStats | None) -> tuple:
+def _prim_radii(x: np.ndarray, min_pts: int, metric: str, stats: RunStats | None) -> tuple:
     """The core distances, the edges of a minimum spanning tree over the
-    mutual-reachability weights and the reach radii of the rows ``x``, read
-    from ``matrix`` when given, else computed into ``stats``, by dense Prim."""
+    mutual-reachability weights and the reach radii of the rows ``x``, by
+    dense Prim, with the distances computed into ``stats``: when N^2 fits
+    one block, the whole matrix in one call, which the build then reads;
+    otherwise each block of rows and each of Prim's rows as needed."""
     n = len(x)
+    matrix = _distance_block(x, x, metric, stats) if n * n <= _BLOCK_CELLS else None
 
     def rows(s: int, e: int) -> np.ndarray:
         """The distances of the rows [s, e) to every row."""
@@ -1152,12 +1115,12 @@ def _prim_radii(x: np.ndarray, matrix: np.ndarray | None, min_pts: int, metric: 
             return matrix[s:e]
         return _distance_block(x[s:e], x, metric, stats)
 
-    # a block of rows at a time, a sixteenth of _BLOCK_CELLS, so that the
-    # block and its temporaries stay small next to the heap a search
-    # leaves, and a build raises no peak: each row's core distance from
-    # a sorted copy (the cached matrix is only read), then each row v
-    # brings max(d_vj, core_v) to the reach radius of every j, by
-    # symmetry the term of v in the reach of j
+    # a block of rows at a time, a sixteenth of _BLOCK_CELLS, so that a
+    # computed block and its temporaries stay small next to the heap a
+    # search leaves, and a build over one block raises no peak: each
+    # row's core distance from a sorted copy (the matrix is only read),
+    # then each row v brings max(d_vj, core_v) to the reach radius of
+    # every j, by symmetry the term of v in the reach of j
     core = np.full(n, np.inf)
     reach = np.full(n, np.inf)
     if min_pts <= n:

@@ -439,13 +439,18 @@ class TestPreparedPoints:
             assert np.array_equal(a.labels, brute_force_dbscan(x, eps, 3, metric))
 
     def test_the_matrix_is_computed_by_the_first_run_only(self):
-        # the points 0, ..., 5 beside a zero column: the first run computes
-        # the 6 x 6 x 2 matrix and builds the set's curve at min_pts 3, which
-        # computes no cell, and both runs read their counts off that curve,
-        # checking no ball end. A first read of a run's labels runs its pass
-        # on the matrix, which checks the ball ends on the key, one cell
-        # each, every guessed end i + 1 (the last row for rows 4 and 5) and,
-        # for the rows 0 to 3, the row past it: 6 + 4 cells a read
+        # the points 0, ..., 5 beside a zero column: the first run builds
+        # the set's curve at min_pts 3, whose one kernel call is the 6 x 6 x 2
+        # matrix, and both runs read their counts off that curve, checking
+        # no ball end. A first read of a run's labels runs its pass, which
+        # checks the ball ends on the key, one cell each, every guessed end
+        # i + 1 (the last row for rows 4 and 5) and, for the rows 0 to 3, the
+        # row past it: 6 + 4 cells. The pass then computes its own blocks:
+        # all 6 rows fit one block against their window [0, 6), 6 x 6 x 2
+        # cells, which make 1 to 4 core in one tree and leave 0 and 5 border,
+        # so no late core point meets the core points again, and the border
+        # pass computes the 2 border rows against the 4 core points in their
+        # window, 2 x 4 x 2 cells: 10 + 72 + 16 = 98 cells a read
         x = np.c_[np.arange(6.0), np.zeros(6)]
         points = PreparedPoints(x)
         stats = RunStats()
@@ -455,22 +460,22 @@ class TestPreparedPoints:
         assert stats == RunStats(dbscan_invocations=2, point_evaluations=6 * 6 * 2, curve_builds=1)
         assert (first.n_clusters, first.n_noise) == (second.n_clusters, second.n_noise) == (1, 0)
         assert first.labels.tolist() == [0] * 6
-        assert stats.point_evaluations == 6 * 6 * 2 + 6 + 4
+        read = 6 + 4 + 6 * 6 * 2 + 2 * 4 * 2
+        assert stats.point_evaluations == 6 * 6 * 2 + read == 170
         assert second.labels.tolist() == [0] * 6
-        assert stats.point_evaluations == 6 * 6 * 2 + 2 * (6 + 4)
+        assert stats.point_evaluations == 6 * 6 * 2 + 2 * read == 268
 
     @pytest.mark.parametrize("n", [6, 10])
     def test_a_set_is_freed_with_its_last_reference(self, monkeypatch, n):
-        # a set holds its matrix and its curve (6 rows fit 50 cells) or its
-        # groups (10 rows do not), and each run builds its own plan, which the
-        # set does not keep; were any of them to point back at the set,
-        # every searched set and its matrix would stay alive until the cycle
-        # collector ran
+        # a set holds its curve (6 rows fit 50 cells) or its groups (10 rows
+        # do not), and each run builds its own plan, which the set does not
+        # keep; were any of them to point back at the set, every searched
+        # set would stay alive until the cycle collector ran
         monkeypatch.setattr(core, "_BLOCK_CELLS", 50)
         points = PreparedPoints(np.c_[np.arange(float(n)), np.zeros(n)])
         for eps in (1.0, 3.0):
             dbscan(points, eps, 3)
-        assert (points._matrix is not None) == (n == 6) and (points._groups is not None) == (n == 10)
+        assert (3 in points._curves) == (n == 6) and (points._groups is not None) == (n == 10)
         ref = weakref.ref(points)
         gc.disable()
         try:
@@ -518,8 +523,9 @@ class TestGroupBound:
         # dbscan prepares for its one run, a prepared set whose N^2 fits
         # (31^2 = 961), and rows scaled by 2^500, outside the scales the
         # bound is proved for, build no groups and run the key window: the
-        # set's own sorted rows as one group, whose blocks are
-        # _block_rows(N) rows, each on its diagonal
+        # sorted rows as one group, the set's own rows where the test
+        # prepared it, whose blocks are _block_rows(N) rows, each on its
+        # diagonal
         monkeypatch.setattr(core, "_BLOCK_CELLS", 1000)
         plans = []
         monkeypatch.setattr(core, "_plan", lambda *args: plans.append(PLAN(*args)) or plans[-1])
@@ -530,12 +536,15 @@ class TestGroupBound:
         for x, eps, prepared in ((COLLINEAR, 10.0, False), (COLLINEAR[:31], 10.0, True),
                                  (COLLINEAR * 2.0 ** 500, 10 * 2.0 ** 500, True)):
             plans.clear()
-            lab = dbscan(PreparedPoints(x) if prepared else x, eps, 4)
+            points = PreparedPoints(x) if prepared else x
+            lab = dbscan(points, eps, 4)
             assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 4))
             (plan,) = plans
             n, step = len(x), core._block_rows(len(x))
-            assert plan.groups.sizes.tolist() == [n] and not plan.points._groups
-            assert plan.groups.x is plan.points.x
+            assert plan.groups.sizes.tolist() == [n]
+            assert np.array_equal(plan.groups.x, x[plan.groups.order])
+            if prepared:
+                assert plan.groups.x is points.x and not points._groups
             assert plan.s.tolist() == list(range(0, n, step))
             assert plan.e.tolist() == [min(s + step, n) for s in range(0, n, step)]
             assert plan.diagonal.all()
@@ -869,15 +878,26 @@ class TestCosineZeroVectors:
         with pytest.raises(ValueError, match="zero vectors"):
             dbscan(self.X, 0.5, 2, metric="cosine")
 
-    def test_underflowing_norm_counts_as_zero(self):
-        # scipy's cosine distance is NaN for such a row
-        with pytest.raises(ValueError, match="zero vectors"):
-            dbscan(np.array([[1e-200, 0.0], [1.0, 0.0]]), 0.5, 2, metric="cosine")
+    def test_a_row_whose_norm_underflows_is_accepted(self):
+        # the squared norm of [1e-200, 0] underflows to 0, and [3e-310,
+        # 4e-310] is subnormal, yet a power-of-two prescale brings each to
+        # unit length: the first lies 0 from [1, 0], the second next to
+        # [0.6, 0.8]
+        x = np.array([[1e-200, 0.0], [1.0, 0.0], [2.0, 0.0], [3e-310, 4e-310], [0.6, 0.8], [1.2, 1.6]])
+        for eps, k in ((1e-6, 2), (0.5, 1), (1.5, 1)):
+            lab = dbscan(x, eps, 2, metric="cosine")
+            assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 2, "cosine"))
+            assert lab.n_clusters == k
 
-    def test_overflowing_norm_rejected(self):
-        # |x|^2 is inf, so scaling to unit length would zero the row
-        with pytest.raises(ValueError, match="overflows"):
-            dbscan(np.array([[1e200, 1e200], [1e200, -1e200]]), 0.5, 2, metric="cosine")
+    def test_a_row_whose_norm_overflows_is_accepted(self):
+        # the squared norms of [1e300, 1e300] and [1e200, -1e200] overflow,
+        # yet a power-of-two prescale brings each to unit length, next to
+        # [1, 1] and [1, -1], which lie at cosine distance 1 from them
+        x = np.array([[1e300, 1e300], [1.0, 1.0], [1e200, -1e200], [1.0, -1.0]])
+        for eps, k in ((1e-6, 2), (0.5, 2), (1.5, 1)):
+            lab = dbscan(x, eps, 2, metric="cosine")
+            assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, 2, "cosine"))
+            assert lab.n_clusters == k
 
     def test_diameter_bound_rejects(self):
         with pytest.raises(ValueError, match="zero vectors"):

@@ -162,14 +162,14 @@ def test_kcurve_matches_dbscan(metric, data):
 
 @st.composite
 def cached_sets(draw, metric):
-    """Rows whose prepared set caches its matrix and reads its counts off a
-    curve, two columns or more, and a ``min_pts`` up to N + 1: 1 to 12
-    rows, some drawn again, and one of them repeated up to ``min_pts``
+    """Rows whose prepared set fits one block and reads its counts off the
+    curve it keeps, two columns or more, and a ``min_pts`` up to N + 1: 1
+    to 12 rows, some drawn again, and one of them repeated up to ``min_pts``
     times more, so a set may hold ``min_pts`` equal rows with zero-weight
     edges. Outside cosine the rows are scaled by 1, 1e-300 or 1e300, at
     which squares underflow or distances overflow to inf, and manhattan's
     sums of four differences of rows at 1e305 overflow too; under cosine
-    a row at those scales has no direction, and scaled_rows keeps one."""
+    the rows are scaled as scaled_rows scales them."""
     n, d = draw(st.integers(1, 12)), draw(st.integers(2, 4))
     x = draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3, allow_subnormal=False, width=64)))
     x = np.vstack([x, x[draw(st.lists(st.integers(0, n - 1), max_size=3))]])
@@ -182,11 +182,40 @@ def cached_sets(draw, metric):
 
 
 @pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_a_build_that_fits_one_block_computes_its_matrix_in_one_call(metric, data):
+    # on two columns or more, a build whose N^2 fits one block computes the
+    # whole matrix of its rows in one kernel call, N x N x D cells in its
+    # stats, and reads its core distances, reach radii and Prim's rows from
+    # it, even when min_pts > N leaves no point core. Its curve is the one
+    # a build over a budget below N^2 gives, which computes a block of rows
+    # at a time and then one row a step of Prim's loop
+    x, min_pts = data.draw(cached_sets(metric))
+    calls = []
+
+    def counted_cdist(a, b, *args, **kwargs):
+        calls.append(a.shape[0] * b.shape[0] * a.shape[1])
+        return cdist(a, b, *args, **kwargs)
+
+    stats = RunStats()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "cdist", counted_cdist)
+        curve = KCurve(x, min_pts, metric, stats)
+        n, d = x.shape
+        assert calls == [n * n * d] == [stats.point_evaluations]
+        mp.setattr(core, "_BLOCK_CELLS", n * n - 1)
+        by_rows = KCurve(x, min_pts, metric)
+    for radii in ("_core", "_edges", "_reach"):
+        assert np.array_equal(getattr(curve, radii), getattr(by_rows, radii)), radii
+
+
+@pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the oracle's squares
 @SETTINGS
 @given(data=st.data())
 def test_counts_read_off_a_cached_sets_curve_match_the_oracle_and_the_pass(metric, data):
-    # a prepared set that caches its matrix answers each run's counts off
+    # a prepared set whose N^2 fits one block answers each run's counts off
     # its curve; a first read of the labels runs the pass on the same set.
     # Both must give the oracle's counts, and the pass its labels, at the
     # exact pairwise distances (the closed ball's edge), the floats on
@@ -310,7 +339,7 @@ def test_one_column_curves_match_the_oracle_and_the_pass(metric, data):
     assert stats.dbscan_invocations == len(radii) and stats.curve_builds == 1
     assert stats.point_evaluations <= 3 * len(x)
     assert np.array_equal(lab.labels, expected)
-    _, edges, _ = core._prim_radii(_validate(x, metric), None, min_pts, metric, None)
+    _, edges, _ = core._prim_radii(_validate(x, metric), min_pts, metric, None)
     assert np.array_equal(curve._edges[curve._edges < np.inf], np.sort(edges[edges < np.inf]))
 
 
@@ -388,10 +417,14 @@ def test_small_blocks_change_no_result(metric, cells, data):
 @given(data=st.data())
 def test_point_evaluations_count_the_kernel_cells(metric, data):
     # every distance dbscan computes goes through _distance_block with its
-    # stats: the counter is rows x cols x D summed over the kernel's calls
+    # stats: the counter is rows x cols x D summed over the kernel's calls.
+    # So it is on a prepared set, whose two runs read their counts off the
+    # set's curve, built in the first with its own kernel calls, and whose
+    # first read of a run's labels then runs the pass
     x = data.draw(point_sets_with_duplicates(metric, min_n=1))
     min_pts = data.draw(st.integers(2, len(x) + 1))
-    eps = data.draw(st.sampled_from(edge_radii(x, metric)))
+    radii = data.draw(st.lists(st.sampled_from(edge_radii(x, metric)), min_size=2, max_size=2))
+    eps = radii[0]
     calls = []
 
     def counted_cdist(a, b, *args, **kwargs):
@@ -405,6 +438,15 @@ def test_point_evaluations_count_the_kernel_cells(metric, data):
         lab = dbscan(x, eps, min_pts, metric=metric, stats=stats)
     assert np.array_equal(lab.labels, brute_force_dbscan(x, eps, min_pts, metric))
     assert (stats.dbscan_invocations, stats.point_evaluations) == (1, sum(calls))
+    calls.clear()
+    points, stats = PreparedPoints(x, metric), RunStats()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "cdist", counted_cdist)
+        runs = [dbscan(points, r, min_pts, metric=metric, stats=stats) for r in radii]
+        assert (stats.curve_builds, stats.point_evaluations) == (1, sum(calls))
+        labels = runs[-1].labels
+    assert np.array_equal(labels, brute_force_dbscan(x, radii[-1], min_pts, metric))
+    assert (stats.dbscan_invocations, stats.point_evaluations) == (2, sum(calls))
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -470,9 +512,11 @@ def test_nothing_clusters_below_the_closest_pair(metric, data):
 @given(data=st.data())
 def test_searches_read_the_cached_matrix_as_they_would_compute_it(metric, data):
     # a search prepares its rows once. These sets fit one block, so each
-    # search computes the whole matrix of its rows at its first probe and
-    # every block after that is read from it; a budget of a few cells,
-    # below N^2 from N = 3 on, makes every block be computed. Zeroed entries
+    # search builds its curve at its first probe, from the whole matrix of
+    # its rows computed in one call, and reads every probe off it; a budget
+    # of a few cells, below N^2 from N = 3 on, makes every probe run the
+    # pass instead, and the curve build compute its rows by blocks and
+    # Prim's steps, so the curve is compared with the pass. Zeroed entries
     # make a dimension subsample zero some rows out, and the extra zero rows
     # of the lone search have no direction under cosine: both are noise.
     # The radius, the labels and roles, and each probe's (eps, k, noise)

@@ -133,14 +133,14 @@ class TestTernarySearch:
 
     def test_a_small_search_computes_its_matrix_once(self, monkeypatch):
         # the points 0, 1, ..., 9 beside a zero column: N^2 = 100 cells fit
-        # one block, so the first probe computes the whole 10 x 10 x 2
-        # matrix and builds the set's curve from it, and each of the 2 * itr
-        # probes reads its counts off that curve. With min_pts 3, each probe
-        # finds one cluster: eps 3 and 6 (the thirds of [0, 9]) give k 1 and
-        # 1, so the interval becomes [0, 3], and its thirds are eps 1 and 2.
-        # A probe reads no labels, so none checks a ball end on the key:
-        # the matrix is the one kernel call and its cells all the counter
-        # holds
+        # one block, so the first probe builds the set's curve, which
+        # computes the whole 10 x 10 x 2 matrix in one call and keeps only
+        # the curve, and each of the 2 * itr probes reads its counts off
+        # that curve. With min_pts 3, each probe finds one cluster: eps 3
+        # and 6 (the thirds of [0, 9]) give k 1 and 1, so the interval
+        # becomes [0, 3], and its thirds are eps 1 and 2. A probe reads no
+        # labels, so none checks a ball end on the key: the build's matrix
+        # is the one kernel call and its cells all the counter holds
         x = np.c_[np.arange(10.0), np.zeros(10)]
         calls = []
 
@@ -158,8 +158,8 @@ class TestTernarySearch:
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
     def test_a_cached_search_reads_every_probe_off_one_curve(self, monkeypatch, metric):
-        # 60 x 3 rows cache their matrix: the 12 probes of a search build
-        # the set's curve once, at the first probe, and run no pass
+        # the N^2 of 60 x 3 rows fits one block: the 12 probes of a search
+        # build the set's curve once, at the first probe, and run no pass
         def refuse(*args):
             raise AssertionError("a probe ran the pass")
 
@@ -174,8 +174,8 @@ class TestTernarySearch:
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
     def test_a_one_column_search_reads_every_probe_off_one_curve(self, monkeypatch, metric):
         # a prepared set with one column reads its counts off its curve at
-        # any N: 1000 rows, whose N^2 exceeds one block, so the set caches
-        # no matrix. The 12 probes build the curve once, at the first
+        # any N: 1000 rows, whose N^2 exceeds one block, so the build
+        # computes no matrix. The 12 probes build the curve once, at the first
         # probe, and neither check a ball end nor run the pass. The build
         # computes one kernel value for each row's core distance, join
         # radius and reach radius, 3N cells at D = 1, less the join radius
@@ -330,8 +330,8 @@ class TestTsClustering:
         # groups wherever a caller prepared them: the final search's set,
         # whose groups the final clustering of ts_clustering reuses, and
         # the set tse_clustering prepares for its final clustering. The
-        # row subsets of the upper bound and of TSE (24 rows) cache their
-        # matrix, and the projections onto ceil(0.2 * 3) = 1 dimension need
+        # row subsets of the upper bound and of TSE (24 rows) fit one block
+        # and read a curve, and the projections onto ceil(0.2 * 3) = 1 dimension need
         # no block, so each pipeline builds once. The final clustering runs
         # uncounted: the counters hold the searches' probes alone
         monkeypatch.setattr(tsdbscan.core, "_BLOCK_CELLS", 1000)

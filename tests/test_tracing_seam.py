@@ -102,8 +102,9 @@ def test_traced_runs_pass_the_counter_check(tmp_path):
     # spans: one dbscan span per counted run, and rows x cols x D over the
     # kernel calls inside them. At D = 8 every search stage runs on at
     # least two columns, and each of its datasets fits one block, so each
-    # caches its matrix: the first probe computes it, and the later probes
-    # read it and add no cell
+    # reads a curve: the first probe builds it, computing the set's whole
+    # matrix in one kernel call inside its dbscan span, and the later
+    # probes read it and add no cell
     commands = {
         "tune": ["--itr", 2],
         "tse": ["--itr", 2, "--m", 2],
@@ -125,7 +126,7 @@ def test_traced_group_builds_pass_the_counter_check(tmp_path, monkeypatch):
     # prepares the 90 x 8 rows once more and builds its 7 centres inside
     # the uncounted final-clustering span, which the counter check leaves
     # out. The 18-row subsets of the upper bound and of TSE (324 cells)
-    # still cache their matrix. The tracer wraps the kernel recorded here,
+    # still fit one block and read a curve. The tracer wraps the kernel recorded here,
     # so the k-th kernel span is the k-th call recorded
     monkeypatch.setattr(core, "_BLOCK_CELLS", 1000)
     shapes = []
@@ -155,8 +156,8 @@ def test_traced_one_column_curves_pass_the_counter_check(tmp_path):
     # each TSE search: their prepared 90 x 1 and 18 x 1 sets read every
     # probe off a one-column curve, built inside the traced dbscan of each
     # search's first probe, whose kernel values count as D = 1 cells of
-    # that run. The 18 x 2 upper bound and tune's 90 x 2 final search cache
-    # their matrix and build a curve from it. So tune builds 3 curves, and
+    # that run. The 18 x 2 upper bound and tune's 90 x 2 final search fit
+    # one block and build a curve from their whole matrix. So tune builds 3 curves, and
     # tse 1 + 1 for its bounds and one per TSE search
     commands = {"tune": ["--itr", 2], "tse": ["--itr", 2, "--m", 2]}
     tracing, spans, reports = traced(tmp_path, commands, dims=2)
