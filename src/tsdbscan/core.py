@@ -31,11 +31,13 @@ one tree (compare Gan & Tao, "DBSCAN Revisited: Mis-Claim, Un-Fixability,
 and Approximation", 2015, whose dense cells make points core without
 range queries). Until then the nearest chunk doubles, and a block whose
 far columns are not yet core in one tree meets its whole window at once.
-A pair seen while an end was not yet core is left out, and that end is
-late: it had a neighbour while not yet core. After the pass, unless the
-core points already form one tree, each late core point meets the core
-points in its window once more. The border pass then finds the core
-points in the ball of each non-core point with a neighbour. These two
+Each chunk is counted and joined as soon as it is computed. A pair seen
+while an end was not yet core is left out, and that end is late: it had
+a neighbour while not yet core, a column or a block's own row that turns
+core only in a later chunk. After the pass, unless the core points
+already form one tree, each late core point meets the core points in its
+window once more. The border pass then finds the core points in the
+ball of each non-core point with a neighbour. These two
 passes share one block routine: blocks of rows against the core columns
 from the key ball of the block's first row to that of its last.
 
@@ -172,7 +174,8 @@ class RunStats:
     computes its distances uncounted. A prepared set's build, in the
     ``stats`` of the run that builds it, computes its whole matrix in one
     call, N^2 x D cells, on two columns or more, and on one column at most
-    3N kernel values, one cell each at D = 1: those are the only cells a
+    3N kernel values, one cell each at D = 1; when ``min_pts`` > N, where
+    no point can be core, it computes none. Those are the only cells a
     search on such a set counts until a run's labels are read.
     """
 
@@ -767,68 +770,55 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
         _join_inside(plan, parent, np.flatnonzero(core))
     late = np.zeros(n, dtype=bool)  # had a neighbour while not yet core
     for s, e, window, p in plan.blocks():
-        # row s is at position p of the block's window; a block that holds
-        # its diagonal counts each of its rows once more, as its own column
-        itself = int(p < window.size)
-        # the block meets its nearest columns first, from position c on:
-        # itself and the max(min_pts, min(e - s, _block_rows(N))) columns
-        # before it: a key-window block, of _block_rows(N) rows at most,
-        # meets as many columns as it has rows, and a larger one no more,
-        # or it would compute the far columns its skip leaves out. Counts
-        # matter only until a point is core, and a pair of core points in one
-        # tree adds no join, so once the rows and the far columns before c
-        # are core in one tree, those columns can change nothing. Until then
-        # the chunk before the rows doubles; a block whose far columns are
-        # not core in one tree meets its whole window at once
+        # row s is at position p of the block's window. The block meets its
+        # nearest columns first, from position c on: itself and the
+        # max(min_pts, min(e - s, _block_rows(N))) columns before it: a
+        # key-window block, of _block_rows(N) rows at most, meets as many
+        # columns as it has rows, and a larger one no more, or it would
+        # compute the far columns its skip leaves out. Counts matter only
+        # until a point is core, and a pair of core points in one tree adds
+        # no join, so once the rows and the far columns before c are core in
+        # one tree, those columns can change nothing. Until then the chunk
+        # before the rows doubles; a block whose far columns are not core in
+        # one tree meets its whole window at once
         c = max(0, p - max(min_pts, min(e - s, nearest)))
         if c > 0:
             first, end = window[0], window[c - 1]
             if not (core[first] and parent[end] == parent[first]
                     and np.all(parent[_as_slice(window[:c])] == parent[first])):
                 c = 0
-        chunks, rows, b = [], None, window.size
+        b = window.size
         while True:
             cols = window[c:b]
             at = _as_slice(cols)
             near = plan.block(slice(s, e), at, stats) <= epsilon
-            # the rows' core mask after the block, which their joins need, is
-            # known once they are all core or the window is met; till then
-            # the chunks wait, to be joined as one
-            if rows is None:
-                chunks.append(near)
-                more = _count_true(near, axis=1)
-                row_counts = more if len(chunks) == 1 else np.add(row_counts, more, dtype=np.int64)
-                if c == 0 or (counts[s:e] + row_counts).min() >= min_pts:
-                    # counts only grow, so these points are core for good; a
-                    # pair with an end not yet core is left out, and that end
-                    # is late
-                    counts[s:e] += row_counts
-                    core[s:e] = counts[s:e] >= min_pts
-                    late[s:e] |= (row_counts > itself) & ~core[s:e]
-                    rows = np.flatnonzero(core[s:e])
-                    if len(chunks) > 1:
-                        near, b = np.concatenate(chunks[::-1], axis=1), window.size
-                        cols = window[c:b]
-                        at = _as_slice(cols)
-            if rows is not None:
-                m = min(b, p)
-                before = _as_slice(window[c:m])
-                col_counts = _count_true(near[:, : m - c], axis=0)
-                counts[before] += col_counts
-                core[before] = counts[before] >= min_pts
-                late[before] |= (col_counts > 0) & ~core[before]
-                joined = rows
-                if joined.size < e - s:
-                    near = near[joined]
-                if not (met := core[at]).all():
-                    near &= met
-                if b <= p:  # off the diagonal a row may meet no core column
-                    hit = near.any(axis=1)
-                    joined, near = joined[hit], near[hit]
-                if joined.size:
-                    _join(parent, joined + s, cols, near)
-                if c == 0 or np.all(parent[s:e] == parent[first]):
-                    break
+            # each chunk counts, joins and flags at once. Counts only grow, so
+            # a point core now is core for good; a pair with an end not yet
+            # core is left out, and that end is late, whether a column or one
+            # of the block's rows that a later chunk turns core. A chunk that
+            # holds the diagonal counts each row once more, as its own column
+            m = min(b, p)
+            before = _as_slice(window[c:m])
+            row_counts = _count_true(near, axis=1)
+            col_counts = _count_true(near[:, : m - c], axis=0)
+            counts[s:e] += row_counts
+            counts[before] += col_counts
+            core[s:e] = counts[s:e] >= min_pts
+            core[before] = counts[before] >= min_pts
+            late[s:e] |= (row_counts > (p < b)) & ~core[s:e]
+            late[before] |= (col_counts > 0) & ~core[before]
+            joined = np.flatnonzero(core[s:e])
+            if joined.size < e - s:
+                near = near[joined]
+            if not (met := core[at]).all():
+                near &= met
+            if b <= p:  # off the diagonal a row may meet no core column
+                hit = near.any(axis=1)
+                joined, near = joined[hit], near[hit]
+            if joined.size:
+                _join(parent, joined + s, cols, near)
+            if c == 0 or np.all(parent[s:e] == parent[first]):
+                break
             b, c = c, max(0, 2 * c - p)
 
     cores = np.flatnonzero(core)
@@ -1105,8 +1095,13 @@ def _prim_radii(x: np.ndarray, min_pts: int, metric: str, stats: RunStats | None
     mutual-reachability weights and the reach radii of the rows ``x``, by
     dense Prim, with the distances computed into ``stats``: when N^2 fits
     one block, the whole matrix in one call, which the build then reads;
-    otherwise each block of rows and each of Prim's rows as needed."""
+    otherwise each block of rows and each of Prim's rows as needed. When
+    ``min_pts`` > N no point is core, and no distance is computed."""
     n = len(x)
+    core = np.full(n, np.inf)
+    reach = np.full(n, np.inf)
+    if min_pts > n:
+        return core, np.full(n - 1, np.inf), reach
     matrix = _distance_block(x, x, metric, stats) if n * n <= _BLOCK_CELLS else None
 
     def rows(s: int, e: int) -> np.ndarray:
@@ -1121,14 +1116,11 @@ def _prim_radii(x: np.ndarray, min_pts: int, metric: str, stats: RunStats | None
     # row's core distance from a sorted copy (the matrix is only read),
     # then each row v brings max(d_vj, core_v) to the reach radius of
     # every j, by symmetry the term of v in the reach of j
-    core = np.full(n, np.inf)
-    reach = np.full(n, np.inf)
-    if min_pts <= n:
-        step = max(1, _block_rows(n) // 16)
-        for s in range(0, n, step):
-            block = rows(s, s + step)
-            c = core[s : s + step] = np.partition(block, min_pts - 1, axis=1)[:, min_pts - 1]
-            np.minimum(reach, np.maximum(block, c[:, None]).min(axis=0), out=reach)
+    step = max(1, _block_rows(n) // 16)
+    for s in range(0, n, step):
+        block = rows(s, s + step)
+        c = core[s : s + step] = np.partition(block, min_pts - 1, axis=1)[:, min_pts - 1]
+        np.minimum(reach, np.maximum(block, c[:, None]).min(axis=0), out=reach)
 
     # Prim, one row a step; scipy's sparse MST would drop the zero-weight
     # edges between duplicate rows. ``key`` is the lightest edge from the
@@ -1138,8 +1130,7 @@ def _prim_radii(x: np.ndarray, min_pts: int, metric: str, stats: RunStats | None
     # no radius and has only inf edges. When the lightest key left is
     # inf, as where distances overflow, so is every edge from the tree
     # to the vertices left: the next tree starts at the vertex left with
-    # the least core distance, and the loop stops once that is inf too,
-    # at once when min_pts > N
+    # the least core distance, and the loop stops once that is inf too
     edges = np.full(n - 1, np.inf)
     key = np.full(n, np.inf)
     left = core.copy()

@@ -329,6 +329,38 @@ class TestDbscan:
         assert lab.labels.tolist() == brute_force_dbscan(x, 0.5, 3).tolist() == [0, 0, 0, 0, 0, NOISE]
         assert lab.roles.tolist() == [ROLE_CORE] * 4 + [ROLE_BORDER, ROLE_NOISE]
 
+    def test_a_row_that_turns_core_in_a_later_chunk_of_its_block_is_late(self, monkeypatch):
+        # one-row blocks over rows already in the order of the sort key, x
+        # (the far point 5 makes it the widest): the tree of 0, 0.1 and 0.2
+        # on the axis, the tree of (0.3, 1), (0.5, 1) and (0.9, 0.9) above
+        # it, then row 6 = (1, 0). Row 6's window is rows 0 to 6, and rows 0
+        # to 2 are core in one tree, so its nearest chunk is rows 3 to 6,
+        # where it meets only (0.9, 0.9) and stays short of min_pts; it turns
+        # core only in its next chunk, rows 0 to 2. Each chunk joins at once,
+        # so row 6 is late, and only the re-check of row 6 joins the two
+        # trees through it: without it they are two clusters.
+        # Cells: each of the 8 rows checks its guessed end and the 7 rows
+        # whose end is not the last row the row past it (D = 1); rows 0 to 6
+        # meet their windows [0, s + 1), rows 4 to 6 in two chunks, and row
+        # 7 itself: 29 pairs. The late core rows, 0 and 1 (neighbours before
+        # row 2 turned them core), 3 and 4 (before row 5 did) and 6, each
+        # meet the 7 core points of their windows again: 35 pairs (D = 2)
+        x = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 1.0], [0.5, 1.0], [0.9, 0.9], [1.0, 0.0],
+                      [5.0, 0.0]])
+        core_blocks, rechecked = core._core_blocks, []
+
+        def spy(plan, rows, cores, epsilon, stats):
+            rechecked.append(plan.order[rows].tolist())
+            return core_blocks(plan, rows, cores, epsilon, stats)
+
+        monkeypatch.setattr(core, "_BLOCK_CELLS", len(x))
+        monkeypatch.setattr(core, "_core_blocks", spy)
+        stats = RunStats()
+        lab = dbscan(x, 1.0, 3, stats=stats)
+        assert lab.labels.tolist() == brute_force_dbscan(x, 1.0, 3).tolist() == [0] * 7 + [NOISE]
+        assert rechecked == [[0, 1, 3, 4, 6]]  # the re-check; no border pass
+        assert stats.point_evaluations == 8 + 7 + 2 * (29 + 35)
+
     @pytest.mark.parametrize("cells", [1, 2, 3, 5, 9, 20, 50, 1 << 19])
     @pytest.mark.parametrize("border_at", [0, 8])
     @pytest.mark.parametrize("left_first", [True, False])
