@@ -14,10 +14,12 @@ passes one sample at a time and is the reference. The bootstrap's
 replicates all have the sample's size, so ``dip_p_value`` runs the passes
 of a chunk of replicates in lockstep, as the rows of one array of
 ``_CHUNK_CELLS`` cells: each row takes one comparison of its own stack a
-step, the same float64 operation as the scalar pass, so every touch point,
-dip and p-value is the same bit for bit. Where the cell budget leaves a
-chunk too few rows to pay for a lockstep step (``_LOCKSTEP_ROWS``, which
-depends on the sample's size alone), the bootstrap runs the scalar pass.
+step, the same float64 operation as the scalar pass. The loop then runs
+on all of the chunk's rows at once, each row with its own modal interval
+and the scalar loop's float64 expressions, so every touch point, dip and
+p-value is the same bit for bit. Where the cell budget leaves a chunk too
+few rows to pay for a lockstep step (``_LOCKSTEP_ROWS``, which depends on
+the sample's size alone), the bootstrap runs the scalar pass.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from .core import dbscan  # noqa: F401
 _CHUNK_CELLS = 1 << 18
 
 # Rows a chunk needs for the lockstep hull passes to beat the scalar ones.
-# On a 2-core host a lockstep step took about 10 us plus 0.035 us a row,
-# against 0.14 us a row-step for the scalar pass: at n = 100, 567 and 2000,
-# 96 rows took 0.84-0.97 of the scalar time, 64 rows 1.12-1.35 and 256
-# rows 0.46-0.51.
+# It sizes the hull passes only: the AS 217 loop that follows runs on
+# whatever rows the chunk holds. On a 2-core host a lockstep step took
+# about 10 us plus 0.035 us a row, against 0.14 us a row-step for the
+# scalar pass: at n = 100, 567 and 2000, 96 rows took 0.84-0.97 of the
+# scalar time, 64 rows 1.12-1.35 and 256 rows 0.46-0.51.
 _LOCKSTEP_ROWS = 100
 
 
@@ -224,11 +227,12 @@ def dip_p_value(sample, n_boot: int, seed: int) -> float:
     Replicate b is ``default_rng([seed, b]).random(n)``. The replicates run
     in chunks, each replicate's sorted sample and its mirror (negated and
     reversed, whose minorant is the sample's majorant) as two rows of one
-    array of ``_CHUNK_CELLS`` cells; the hull passes run on all rows in
-    lockstep (``_minorant_rows``), and the AS 217 loop row by row. The
-    buffers are reused from chunk to chunk. Where a chunk would hold fewer
-    than ``_LOCKSTEP_ROWS`` rows, which depends on n alone, every replicate
-    runs ``dip_statistic`` instead. Both ways give every dip bit for bit.
+    array of ``_CHUNK_CELLS`` cells; the hull passes (``_minorant_rows``)
+    and then the AS 217 loop (``_dip_rows``) run on all rows in lockstep.
+    The buffers are reused from chunk to chunk. Where a chunk would hold
+    fewer than ``_LOCKSTEP_ROWS`` rows, which depends on n alone, every
+    replicate runs ``dip_statistic`` instead. Both ways give every dip bit
+    for bit.
     """
     if _as_integer(n_boot, "n_boot") < 1:
         raise ValueError("n_boot must be positive")
@@ -243,7 +247,8 @@ def dip_p_value(sample, n_boot: int, seed: int) -> float:
 
 
 def _lockstep_dips(n: int, n_boot: int, seed: int, chunk: int):
-    """The bootstrap's dips, ``chunk`` replicates at a time (see ``dip_p_value``)."""
+    """The bootstrap's dips, ``chunk`` replicates at a time, each chunk's
+    hull passes and AS 217 loop in lockstep over its rows (see ``dip_p_value``)."""
     chunk = min(chunk, n_boot)
     x = np.empty((2 * chunk, n + 1))
     mn = np.empty(x.shape, dtype=np.intp)
@@ -255,7 +260,141 @@ def _lockstep_dips(n: int, n_boot: int, seed: int, chunk: int):
         up.sort(axis=1)
         np.negative(up[:, ::-1], out=x[r : 2 * r, :n])
         _minorant_rows(x[: 2 * r], mn[: 2 * r])
-        for i in range(r):
-            mj = n - 1 - mn[r + i, n - 1 :: -1]
-            yield _dip_of_sorted(up[i].tolist(), mn[i, :n].tolist(), mj.tolist())
+        yield from _dip_rows(x[: 2 * r], mn[: 2 * r]).tolist()
+
+
+def _dip_rows(x: np.ndarray, mn: np.ndarray) -> np.ndarray:
+    """``_dip_of_sorted`` of every sample row of a chunk at once.
+
+    x and mn are a chunk after ``_minorant_rows``: r sorted sample rows,
+    then their r mirrors, whose minorant touch points are the samples'
+    majorant ones, read in place as mj[j] = n - 1 - mn_mirror[n - 1 - j].
+    Each row keeps its own (low, high, dip) while it runs. A round follows
+    every running row's touch-point chains with lockstep gathers, then runs
+    the merge one step of each row at a time, each branch's float64
+    expression, the scalar loop's, only on the rows that take that branch;
+    rows whose d falls below their dip stop. A division by zero raises, as
+    it does in the scalar loop, so a row never gets another dip.
+    """
+    rows, width = x.shape
+    r, n = rows // 2, width - 1
+    floor = 1.0 / (2 * n)
+    dip = np.zeros(r)  # scaled by 2n until the final division
+    xf, mf = x.ravel(), mn.ravel()
+    base = np.arange(0, r * width, width)
+    low, high = np.zeros(r, dtype=np.intp), np.full(r, n - 1, dtype=np.intp)
+    run = np.flatnonzero(xf[base] != xf[base + n - 1]) if n >= 4 else base[:0]
+    # the segment expansion runs a few dozen rows at a time, so that it
+    # stays a small part of the chunk's budget
+    piece = max(1, _CHUNK_CELLS // (16 * width))
+    with np.errstate(divide="raise", invalid="raise"):
+        while run.size:
+            b, lo, hi = base[run], low[run], high[run]
+            mirror = b + r * width + n - 1  # mj[j] = n - 1 - mf[mirror - j]
+            gcm = [hi]  # minorant touch points from high down to low
+            while np.any(gcm[-1] > lo):
+                j = gcm[-1]
+                gcm.append(np.where(j > lo, mf[b + j], j))
+            lcm = [lo]  # majorant touch points from low up to high
+            while np.any(lcm[-1] < hi):
+                j = lcm[-1]
+                lcm.append(np.where(j < hi, n - 1 - mf[mirror - j], j))
+            # each row's chain, padded with its last touch point
+            gcm, lcm = np.stack(gcm, axis=1), np.stack(lcm, axis=1)
+            l_gcm = np.count_nonzero(gcm > lo[:, None], axis=1)
+            l_lcm = np.count_nonzero(lcm < hi[:, None], axis=1)
+            d, ig, ih = _merge_rows(xf, b, gcm, lcm, l_gcm, l_lcm)
+
+            go_on = d >= dip[run]
+            run, b, gcm, lcm = run[go_on], b[go_on], gcm[go_on], lcm[go_on]
+            ig, ih, l_gcm, l_lcm = ig[go_on], ih[go_on], l_gcm[go_on], l_lcm[go_on]
+            # largest deviation inside the minorant and the majorant segments
+            gap = np.zeros(run.size)
+            for s in range(0, run.size, piece):
+                p = slice(s, s + piece)
+                gap[p] = np.maximum(_gap_rows(xf, b[p], gcm[p], ig[p], l_gcm[p], False),
+                                    _gap_rows(xf, b[p], lcm[p], ih[p], l_lcm[p], True))
+            dip[run] = np.maximum(dip[run], gap)
+
+            at = np.arange(run.size)
+            new_low, new_high = gcm[at, ig], lcm[at, ih]
+            moved = (low[run] != new_low) | (high[run] != new_high)
+            run = run[moved]
+            low[run], high[run] = new_low[moved], new_high[moved]
+
+    return np.maximum(dip / (2 * n), floor)
+
+
+def _merge_rows(xf, b, gcm, lcm, l_gcm, l_lcm):
+    """The merge of AS 217's round on every row: each row's (d, ig, ih),
+    its largest dx over the merge of its chains and where it was met."""
+    d, ig, ih = np.zeros(len(b)), l_gcm.copy(), l_lcm.copy()
+    at = np.flatnonzero((l_gcm != 1) | (l_lcm != 1))  # the rows still merging
+    gf, lf = gcm.ravel(), lcm.ravel()
+    goff, loff, bs, top = at * gcm.shape[1], at * lcm.shape[1], b[at], l_lcm[at]
+    ix, iv = l_gcm[at] - 1, np.ones(at.size, dtype=np.intp)
+    dd, gg, hh = d[at], ig[at], ih[at]
+    while at.size:
+        gx, lv = gf[goff + ix], lf[loff + iv]
+        left = gx > lv
+        i = np.flatnonzero(left)
+        if i.size:
+            g, v, bi = gx[i], lv[i], bs[i]
+            gl = gf[goff[i] + ix[i] + 1]
+            dx = (v - gl + 1) - (xf[bi + v] - xf[bi + gl]) * (g - gl) / (xf[bi + g] - xf[bi + gl])
+            take = dx >= dd[i]
+            t = i[take]
+            dd[t], gg[t], hh[t] = dx[take], ix[t] + 1, iv[t]
+            iv[i] += 1
+        i = np.flatnonzero(~left)
+        if i.size:
+            g, v, bi = gx[i], lv[i], bs[i]
+            vl = lf[loff[i] + iv[i] - 1]
+            dx = (xf[bi + g] - xf[bi + vl]) * (v - vl) / (xf[bi + v] - xf[bi + vl]) - (g - vl - 1)
+            take = dx >= dd[i]
+            t = i[take]
+            dd[t], gg[t], hh[t] = dx[take], ix[t], iv[t]
+            ix[i] -= 1
+        np.maximum(ix, 0, out=ix)
+        np.minimum(iv, top, out=iv)
+        done = gf[goff + ix] == lf[loff + iv]
+        if done.any():
+            w = at[done]
+            d[w], ig[w], ih[w] = dd[done], gg[done], hh[done]
+            keep = ~done
+            at, goff, loff, bs, top = at[keep], goff[keep], loff[keep], bs[keep], top[keep]
+            ix, iv, dd, gg, hh = ix[keep], iv[keep], dd[keep], gg[keep], hh[keep]
+    return d, ig, ih
+
+
+def _gap_rows(xf, b, chain, first, last, upper: bool) -> np.ndarray:
+    """``_segment_gap`` of each row's segments between chain[first] and
+    chain[last]: 0.0 with no segment, else at least 1.0. The knots descend
+    along a minorant chain and ascend along a majorant one; each segment is
+    expanded flat over its points and reduced with ``np.maximum.reduceat``."""
+    count = last - first
+    gap = np.where(count > 0, 1.0, 0.0)
+    row = np.repeat(np.arange(len(b)), count)
+    if row.size == 0:
+        return gap
+    k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count) + first[row]
+    a, c = chain[row, k], chain[row, k + 1]
+    jb, je = (a, c) if upper else (c, a)
+    jb, je = jb + b[row], je + b[row]
+    wide = (je - jb > 1) & (xf[je] != xf[jb])
+    row, jb, je = row[wide], jb[wide], je[wide]
+    if row.size == 0:
+        return gap
+    slope = (je - jb) / (xf[je] - xf[jb])
+    size = je - jb + 1
+    start = np.cumsum(size) - size
+    off = np.arange(size.sum()) - np.repeat(start, size)  # jj - jb of each point
+    dev = xf[np.repeat(jb, size) + off] - np.repeat(xf[jb], size)
+    dev *= np.repeat(slope, size)
+    if upper:  # concave majorant: the line lies above the ECDF's left limit
+        dev -= off - 1
+    else:  # convex minorant: the line lies below the ECDF
+        np.subtract(off + 1, dev, out=dev)
+    np.maximum.at(gap, row, np.maximum.reduceat(dev, start))
+    return gap
 

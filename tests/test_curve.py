@@ -15,7 +15,16 @@ from tsdbscan import (
     sweep_curve,
 )
 from tsdbscan import curve
-from tsdbscan.curve import _CHUNK_CELLS, _minorant_rows, _minorant_touches, epsilon_grid
+from tsdbscan.curve import (
+    _CHUNK_CELLS,
+    _dip_of_sorted,
+    _dip_rows,
+    _lockstep_dips,
+    _majorant_touches,
+    _minorant_rows,
+    _minorant_touches,
+    epsilon_grid,
+)
 from tsdbscan.data_io import load_matrix
 
 from conftest import brute_force_dip, count_strict_local_maxima
@@ -234,6 +243,43 @@ def test_row_pass_is_the_scalar_pass_on_every_row(x):
     assert np.array_equal(buffer[:, :n], x)
     for row, mn in zip(x, touches):
         assert mn[:n].tolist() == _minorant_touches(row.tolist())
+
+
+def lockstep_pass(x):
+    """The dips of the sorted rows of x by the bootstrap's chunk pass: the
+    rows and their mirrors through ``_minorant_rows``, then ``_dip_rows``."""
+    rows, n = x.shape
+    buffer = np.empty((2 * rows, n + 1))
+    buffer[:rows, :n] = x
+    np.negative(x[:, ::-1], out=buffer[rows:, :n])
+    touches = np.empty(buffer.shape, dtype=np.intp)
+    _minorant_rows(buffer, touches)
+    return _dip_rows(buffer, touches)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=sorted_rows())
+def test_lockstep_dip_is_the_scalar_dip_on_every_row(x):
+    dips = []
+    for row in x.tolist():
+        try:
+            dips.append(_dip_of_sorted(row, _minorant_touches(row), _majorant_touches(row)))
+        except ZeroDivisionError:
+            # the scalar loop has no dip for this row, so the pass must not return one
+            with pytest.raises(FloatingPointError):
+                lockstep_pass(x)
+            return
+    assert lockstep_pass(x).tolist() == dips
+
+
+@pytest.mark.parametrize("seed", [0, 2718])
+def test_every_replicate_dip_is_the_scalar_one(seed):
+    # the blobs16 curve's n: 4 full chunks of 230 replicates and one of 80
+    n, n_boot = 567, 1000
+    chunk = _CHUNK_CELLS // (2 * (n + 1))
+    assert (chunk, n_boot % chunk) == (230, 80)
+    dips = list(_lockstep_dips(n, n_boot, seed, chunk))
+    assert dips == [dip_statistic(np.random.default_rng([seed, b]).random(n)) for b in range(n_boot)]
 
 
 # replicates of the bootstrap at this n fill a chunk of 65, so crossing the
