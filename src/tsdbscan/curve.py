@@ -9,17 +9,19 @@ same size calibrates the p-value.
 
 The dip follows Hartigan & Hartigan's AS 217: two stack passes find the
 touch points of the sample's convex minorant and concave majorant, and a
-loop narrows the modal interval over them. ``dip_statistic`` runs both
-passes one sample at a time and is the reference. The bootstrap's
-replicates all have the sample's size, so ``dip_p_value`` runs the passes
-of a chunk of replicates in lockstep, as the rows of one array of
-``_CHUNK_CELLS`` cells: each row takes one comparison of its own stack a
-step, the same float64 operation as the scalar pass. The loop then runs
-on all of the chunk's rows at once, each row with its own modal interval
-and the scalar loop's float64 expressions, so every touch point, dip and
-p-value is the same bit for bit. Where the cell budget leaves a chunk too
-few rows to pay for a lockstep step (``_LOCKSTEP_ROWS``, which depends on
-the sample's size alone), the bootstrap runs the scalar pass.
+loop narrows the modal interval over them. Every dip, the observed one
+and each bootstrap replicate's, comes from one routine, ``_chunk_dips``,
+over the rows of a chunk: each sample and its mirror, whose minorant is
+the sample's majorant. ``dip_statistic`` runs a chunk of one sample. The
+bootstrap's replicates all have the sample's size, so ``dip_p_value``
+puts as many of them as fit ``_CHUNK_CELLS`` cells into each chunk. On a
+chunk of ``_LOCKSTEP_ROWS`` rows or more the hull passes run in lockstep:
+each row takes one comparison of its own stack a step, the same float64
+operation as the one-row pass ``_minorant_touches``. The loop then runs
+on all of a chunk's samples at once, each with its own modal interval.
+The reference AS 217 code, one sample at a time on Python floats, is kept
+with the tests (``tests/conftest.py``), and every touch point, dip and
+p-value matches it bit for bit.
 """
 
 from __future__ import annotations
@@ -35,22 +37,29 @@ from .core import dbscan  # noqa: F401
 # no result.
 _CHUNK_CELLS = 1 << 18
 
-# Rows a chunk needs for the lockstep hull passes to beat the scalar ones.
-# It sizes the hull passes only: the AS 217 loop that follows runs on
-# whatever rows the chunk holds. On a 2-core host a lockstep step took
-# about 10 us plus 0.035 us a row, against 0.14 us a row-step for the
-# scalar pass: at n = 100, 567 and 2000, 96 rows took 0.84-0.97 of the
-# scalar time, 64 rows 1.12-1.35 and 256 rows 0.46-0.51.
+# Rows a chunk needs for the lockstep hull passes to beat the one-row pass.
+# It is checked per chunk and picks the hull pass only: the AS 217 loop
+# that follows runs on whatever rows the chunk holds, and the observed
+# dip's chunk of 2 rows takes the one-row pass. On a 2-core host a
+# lockstep step took about 10 us plus 0.035 us a row, against 0.14 us a
+# row-step for the one-row pass: at n = 100, 567 and 2000, 96 rows took
+# 0.84-0.97 of the one-row time, 64 rows 1.12-1.35 and 256 rows 0.46-0.51.
 _LOCKSTEP_ROWS = 100
 
 
 def epsilon_grid(x, grid_size: int, metric: str = "euclidean") -> np.ndarray:
     """Default sweep grid: ``grid_size`` >= 2 even radii from UB0/1000 to the
-    diameter bound UB0, which is float64 eps when the points coincide."""
+    diameter bound UB0, which is float64 eps when the points coincide.
+    Raises ValueError when a subnormal UB0 leaves a radius at 0 or two
+    radii equal, a grid that ``sweep_curve`` would reject."""
     if _as_integer(grid_size, "grid_size") < 2:
         raise ValueError(f"grid size must be at least 2, got {grid_size}")
     ub0 = approximate_diameter_ub(x, metric=metric)
-    return np.linspace(ub0 / 1000, ub0, grid_size)
+    grid = np.linspace(ub0 / 1000, ub0, grid_size)
+    if not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
+        raise ValueError(f"the diameter bound {ub0!r} is too small for {grid_size} distinct "
+                         "positive radii; rescale the data")
+    return grid
 
 
 def sweep_curve(x, grid, min_pts: int, metric: str = "euclidean",
@@ -99,14 +108,6 @@ def _minorant_touches(x: list[float]) -> list[int]:
     return mn
 
 
-def _majorant_touches(x: list[float]) -> list[int]:
-    """For each j, the next touch point of the least concave majorant of x[j:]."""
-    # the concave majorant of x is the mirrored convex minorant of -x reversed;
-    # negation and reversal are exact, so the touch points are too
-    n = len(x)
-    return [n - 1 - m for m in reversed(_minorant_touches([-v for v in reversed(x)]))]
-
-
 def _minorant_rows(x: np.ndarray, mn: np.ndarray) -> None:
     """``_minorant_touches`` of every row of x at once, into mn, an intp
     array of x's shape.
@@ -114,8 +115,8 @@ def _minorant_rows(x: np.ndarray, mn: np.ndarray) -> None:
     x is C-contiguous, each row sorted in all but its last column, which
     this pass overwrites as a sink: a row that has finished keeps stepping
     there until every row has. Each row keeps its own (j, m) and makes one
-    comparison a step, the scalar pass's, on flat indices of one row, whose
-    differences are the scalar pass's. So every touch point is the scalar
+    comparison a step, the one-row pass's, on flat indices of one row, whose
+    differences are the one-row pass's. So every touch point is the one-row
     pass's bit for bit.
     """
     rows, width = x.shape
@@ -142,73 +143,6 @@ def _minorant_rows(x: np.ndarray, mn: np.ndarray) -> None:
     mn -= base[:, None]
 
 
-def _segment_gap(x: list[float], knots: list[int], upper: bool) -> float:
-    """Largest ECDF distance to the hull, times n, inside the segments between ascending knots."""
-    gap = 0.0
-    for jb, je in zip(knots, knots[1:]):
-        t = 1.0
-        if je - jb > 1 and x[je] != x[jb]:
-            xb, c = x[jb], (je - jb) / (x[je] - x[jb])
-            if upper:  # concave majorant: the line lies above the ECDF's left limit
-                dev = ((v - xb) * c - (jj - jb - 1) for jj, v in enumerate(x[jb:je + 1], jb))
-            else:  # convex minorant: the line lies below the ECDF
-                dev = ((jj - jb + 1) - (v - xb) * c for jj, v in enumerate(x[jb:je + 1], jb))
-            t = max(t, max(dev))
-        gap = max(gap, t)
-    return gap
-
-
-def _dip_of_sorted(x: list[float], mn: list[int], mj: list[int]) -> float:
-    """Hartigan & Hartigan's dip of a sorted sample (AS 217 algorithm), given
-    the touch points of its convex minorant (``mn``) and concave majorant (``mj``)."""
-    n = len(x)
-    floor = 1.0 / (2 * n)
-    if n < 4 or x[0] == x[-1]:
-        return floor
-
-    low, high = 0, n - 1
-    dip = 0.0  # scaled by 2n until the final division
-    while True:
-        gcm = [high]  # minorant touch points from high down to low
-        while gcm[-1] > low:
-            gcm.append(mn[gcm[-1]])
-        lcm = [low]  # majorant touch points from low up to high
-        while lcm[-1] < high:
-            lcm.append(mj[lcm[-1]])
-        l_gcm, l_lcm = len(gcm) - 1, len(lcm) - 1
-        ig, ih, ix, iv = l_gcm, l_lcm, l_gcm - 1, 1
-
-        d = 0.0
-        if l_gcm != 1 or l_lcm != 1:
-            while True:
-                gcmix, lcmiv = gcm[ix], lcm[iv]
-                if gcmix > lcmiv:
-                    gcmil = gcm[ix + 1]
-                    dx = (lcmiv - gcmil + 1) - (x[lcmiv] - x[gcmil]) * (gcmix - gcmil) / (x[gcmix] - x[gcmil])
-                    iv += 1
-                    if dx >= d:
-                        d, ig, ih = dx, ix + 1, iv - 1
-                else:
-                    lcmivl = lcm[iv - 1]
-                    dx = (x[gcmix] - x[lcmivl]) * (lcmiv - lcmivl) / (x[lcmiv] - x[lcmivl]) - (gcmix - lcmivl - 1)
-                    ix -= 1
-                    if dx >= d:
-                        d, ig, ih = dx, ix + 1, iv
-                ix, iv = max(ix, 0), min(iv, l_lcm)
-                if gcm[ix] == lcm[iv]:
-                    break
-        if d < dip:
-            break
-
-        # largest deviation inside the minorant and the majorant segments
-        dip = max(dip, _segment_gap(x, gcm[ig:][::-1], False), _segment_gap(x, lcm[ih:], True))
-        if low == gcm[ig] and high == lcm[ih]:
-            break
-        low, high = gcm[ig], lcm[ih]
-
-    return max(dip / (2 * n), floor)
-
-
 def dip_statistic(sample) -> float:
     """Dip statistic of a 1-D sample; always in [1/(2n), 1/4]."""
     x = np.sort(np.asarray(sample, dtype=np.float64).ravel())
@@ -216,8 +150,9 @@ def dip_statistic(sample) -> float:
         raise ValueError("dip statistic needs at least 2 observations")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains NaN or Inf")
-    x = x.tolist()
-    return float(_dip_of_sorted(x, _minorant_touches(x), _majorant_touches(x)))
+    chunk = np.empty((2, len(x) + 1))
+    chunk[0, :-1] = x
+    return float(_chunk_dips(chunk, np.empty(chunk.shape, dtype=np.intp))[0])
 
 
 def dip_p_value(sample, n_boot: int, seed: int) -> float:
@@ -225,30 +160,21 @@ def dip_p_value(sample, n_boot: int, seed: int) -> float:
     is at least the observed one. Deterministic per seed.
 
     Replicate b is ``default_rng([seed, b]).random(n)``. The replicates run
-    in chunks, each replicate's sorted sample and its mirror (negated and
-    reversed, whose minorant is the sample's majorant) as two rows of one
-    array of ``_CHUNK_CELLS`` cells; the hull passes (``_minorant_rows``)
-    and then the AS 217 loop (``_dip_rows``) run on all rows in lockstep.
-    The buffers are reused from chunk to chunk. Where a chunk would hold
-    fewer than ``_LOCKSTEP_ROWS`` rows, which depends on n alone, every
-    replicate runs ``dip_statistic`` instead. Both ways give every dip bit
-    for bit.
+    in chunks of as many as fit ``_CHUNK_CELLS`` cells, at least one, in
+    two buffers reused from chunk to chunk; each chunk's dips come from
+    ``_chunk_dips``, as the observed dip does, so every dip is the same
+    bit for bit whatever the chunk size.
     """
     if _as_integer(n_boot, "n_boot") < 1:
         raise ValueError("n_boot must be positive")
     observed = dip_statistic(sample)
     n = len(np.asarray(sample).ravel())
-    chunk = _CHUNK_CELLS // (2 * (n + 1))
-    if 2 * chunk >= _LOCKSTEP_ROWS:
-        dips = _lockstep_dips(n, n_boot, seed, chunk)
-    else:
-        dips = (dip_statistic(np.random.default_rng([seed, b]).random(n)) for b in range(n_boot))
+    dips = _lockstep_dips(n, n_boot, seed, max(1, _CHUNK_CELLS // (2 * (n + 1))))
     return sum(d >= observed for d in dips) / n_boot
 
 
 def _lockstep_dips(n: int, n_boot: int, seed: int, chunk: int):
-    """The bootstrap's dips, ``chunk`` replicates at a time, each chunk's
-    hull passes and AS 217 loop in lockstep over its rows (see ``dip_p_value``)."""
+    """The bootstrap's dips, ``chunk`` replicates at a time (see ``dip_p_value``)."""
     chunk = min(chunk, n_boot)
     x = np.empty((2 * chunk, n + 1))
     mn = np.empty(x.shape, dtype=np.intp)
@@ -258,23 +184,44 @@ def _lockstep_dips(n: int, n_boot: int, seed: int, chunk: int):
         for i in range(r):
             np.random.default_rng([seed, start + i]).random(out=up[i])
         up.sort(axis=1)
-        np.negative(up[:, ::-1], out=x[r : 2 * r, :n])
-        _minorant_rows(x[: 2 * r], mn[: 2 * r])
-        yield from _dip_rows(x[: 2 * r], mn[: 2 * r]).tolist()
+        yield from _chunk_dips(x[: 2 * r], mn[: 2 * r]).tolist()
+
+
+def _chunk_dips(x: np.ndarray, mn: np.ndarray) -> np.ndarray:
+    """The dips of the r sorted samples in the first r rows of a chunk.
+
+    x is C-contiguous, 2r rows of n + 1 columns, and mn an intp array of
+    its shape. Each sample's mirror (negated and reversed, whose minorant
+    is the sample's majorant) goes into the second half; every row's
+    minorant touch points go into mn, by ``_minorant_rows`` in lockstep
+    on a chunk of ``_LOCKSTEP_ROWS`` rows or more, else by
+    ``_minorant_touches`` one row at a time; ``_dip_rows`` then runs AS
+    217 on all of the samples at once.
+    """
+    r, n = len(x) // 2, x.shape[1] - 1
+    np.negative(x[:r, :n][:, ::-1], out=x[r:, :n])
+    if len(x) >= _LOCKSTEP_ROWS:
+        _minorant_rows(x, mn)
+    else:
+        for row, touches in zip(x[:, :n], mn):
+            touches[:n] = _minorant_touches(row.tolist())
+    return _dip_rows(x, mn)
 
 
 def _dip_rows(x: np.ndarray, mn: np.ndarray) -> np.ndarray:
-    """``_dip_of_sorted`` of every sample row of a chunk at once.
+    """Hartigan & Hartigan's dip (AS 217) of every sample row of a chunk at once.
 
-    x and mn are a chunk after ``_minorant_rows``: r sorted sample rows,
-    then their r mirrors, whose minorant touch points are the samples'
-    majorant ones, read in place as mj[j] = n - 1 - mn_mirror[n - 1 - j].
+    x and mn are a chunk after its hull pass (see ``_chunk_dips``): r
+    sorted sample rows, then their r mirrors, whose minorant touch points
+    are the samples' majorant ones, read in place as
+    mj[j] = n - 1 - mn_mirror[n - 1 - j].
     Each row keeps its own (low, high, dip) while it runs. A round follows
     every running row's touch-point chains with lockstep gathers, then runs
     the merge one step of each row at a time, each branch's float64
-    expression, the scalar loop's, only on the rows that take that branch;
-    rows whose d falls below their dip stop. A division by zero raises, as
-    it does in the scalar loop, so a row never gets another dip.
+    expression, the reference loop's, only on the rows that take that
+    branch; rows whose d falls below their dip stop. A division by zero
+    raises FloatingPointError, where the reference loop raises
+    ZeroDivisionError, so a row never gets another dip.
     """
     rows, width = x.shape
     r, n = rows // 2, width - 1
@@ -368,10 +315,11 @@ def _merge_rows(xf, b, gcm, lcm, l_gcm, l_lcm):
 
 
 def _gap_rows(xf, b, chain, first, last, upper: bool) -> np.ndarray:
-    """``_segment_gap`` of each row's segments between chain[first] and
-    chain[last]: 0.0 with no segment, else at least 1.0. The knots descend
-    along a minorant chain and ascend along a majorant one; each segment is
-    expanded flat over its points and reduced with ``np.maximum.reduceat``."""
+    """The largest ECDF distance to the hull, times n, inside each row's
+    segments between chain[first] and chain[last]: 0.0 with no segment,
+    else at least 1.0. The knots descend along a minorant chain and ascend
+    along a majorant one; each segment is expanded flat over its points and
+    reduced with ``np.maximum.reduceat``."""
     count = last - first
     gap = np.where(count > 0, 1.0, 0.0)
     row = np.repeat(np.arange(len(b)), count)

@@ -2,7 +2,8 @@
 
 On disk, noise is the label -1; rows of the data file are points. Label
 files hold one integer per line. An optional header row is auto-detected
-by a non-numeric first line.
+by a non-numeric first line. Files are read as UTF-8, with or without a
+byte order mark.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ def load_matrix(path, fmt: str = "csv") -> np.ndarray:
         raise ValueError(f"unknown format {fmt!r}; expected one of {tuple(_DELIMS)}")
     delim = _DELIMS[fmt]
     path = Path(path)
-    numbered = [(i, ln) for i, ln in enumerate(path.read_text().splitlines(), start=1)
-                if ln.strip()]
+    text = path.read_text(encoding="utf-8-sig")
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not numbered:
         raise ValueError(f"{path}: empty file")
 
@@ -70,8 +71,8 @@ def load_matrix(path, fmt: str = "csv") -> np.ndarray:
 def load_labels(path) -> np.ndarray:
     """One integer per line; -1 is noise, as it is in memory (``NOISE``)."""
     path = Path(path)
-    numbered = [(i, ln) for i, ln in enumerate(path.read_text().splitlines(), start=1)
-                if ln.strip()]
+    text = path.read_text(encoding="utf-8-sig")
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not numbered:
         raise ValueError(f"{path}: empty label file")
     labels = np.empty(len(numbered), dtype=np.int64)

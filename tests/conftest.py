@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 clustering oracle runs a transitive closure over the full distance
-matrix, and the metric oracles work straight from the definitions.
+matrix, and the metric oracles work straight from the definitions. The
+reference AS 217 code is the one exception: it reads the library's
+one-row hull pass, ``curve._minorant_touches``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import pytest
 
 from tsdbscan import core
 from tsdbscan.core import _distance_block, _validate
+from tsdbscan.curve import _minorant_touches
 from tsdbscan.data_io import synth_blobs
 
 
@@ -207,6 +210,93 @@ def brute_force_dip(sample: np.ndarray, delta: float = 1e-7) -> float:
         if res.success:
             best = min(best, res.fun)
     return best
+
+
+# The reference AS 217 code (Hartigan & Hartigan, Applied Statistics 1985):
+# one sample at a time on Python floats, the dip that the library's chunk
+# pass (``curve._chunk_dips``) must match bit for bit.
+
+
+def _majorant_touches(x: list[float]) -> list[int]:
+    """For each j, the next touch point of the least concave majorant of x[j:]."""
+    # the concave majorant of x is the mirrored convex minorant of -x reversed;
+    # negation and reversal are exact, so the touch points are too
+    n = len(x)
+    return [n - 1 - m for m in reversed(_minorant_touches([-v for v in reversed(x)]))]
+
+
+def _segment_gap(x: list[float], knots: list[int], upper: bool) -> float:
+    """Largest ECDF distance to the hull, times n, inside the segments between ascending knots."""
+    gap = 0.0
+    for jb, je in zip(knots, knots[1:]):
+        t = 1.0
+        if je - jb > 1 and x[je] != x[jb]:
+            xb, c = x[jb], (je - jb) / (x[je] - x[jb])
+            if upper:  # concave majorant: the line lies above the ECDF's left limit
+                dev = ((v - xb) * c - (jj - jb - 1) for jj, v in enumerate(x[jb:je + 1], jb))
+            else:  # convex minorant: the line lies below the ECDF
+                dev = ((jj - jb + 1) - (v - xb) * c for jj, v in enumerate(x[jb:je + 1], jb))
+            t = max(t, max(dev))
+        gap = max(gap, t)
+    return gap
+
+
+def _dip_of_sorted(x: list[float], mn: list[int], mj: list[int]) -> float:
+    """Hartigan & Hartigan's dip of a sorted sample (AS 217 algorithm), given
+    the touch points of its convex minorant (``mn``) and concave majorant (``mj``)."""
+    n = len(x)
+    floor = 1.0 / (2 * n)
+    if n < 4 or x[0] == x[-1]:
+        return floor
+
+    low, high = 0, n - 1
+    dip = 0.0  # scaled by 2n until the final division
+    while True:
+        gcm = [high]  # minorant touch points from high down to low
+        while gcm[-1] > low:
+            gcm.append(mn[gcm[-1]])
+        lcm = [low]  # majorant touch points from low up to high
+        while lcm[-1] < high:
+            lcm.append(mj[lcm[-1]])
+        l_gcm, l_lcm = len(gcm) - 1, len(lcm) - 1
+        ig, ih, ix, iv = l_gcm, l_lcm, l_gcm - 1, 1
+
+        d = 0.0
+        if l_gcm != 1 or l_lcm != 1:
+            while True:
+                gcmix, lcmiv = gcm[ix], lcm[iv]
+                if gcmix > lcmiv:
+                    gcmil = gcm[ix + 1]
+                    dx = (lcmiv - gcmil + 1) - (x[lcmiv] - x[gcmil]) * (gcmix - gcmil) / (x[gcmix] - x[gcmil])
+                    iv += 1
+                    if dx >= d:
+                        d, ig, ih = dx, ix + 1, iv - 1
+                else:
+                    lcmivl = lcm[iv - 1]
+                    dx = (x[gcmix] - x[lcmivl]) * (lcmiv - lcmivl) / (x[lcmiv] - x[lcmivl]) - (gcmix - lcmivl - 1)
+                    ix -= 1
+                    if dx >= d:
+                        d, ig, ih = dx, ix + 1, iv
+                ix, iv = max(ix, 0), min(iv, l_lcm)
+                if gcm[ix] == lcm[iv]:
+                    break
+        if d < dip:
+            break
+
+        # largest deviation inside the minorant and the majorant segments
+        dip = max(dip, _segment_gap(x, gcm[ig:][::-1], False), _segment_gap(x, lcm[ih:], True))
+        if low == gcm[ig] and high == lcm[ih]:
+            break
+        low, high = gcm[ig], lcm[ih]
+
+    return max(dip / (2 * n), floor)
+
+
+def scalar_dip(sample) -> float:
+    """The reference dip of a 1-D sample: sorted, then ``_dip_of_sorted`` on
+    the Python floats with the one-row minorant and majorant passes."""
+    x = np.sort(np.asarray(sample, dtype=np.float64).ravel()).tolist()
+    return float(_dip_of_sorted(x, _minorant_touches(x), _majorant_touches(x)))
 
 
 def count_strict_local_maxima(curve) -> int:

@@ -17,17 +17,21 @@ from tsdbscan import (
 from tsdbscan import curve
 from tsdbscan.curve import (
     _CHUNK_CELLS,
-    _dip_of_sorted,
     _dip_rows,
     _lockstep_dips,
-    _majorant_touches,
     _minorant_rows,
     _minorant_touches,
     epsilon_grid,
 )
 from tsdbscan.data_io import load_matrix
 
-from conftest import brute_force_dip, count_strict_local_maxima
+from conftest import (
+    _dip_of_sorted,
+    _majorant_touches,
+    brute_force_dip,
+    count_strict_local_maxima,
+    scalar_dip,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -53,6 +57,22 @@ class TestEpsilonGrid:
         assert len(grid) == 10
         assert grid[-1] == np.finfo(np.float64).eps
         assert grid[0] > 0
+
+    @pytest.mark.parametrize("x, grid_size, bound", [
+        # UB0 / 1000 rounds to 0
+        pytest.param(np.array([[0.0], [1e-322], [2e-322], [3e-322]]), 10, "6.03e-322", id="zero-radius"),
+        # the first radius is the least subnormal, but neighbours coincide
+        pytest.param(np.array([[0.0], [1.5e-321]]), 1000, "3.004e-321", id="equal-radii"),
+    ])
+    def test_a_subnormal_bound_too_small_for_the_grid_is_rejected(self, x, grid_size, bound):
+        # the grid is one sweep_curve would reject; under euclidean the
+        # distances underflow to a zero bound, which ends at float64 eps
+        with pytest.raises(ValueError, match=f"the diameter bound {bound} is too small for "
+                                             f"{grid_size} distinct positive radii; rescale the data"):
+            epsilon_grid(x, grid_size, "manhattan")
+        with pytest.warns(UserWarning, match="diameter bound is 0"):
+            grid = epsilon_grid(x, grid_size)
+        assert len(sweep_curve(x, grid, min_pts=2)) == grid_size
 
 
 class TestSweep:
@@ -272,6 +292,20 @@ def test_lockstep_dip_is_the_scalar_dip_on_every_row(x):
     assert lockstep_pass(x).tolist() == dips
 
 
+@settings(max_examples=300, deadline=None)
+@given(x=sorted_rows())
+def test_dip_statistic_is_the_scalar_dip_on_every_row(x):
+    for row in x:
+        try:
+            dip = scalar_dip(row)
+        except ZeroDivisionError:
+            # the scalar loop has no dip for this row, so neither has the library
+            with pytest.raises(FloatingPointError):
+                dip_statistic(row)
+        else:
+            assert dip_statistic(row) == dip
+
+
 @pytest.mark.parametrize("seed", [0, 2718])
 def test_every_replicate_dip_is_the_scalar_one(seed):
     # the blobs16 curve's n: 4 full chunks of 230 replicates and one of 80
@@ -279,7 +313,20 @@ def test_every_replicate_dip_is_the_scalar_one(seed):
     chunk = _CHUNK_CELLS // (2 * (n + 1))
     assert (chunk, n_boot % chunk) == (230, 80)
     dips = list(_lockstep_dips(n, n_boot, seed, chunk))
-    assert dips == [dip_statistic(np.random.default_rng([seed, b]).random(n)) for b in range(n_boot)]
+    assert dips == [scalar_dip(np.random.default_rng([seed, b]).random(n)) for b in range(n_boot)]
+
+
+def test_a_tail_chunk_under_the_lockstep_rows_is_the_scalar_one(monkeypatch):
+    # a full chunk of 230 replicates in lockstep, then one of 1, whose 2
+    # rows take the one-row hull pass
+    n, n_boot, seed = 567, 231, 5
+    chunk = _CHUNK_CELLS // (2 * (n + 1))
+    assert 2 * (n_boot - chunk) < curve._LOCKSTEP_ROWS <= 2 * chunk
+    seen = []
+    monkeypatch.setattr(curve, "_minorant_touches", lambda x: seen.append(1) or _minorant_touches(x))
+    dips = list(_lockstep_dips(n, n_boot, seed, chunk))
+    assert len(seen) == 2
+    assert dips == [scalar_dip(np.random.default_rng([seed, b]).random(n)) for b in range(n_boot)]
 
 
 # replicates of the bootstrap at this n fill a chunk of 65, so crossing the
@@ -292,11 +339,11 @@ BOOT_SEED = 4
 @pytest.fixture(scope="module")
 def scalar_bootstrap():
     """A uniform sample of ``LOCKSTEP_N``, its dip, and the dips of the first
-    replicates of the bootstrap at ``BOOT_SEED``, each from ``dip_statistic``."""
+    replicates of the bootstrap at ``BOOT_SEED``, each from ``scalar_dip``."""
     sample = np.random.default_rng(20).random(LOCKSTEP_N)
-    dips = [dip_statistic(np.random.default_rng([BOOT_SEED, b]).random(LOCKSTEP_N))
+    dips = [scalar_dip(np.random.default_rng([BOOT_SEED, b]).random(LOCKSTEP_N))
             for b in range(2 * LOCKSTEP_CHUNK + 7)]
-    return sample, dip_statistic(sample), dips
+    return sample, scalar_dip(sample), dips
 
 
 class TestLockstepBootstrap:
@@ -310,15 +357,17 @@ class TestLockstepBootstrap:
             assert 0 < hits < n_boot
 
     @pytest.mark.parametrize("n, n_boot, calls", [
-        pytest.param(LOCKSTEP_N, 5, 1, id="lockstep"),
-        pytest.param(20_000, 3, 4, id="scalar"),
+        # the observed dip's 2 rows, then one chunk of 130 rows in lockstep
+        pytest.param(LOCKSTEP_N, LOCKSTEP_CHUNK, 2, id="lockstep"),
+        # then one chunk of 6 rows: at this n no chunk reaches the lockstep rows
+        pytest.param(20_000, 3, 2 + 2 * 3, id="one-row"),
     ])
-    def test_only_large_n_takes_the_scalar_pass(self, monkeypatch, n, n_boot, calls):
+    def test_the_hull_pass_is_picked_per_chunk(self, monkeypatch, n, n_boot, calls):
         sample = np.random.default_rng(21).random(n)
-        expected = [dip_statistic(np.random.default_rng([BOOT_SEED, b]).random(n)) for b in range(n_boot)]
-        hits = sum(d >= dip_statistic(sample) for d in expected)
+        expected = [scalar_dip(np.random.default_rng([BOOT_SEED, b]).random(n)) for b in range(n_boot)]
+        hits = sum(d >= scalar_dip(sample) for d in expected)
         seen = []
-        monkeypatch.setattr(curve, "dip_statistic", lambda s: seen.append(1) or dip_statistic(s))
+        monkeypatch.setattr(curve, "_minorant_touches", lambda x: seen.append(1) or _minorant_touches(x))
         assert dip_p_value(sample, n_boot, BOOT_SEED) == hits / n_boot
         assert len(seen) == calls
 
@@ -336,8 +385,8 @@ class TestLockstepBootstrap:
 
     @pytest.mark.parametrize("n, n_boot", [(567, 231), (20_000, 3)])
     def test_peak_allocation_is_bounded(self, n, n_boot):
-        # a 4 MiB chunk (two chunks at n = 567, the second reusing the
-        # buffers), or the scalar pass at large n
+        # a 4 MiB chunk: two chunks at n = 567, the second reusing the
+        # buffers, and one chunk of 3 replicates at n = 20000
         sample = np.random.default_rng(22).random(n)
         tracemalloc.start()
         try:

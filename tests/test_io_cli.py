@@ -68,10 +68,13 @@ class TestLoadMatrix:
         ("1,x\n0,0\n", [[0, 0]]),  # one cell that float() rejects makes a header
         ("\n\n 1 , 2 \n3,4\n", [[1, 2], [3, 4]]),  # a numeric first line is data
         ("x\n\n5\n\n6\n", [[5], [6]]),
+        # a UTF-8 byte order mark is no part of the first line
+        ("\ufeff1.0,2.0\n3,4\n", [[1, 2], [3, 4]]),
+        ("\ufeffx,y\n0,0\n", [[0, 0]]),
     ])
     def test_header_detection(self, tmp_path, text, rows):
         p = tmp_path / "d.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         assert load_matrix(p).tolist() == rows
 
     @pytest.mark.parametrize("text, message", [
@@ -119,6 +122,11 @@ class TestLabels:
             p.write_text(text)
             with pytest.raises(ValueError, match=f"non-integer label at line {line}$"):
                 load_labels(p)
+
+    def test_byte_order_mark_is_no_part_of_the_first_label(self, tmp_path):
+        p = tmp_path / "l.csv"
+        p.write_text("\ufeff3\n-1\n", encoding="utf-8")
+        assert load_labels(p).tolist() == [3, NOISE]
 
     def test_round_trip(self, tmp_path):
         p = tmp_path / "l.csv"
@@ -462,6 +470,21 @@ class TestCli:
         code = run_cli([command, "--input", data, "--min-pts", 4, "--out", out])
         assert code == 1
         assert "diameter bound overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_subnormal_diameter_bound_fails_the_default_grid(self, tmp_path, capsys):
+        # under manhattan the bound 6e-322 is subnormal and its thousandth
+        # rounds to 0: the default grid is refused for the data, not as
+        # a grid the user gave
+        data = tmp_path / "tiny.csv"
+        data.write_text("0\n1e-322\n2e-322\n3e-322\n")
+        out = tmp_path / "sweep"
+        code = run_cli(["sweep", "--input", data, "--min-pts", 2, "--metric", "manhattan",
+                        "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "diameter bound 6.03e-322 is too small" in err and "rescale the data" in err
+        assert "epsilon grid values" not in err
         assert not out.exists()
 
     def test_cosine_zero_vector_fails_with_message(self, tmp_path, capsys):
