@@ -99,6 +99,13 @@ The same order gives the one-column curve in O(N log N): a point's core
 distance, the least radius that joins it to a core point before it, and
 the least that puts it in a core point's ball, each one kernel value
 (``_one_column_radii``), with no distance block either.
+
+On two columns or more the curve is one minimum spanning tree over the
+mutual-reachability weights, built by Borůvka (``_boruvka_radii``): on
+the whole matrix, contracted after each round, when N^2 fits one block,
+and otherwise on the farthest-first groups, whose bounds on every kernel
+value (``_Groups.bounds``) leave out the pairs of groups that cannot set
+a core distance, a reach radius or a tree's lightest edge.
 """
 
 from __future__ import annotations
@@ -176,7 +183,10 @@ class RunStats:
     call, N^2 x D cells, on two columns or more, and on one column at most
     3N kernel values, one cell each at D = 1; when ``min_pts`` > N, where
     no point can be core, it computes none. Those are the only cells a
-    search on such a set counts until a run's labels are read.
+    search on such a set counts until a run's labels are read. A build
+    given its own ``stats`` on a set whose N^2 exceeds one block counts
+    the groups it builds, as a run does, and each block of Borůvka's,
+    rows x cols x D, the same pair again in each round that meets it.
     """
 
     dbscan_invocations: int = 0
@@ -319,9 +329,10 @@ class PreparedPoints:
     a set a caller prepared for many runs, the first run that needs a
     block builds the set's farthest-first groups (``_farthest_first``),
     counted in its ``stats``, and every run probes through them
-    (``_plan``). The set keeps nothing else: every other run builds its
-    plan afresh and computes its own blocks, and :class:`KCurve` takes its
-    rows as ``dbscan`` does (``_prepared``).
+    (``_plan``), as does a :class:`KCurve` built on the set, which builds
+    them if no run has. The set keeps nothing else: every other run builds
+    its plan afresh and computes its own blocks, and :class:`KCurve` takes
+    its rows as ``dbscan`` does (``_prepared``).
     """
 
     def __init__(self, points, metric: str = "euclidean"):
@@ -429,6 +440,13 @@ class _Groups:
     coordinates of magnitude up to 2^450 keep every difference, square and
     sum finite, so every centre distance and radius is finite too; and
     ``PreparedPoints._grouping`` builds no groups outside [2^-450, 2^450].
+
+    **Bounds.** The curve build (``KCurve``) reads both tests as bounds on
+    every kernel value of a pair of groups (``bounds``): the radius below
+    which ``pairs`` rules the pair out, and the one from which it puts the
+    pair inside. Each is solved from the test with some slack and kept
+    only where the test itself confirms it, so they rest on the proofs
+    above and on nothing else.
     """
 
     def __init__(self, points: PreparedPoints, group: np.ndarray):
@@ -442,20 +460,39 @@ class _Groups:
         self.starts = np.concatenate(([0], np.cumsum(self.sizes)))
         self.radius = self.between = None
 
-    def pairs(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(self, epsilon) -> tuple[np.ndarray, np.ndarray]:
         """Two G x G masks: ``keep``, the pairs of groups that may hold a
         pair within ``epsilon``, and ``inside``, those whose every pair lies
-        within it, a part of ``keep`` (see the class docstring)."""
+        within it, a part of ``keep`` (see the class docstring).
+        ``epsilon`` is one radius or a G x G array of them, one a pair."""
         cosine = self.metric == "cosine"
-        reach = math.sqrt(2.0 * epsilon) if cosine else epsilon
+        reach = np.sqrt(2.0 * epsilon) if cosine else epsilon
         r, m = self.radius, (self.x.shape[1] + 8) * 2.0 ** -51
         spread = r[:, None] + r
         with np.errstate(over="ignore"):
             far = self.between * (1 - m) > (reach + spread) * (1 + m) + _GROUP_TINY
             inside = (self.between + spread) * (1 + m) + _GROUP_TINY <= reach * (1 - m)
-        if cosine and epsilon >= 2:  # the kernel is clipped at 2
-            inside[:] = True
+        if cosine:  # the kernel is clipped at 2
+            inside |= np.asarray(epsilon) >= 2
         return ~far, inside
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two G x G arrays: every kernel value of a pair of groups A and B
+        is at least ``low[A, B]`` and at most ``high[A, B]``. Each is the
+        radius at which ``pairs`` rules the pair of groups out, or puts it
+        inside, found by solving its test with some slack and then checked
+        by the test itself: a ``low`` it does not rule out is 0, and a
+        ``high`` it does not put inside is inf."""
+        r, m = self.radius, (self.x.shape[1] + 8) * 2.0 ** -51
+        spread = r[:, None] + r
+        with np.errstate(over="ignore"):
+            low = np.maximum(((self.between * (1 - m) - _GROUP_TINY) / (1 + m) - spread) * (1 - m), 0.0)
+            high = ((self.between + spread) * (1 + m) + _GROUP_TINY) / (1 - m) * (1 + m)
+            if self.metric == "cosine":  # radii of the chords: the kernel is half their square
+                low, high = low * low / 2 * (1 - m), np.minimum(high * high / 2 * (1 + m), 2.0)
+        low[self.pairs(low)[0]] = 0.0
+        high[~self.pairs(high)[1]] = np.inf
+        return low, high
 
 
 def _farthest_first(points: PreparedPoints, stats: RunStats | None) -> _Groups:
@@ -1042,12 +1079,30 @@ class KCurve:
 
     ``points`` is a matrix, or a :class:`PreparedPoints` of ``metric``,
     prepared as ``dbscan`` prepares it (``_prepared``), and the build works
-    on the set's sorted rows. On two columns or more it runs dense Prim
-    (``_prim_radii``): when N^2 fits one block it computes their whole
-    matrix in one call and reads every distance from it, and otherwise
-    computes a block of rows at a time for the core distances and reach
-    radii, then one row a step of Prim's loop. O(N^2) time, memory O(N)
-    plus one block. On one column it works on the sorted keys
+    on the set's sorted rows. On two columns or more it runs Borůvka
+    (``_boruvka_radii``; dual-tree Borůvka, March, Ram & Gray, KDD 2010,
+    as accelerated HDBSCAN uses it, McInnes & Healy, ICDMW 2017). Every
+    minimum spanning tree has the same sorted weights, so the curve is the
+    one any exact tree gives, the zero-weight edges between copies kept.
+    When N^2 fits one block, the build computes the rows' whole matrix in
+    one call, takes each row's core distance and reach radius from it in
+    blocks of rows, and turns it in place into the mutual-reachability
+    weights: each round takes every tree's lightest edge, one argmin a
+    row, and contracts the matrix to one row and column a tree
+    (``_contracted_edges``). Otherwise it runs on the set's farthest-first
+    groups (``PreparedPoints._grouping``), or where the scale rules them
+    out on the rows as one group, with ``_Groups.bounds`` on every kernel
+    value of each pair of groups. Each group's cap, the least upper bound
+    at which the groups around it hold ``min_pts`` rows, bounds its rows'
+    core distances; a block of a group's rows meets the groups whose low
+    bound is within the larger of the two caps, which holds every pair
+    that sets a core distance or a reach radius (reach_i <= core_i). The
+    first round, each point its own tree, rides on these blocks. Each
+    later round (``_group_rounds``) runs the pairs of groups by ascending
+    low bound, each only while its low bound can beat some tree's lightest
+    edge so far, and skips the pairs within one tree. Memory O(N) plus a
+    few blocks of a sixteenth of ``_BLOCK_CELLS``, and the G x G bounds.
+    On one column it works on the sorted keys
     (``_one_column_radii``): a point's ``min_pts`` nearest
     points are a window of sorted rows, and a core point joins the core
     point before it, and so its cluster, once eps reaches its join radius
@@ -1056,7 +1111,8 @@ class KCurve:
     a minimum spanning tree. O(N log N) time, memory O(N) a level of the
     sparse table of ``_join_gaps`` (at most log2 N levels), and one kernel
     value for each of at most 3N radii. ``stats``, when given, counts the
-    kernel cells the build computes; ``sweep_curve`` passes none.
+    kernel cells the build computes, the groups' own among them when the
+    build makes them; ``sweep_curve`` passes none.
     """
 
     def __init__(self, points, min_pts: int, metric: str = "euclidean", stats: RunStats | None = None):
@@ -1065,7 +1121,7 @@ class KCurve:
         if points.x.shape[1] == 1:
             core, edges, reach = _one_column_radii(points.key, min_pts, metric, stats)
         else:
-            core, edges, reach = _prim_radii(points.x, min_pts, metric, stats)
+            core, edges, reach = _boruvka_radii(points, min_pts, stats)
         self.n_points = len(points)
         self._core = np.sort(core)
         self._edges = np.sort(edges)
@@ -1090,65 +1146,225 @@ def _count_at_most(ascending: np.ndarray, epsilon: float) -> int:
     return int(np.searchsorted(ascending, epsilon, side="right"))
 
 
-def _prim_radii(x: np.ndarray, min_pts: int, metric: str, stats: RunStats | None) -> tuple:
+def _boruvka_radii(points: PreparedPoints, min_pts: int, stats: RunStats | None) -> tuple:
     """The core distances, the edges of a minimum spanning tree over the
-    mutual-reachability weights and the reach radii of the rows ``x``, by
-    dense Prim, with the distances computed into ``stats``: when N^2 fits
-    one block, the whole matrix in one call, which the build then reads;
-    otherwise each block of rows and each of Prim's rows as needed. When
-    ``min_pts`` > N no point is core, and no distance is computed."""
-    n = len(x)
+    mutual-reachability weights and the reach radii of the rows of
+    ``points``, two columns or more, by Borůvka, with the distances
+    computed into ``stats`` (see :class:`KCurve`); each in the order of the
+    rows' groups, for the caller to sort. When ``min_pts`` > N no point is
+    core, and no distance is computed."""
+    n = len(points)
     core = np.full(n, np.inf)
     reach = np.full(n, np.inf)
     if min_pts > n:
         return core, np.full(n - 1, np.inf), reach
+    groups = points._grouping(stats) if n * n > _BLOCK_CELLS else None
+    if groups is None:
+        groups = _Groups(points, np.zeros(n, dtype=np.intp))
+        low, high = np.zeros((1, 1)), np.full((1, 1), np.inf)
+    else:
+        low, high = groups.bounds()
+    x, metric = groups.x, groups.metric
     matrix = _distance_block(x, x, metric, stats) if n * n <= _BLOCK_CELLS else None
+    # a block and its temporaries hold a sixteenth of _BLOCK_CELLS, so that
+    # they stay small next to the heap a search leaves
+    budget = max(1, _BLOCK_CELLS // 16)
 
-    def rows(s: int, e: int) -> np.ndarray:
-        """The distances of the rows [s, e) to every row."""
+    def kernel(s: int, e: int, cols):
+        """The distances of the group rows [s, e) to the rows ``cols``."""
         if matrix is not None:
-            return matrix[s:e]
-        return _distance_block(x[s:e], x, metric, stats)
+            return matrix[s:e, cols]
+        return _distance_block(x[s:e], x[cols], metric, stats)
 
-    # a block of rows at a time, a sixteenth of _BLOCK_CELLS, so that a
-    # computed block and its temporaries stay small next to the heap a
-    # search leaves, and a build over one block raises no peak: each
-    # row's core distance from a sorted copy (the matrix is only read),
-    # then each row v brings max(d_vj, core_v) to the reach radius of
-    # every j, by symmetry the term of v in the reach of j
-    step = max(1, _block_rows(n) // 16)
-    for s in range(0, n, step):
-        block = rows(s, s + step)
-        c = core[s : s + step] = np.partition(block, min_pts - 1, axis=1)[:, min_pts - 1]
-        np.minimum(reach, np.maximum(block, c[:, None]).min(axis=0), out=reach)
+    # every pair within a group's cap lies in its blocks, and the groups
+    # inside with it hold min_pts rows, so the cap bounds each of its rows'
+    # core distances. A pair of groups is met up to the larger of their
+    # caps, so the block that gives row v its core distance holds every
+    # column j that v can bring a reach radius, max(d_vj, core_v) <=
+    # core_j: each block updates its columns' reach radii
+    g, sizes, starts = groups.sizes.size, groups.sizes, groups.starts
+    o = np.argsort(high, axis=1, kind="stable")
+    cap = high[np.arange(g), o[np.arange(g), np.argmax(np.cumsum(sizes[o], axis=1) >= min_pts, axis=1)]]
+    met = ~(low > np.maximum(cap[:, None], cap))
+    # without the matrix, the first round of Borůvka, where each point is
+    # its own tree, rides on these blocks: a pair counts once both its core
+    # distances are known, in the block of the row whose core distance
+    # came last
+    best = np.full(n, np.inf)
+    to = np.arange(n)
+    for a in range(g):
+        cols = _spans(starts[:-1][met[a]], starts[1:][met[a]])
+        at = _as_slice(cols)
+        step = max(1, budget // cols.size)
+        for s in range(starts[a], starts[a + 1], step):
+            e = min(s + step, starts[a + 1])
+            d = kernel(s, e, at)
+            # the core distances are copied out, so the partitioned block
+            # is freed at once
+            core[s:e] = np.partition(d, min_pts - 1, axis=1)[:, min_pts - 1]
+            w = np.maximum(d, core[s:e, None])
+            reach[at] = np.minimum(reach[at], w.min(axis=0))
+            if matrix is None:
+                rows = np.arange(s, e)
+                np.maximum(w, core[at], out=w)
+                w[rows - s, np.searchsorted(cols, s) + rows - s] = np.inf
+                j = w.argmin(axis=1)
+                _offer(best, to, rows, w[rows - s, j], cols[j])
+                i = w.argmin(axis=0)
+                _offer(best, to, cols, w[i, np.arange(cols.size)], rows[i])
+    if matrix is not None:
+        np.maximum(matrix, core[:, None], out=matrix)
+        np.maximum(matrix, core, out=matrix)
+        edges = _contracted_edges(matrix, budget)
+    else:
+        # a row's lightest edge is sure when no pair its group left out can
+        # be lighter, by their low bounds
+        parent = np.arange(n)
+        sure = np.flatnonzero((best < np.inf) & (best <= np.repeat(np.where(met, np.inf, low).min(axis=1), sizes)))
+        edges = [_merge(parent, sure, to[sure], best[sure])]
+        edges += _group_rounds(groups, kernel, core, low, parent, budget)
+    # a tree that no finite edge leaves keeps inf edges
+    return core, np.concatenate((*edges, np.full(n - 1 - sum(e.size for e in edges), np.inf))), reach
 
-    # Prim, one row a step; scipy's sparse MST would drop the zero-weight
-    # edges between duplicate rows. ``key`` is the lightest edge from the
-    # tree to each vertex, and ``left`` each vertex's core distance until
-    # it joins the tree; both are inf on the tree, which the maximum with
-    # ``left`` keeps so. A vertex whose core distance is inf is core at
-    # no radius and has only inf edges. When the lightest key left is
-    # inf, as where distances overflow, so is every edge from the tree
-    # to the vertices left: the next tree starts at the vertex left with
-    # the least core distance, and the loop stops once that is inf too
-    edges = np.full(n - 1, np.inf)
-    key = np.full(n, np.inf)
-    left = core.copy()
-    m = np.empty(n)
-    t = 0
-    v = int(left.argmin())
-    while left[v] < np.inf:
-        left[v] = key[v] = np.inf
-        np.maximum(rows(v, v + 1)[0], core[v], out=m)
-        np.maximum(m, left, out=m)
-        np.minimum(key, m, out=key)
-        v = int(key.argmin())
-        if key[v] < np.inf:
-            edges[t] = key[v]
-            t += 1
-        else:
-            v = int(left.argmin())
-    return core, edges, reach
+
+def _contracted_edges(weights: np.ndarray, budget: int) -> list:
+    """Borůvka on the whole matrix of mutual-reachability weights, which it
+    overwrites: each round takes every tree's lightest edge, one argmin a
+    row, joins the trees, and contracts the matrix to one row and column a
+    tree, its least weights (``_contract``). Returns the weights of the
+    edges that joined trees, a list of arrays."""
+    parent = np.arange(len(weights))
+    nodes, edges = parent.copy(), []
+    while nodes.size > 1:
+        np.fill_diagonal(weights, np.inf)
+        j = weights.argmin(axis=1)
+        w = weights[np.arange(nodes.size), j]
+        if not (finite := w < np.inf).any():
+            break
+        edges.append(_merge(parent, nodes[finite], nodes[j[finite]], w[finite]))
+        nodes, tree = np.unique(parent[nodes], return_inverse=True)
+        weights = _contract(weights, tree, nodes.size, budget)
+    return edges
+
+
+def _contract(weights: np.ndarray, tree: np.ndarray, size: int, budget: int) -> np.ndarray:
+    """The least of ``weights`` between each pair of the ``size`` trees, row
+    i and column j in tree ``tree[i]`` and ``tree[j]``, from a few rows at a
+    time, each block within ``budget`` cells."""
+    out = np.full((size, size), np.inf)
+    order = np.argsort(tree, kind="stable")
+    cuts = np.searchsorted(tree[order], np.arange(size))
+    step = max(1, budget // len(weights))
+    for s in range(0, len(weights), step):
+        np.minimum.at(out, tree[s : s + step], np.minimum.reduceat(weights[s : s + step, order], cuts, axis=1))
+    return out
+
+
+def _group_rounds(groups: _Groups, kernel, core: np.ndarray, low: np.ndarray, parent: np.ndarray,
+                  budget: int) -> list:
+    """The rounds of Borůvka after the first on the rows of ``groups``,
+    whose trees ``parent`` holds, each row pointing at its root. Each
+    round finds every tree's lightest edge to another tree. The pairs of
+    groups run in the order of their low bounds, and a pair runs only if
+    its low bound is below the best edge so far of some tree that a row in
+    either group can lighten (``_group_best``); a pair of groups of one tree
+    runs not at all. A pair of groups each wholly in one tree keeps its
+    least weight (``least``), which stays the lightest edge between its
+    groups while their trees differ, so it runs once. Returns the weights
+    of the edges that joined trees, a list of arrays."""
+    g, sizes, starts = groups.sizes.size, groups.sizes, groups.starts
+    n = parent.size
+    a_of, b_of = np.triu_indices(g)
+    by_low = np.argsort(low[a_of, b_of], kind="stable")
+    a_of, b_of = a_of[by_low], b_of[by_low]
+    least = np.full((g, g), np.nan)
+    edges = []
+    while True:
+        head = parent[starts[:-1]]
+        whole = np.minimum.reduceat(parent, starts[:-1]) == np.maximum.reduceat(parent, starts[:-1])
+        tree = np.where(whole, head, -1)
+        best = np.full(n, np.inf)
+        to = np.full(n, -1)
+        apart = whole[:, None] & whole & (tree[:, None] != tree)
+        known = apart & ~np.isnan(least)
+        ka, kb = np.nonzero(known)
+        _offer(best, to, tree[ka], least[ka, kb], tree[kb])
+        run = ~(whole[a_of] & whole[b_of] & (tree[a_of] == tree[b_of])) & ~known[a_of, b_of]
+        bound = _group_best(best, parent, core, starts)
+        for a, b in zip(a_of[run].tolist(), b_of[run].tolist()):
+            if low[a, b] >= max(bound[a], bound[b]):
+                continue
+            cb = slice(starts[b], starts[b + 1])
+            rc, step = parent[cb], max(1, budget // sizes[b])
+            lightest = np.inf
+            for s in range(starts[a], starts[a + 1], step):
+                e = min(s + step, starts[a + 1])
+                rr = parent[s:e]
+                w = np.maximum(kernel(s, e, cb), core[s:e, None])
+                np.maximum(w, core[cb], out=w)
+                if not apart[a, b]:
+                    w[rr[:, None] == rc] = np.inf
+                j = w.argmin(axis=1)
+                lightest = min(lightest, (weights := w[np.arange(e - s), j]).min())
+                _offer(best, to, rr, weights, rc[j])
+                if a != b:
+                    i = w.argmin(axis=0)
+                    _offer(best, to, rc, w[i, np.arange(rc.size)], rr[i])
+            if apart[a, b]:
+                least[a, b] = least[b, a] = lightest
+            bound = _group_best(best, parent, core, starts)
+        chosen = np.flatnonzero(best < np.inf)
+        if not chosen.size:
+            return edges
+        edges.append(_merge(parent, chosen, to[chosen], best[chosen]))
+
+
+def _group_best(best: np.ndarray, parent: np.ndarray, core: np.ndarray, starts: np.ndarray) -> list:
+    """The largest best edge so far over the trees of each group's rows
+    that can still lighten it, those whose core distance is below it, or
+    -inf where no row can: every edge of a row is at least its core
+    distance."""
+    tree_best = best[parent]
+    return np.maximum.reduceat(np.where(core < tree_best, tree_best, -np.inf), starts[:-1]).tolist()
+
+
+def _offer(best: np.ndarray, to: np.ndarray, trees: np.ndarray, weights: np.ndarray, ends: np.ndarray) -> None:
+    """Offers tree ``trees[k]`` the edge of weight ``weights[k]`` to the row
+    ``ends[k]``: each tree keeps its lightest edge in ``best`` and the row
+    that edge reaches in ``to``."""
+    lighter = weights < best[trees]
+    trees, weights, ends = trees[lighter], weights[lighter], ends[lighter]
+    np.minimum.at(best, trees, weights)
+    hit = weights == best[trees]
+    to[trees[hit]] = ends[hit]
+
+
+def _merge(parent: np.ndarray, trees: np.ndarray, ends: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Joins each tree root ``trees[k]`` with the tree of row ``ends[k]`` by
+    that tree's lightest edge to another tree, of ``weights[k]``, and
+    returns the weights of the edges that joined two trees. Two trees that
+    chose each other share one edge, of one weight. A longer cycle of
+    choices has edges of equal weight, one of which joins nothing; only
+    ties make one, and then the edges join by ascending weight, which
+    counts how many of each weight join trees."""
+    ends = parent[ends]
+    choice = np.full(parent.size, -1)
+    choice[trees] = ends
+    one = ~((choice[ends] == trees) & (trees > ends))
+    trees, ends, weights = trees[one], ends[one], weights[one]
+    before = parent.copy()
+    _union(parent, trees, ends)
+    roots = np.count_nonzero(before == np.arange(parent.size)) - np.count_nonzero(parent == np.arange(parent.size))
+    if roots == trees.size:
+        return weights
+    parent[:] = before
+    joined = []
+    for weight in np.unique(weights).tolist():
+        tie = weights == weight
+        count = np.count_nonzero(parent == np.arange(parent.size))
+        _union(parent, trees[tie], ends[tie])
+        joined += [weight] * (count - np.count_nonzero(parent == np.arange(parent.size)))
+    return np.array(joined)
 
 
 def _one_column_radii(key: np.ndarray, min_pts: int, metric: str, stats: RunStats | None) -> tuple:

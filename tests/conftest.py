@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 clustering oracle runs a transitive closure over the full distance
-matrix, and the metric oracles work straight from the definitions. The
-reference AS 217 code is the one exception: it reads the library's
-one-row hull pass, ``curve._minorant_touches``.
+matrix, and the metric oracles work straight from the definitions. Two
+references are the exceptions. The AS 217 code reads the library's
+one-row hull pass, ``curve._minorant_touches``, and dense Prim
+(``_prim_radii``), the curve engine before Borůvka, reads its kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from tsdbscan import core
-from tsdbscan.core import _distance_block, _validate
+from tsdbscan.core import _BLOCK_CELLS, RunStats, _block_rows, _distance_block, _validate
 from tsdbscan.curve import _minorant_touches
 from tsdbscan.data_io import synth_blobs
 
@@ -290,6 +291,74 @@ def _dip_of_sorted(x: list[float], mn: list[int], mj: list[int]) -> float:
         low, high = gcm[ig], lcm[ih]
 
     return max(dip / (2 * n), floor)
+
+
+def _prim_radii(x: np.ndarray, min_pts: int, metric: str, stats: RunStats | None) -> tuple:
+    """The core distances, the edges of a minimum spanning tree over the
+    mutual-reachability weights and the reach radii of the rows ``x``, by
+    dense Prim, with the distances computed into ``stats``: when N^2 fits
+    one block, the whole matrix in one call, which the build then reads;
+    otherwise each block of rows and each of Prim's rows as needed. When
+    ``min_pts`` > N no point is core, and no distance is computed."""
+    n = len(x)
+    core = np.full(n, np.inf)
+    reach = np.full(n, np.inf)
+    if min_pts > n:
+        return core, np.full(n - 1, np.inf), reach
+    matrix = _distance_block(x, x, metric, stats) if n * n <= _BLOCK_CELLS else None
+
+    def rows(s: int, e: int) -> np.ndarray:
+        """The distances of the rows [s, e) to every row."""
+        if matrix is not None:
+            return matrix[s:e]
+        return _distance_block(x[s:e], x, metric, stats)
+
+    # a block of rows at a time, a sixteenth of _BLOCK_CELLS, so that a
+    # computed block and its temporaries stay small next to the heap a
+    # search leaves, and a build over one block raises no peak: each
+    # row's core distance from a sorted copy (the matrix is only read),
+    # then each row v brings max(d_vj, core_v) to the reach radius of
+    # every j, by symmetry the term of v in the reach of j
+    step = max(1, _block_rows(n) // 16)
+    for s in range(0, n, step):
+        block = rows(s, s + step)
+        c = core[s : s + step] = np.partition(block, min_pts - 1, axis=1)[:, min_pts - 1]
+        np.minimum(reach, np.maximum(block, c[:, None]).min(axis=0), out=reach)
+
+    # Prim, one row a step; scipy's sparse MST would drop the zero-weight
+    # edges between duplicate rows. ``key`` is the lightest edge from the
+    # tree to each vertex, and ``left`` each vertex's core distance until
+    # it joins the tree; both are inf on the tree, which the maximum with
+    # ``left`` keeps so. A vertex whose core distance is inf is core at
+    # no radius and has only inf edges. When the lightest key left is
+    # inf, as where distances overflow, so is every edge from the tree
+    # to the vertices left: the next tree starts at the vertex left with
+    # the least core distance, and the loop stops once that is inf too
+    edges = np.full(n - 1, np.inf)
+    key = np.full(n, np.inf)
+    left = core.copy()
+    m = np.empty(n)
+    t = 0
+    v = int(left.argmin())
+    while left[v] < np.inf:
+        left[v] = key[v] = np.inf
+        np.maximum(rows(v, v + 1)[0], core[v], out=m)
+        np.maximum(m, left, out=m)
+        np.minimum(key, m, out=key)
+        v = int(key.argmin())
+        if key[v] < np.inf:
+            edges[t] = key[v]
+            t += 1
+        else:
+            v = int(left.argmin())
+    return core, edges, reach
+
+
+def assert_curve_is_prims(curve, x, min_pts, metric):
+    """The sorted core distances, edges and reach radii of ``curve`` are the
+    reference dense Prim's on ``x``, bit for bit."""
+    for radii, expected in zip(("_core", "_edges", "_reach"), _prim_radii(_validate(x, metric), min_pts, metric, None)):
+        assert np.array_equal(getattr(curve, radii), np.sort(expected)), radii
 
 
 def scalar_dip(sample) -> float:

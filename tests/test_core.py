@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -18,8 +19,9 @@ from tsdbscan import (
     ts_clustering,
 )
 from tsdbscan.core import ROLE_BORDER, ROLE_CORE, ROLE_NOISE, KCurve, validate_points
+from tsdbscan.data_io import synth_blobs
 
-from conftest import PLAN, brute_force_dbscan, distance, given_groups, key_window
+from conftest import PLAN, assert_curve_is_prims, brute_force_dbscan, distance, given_groups, key_window
 
 
 class TestDistance:
@@ -793,6 +795,71 @@ class TestUnion:
             lab = dbscan(points, 1.5, 4)
             assert np.array_equal(lab.labels, expected)
             assert lab.n_clusters == 1 and lab.labels.max() == 0
+
+
+class TestCurveBuild:
+    @pytest.fixture(scope="class")
+    def blobs(self):
+        # 20 blobs at least 20 apart, 2000 x 16: the pairs within the
+        # largest core distance are a few percent, and only 19 tree edges,
+        # those between blobs, are longer
+        return synth_blobs(20, 100, 16, 20.0, seed=0)[0]
+
+    def test_the_build_prunes_the_pairs_of_far_groups(self, blobs):
+        # the core distances meet the pairs of groups of one blob (5% of
+        # N^2 x D); the rounds after the first meet the pairs of groups of
+        # different blobs whose low bounds are below a tree's lightest edge
+        # (16% at this seed); building the groups costs 1.6%. Dense work,
+        # as Prim's 2 N^2 cells or one N^2 matrix, is four times more
+        stats = RunStats()
+        curve = KCurve(blobs, 10, "euclidean", stats)
+        n, d = blobs.shape
+        assert stats.point_evaluations < 0.25 * n * n * d
+        assert np.count_nonzero(curve._edges > curve._core[-1]) == 19
+
+    def test_the_build_holds_blocks_not_a_matrix(self, blobs):
+        # the set's groups copy its rows (N x D, 250 KiB); the build adds a
+        # few blocks of 2^15 cells (256 KiB each) and O(N) arrays. The
+        # matrix would take 30.5 MiB and a list of the pairs within the
+        # groups' caps 4.8 MiB
+        points = PreparedPoints(blobs)
+        tracemalloc.start()
+        try:
+            KCurve(points, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+
+    @pytest.mark.parametrize("x, min_pts", [
+        pytest.param([[0.0, 0.0]], 2, id="one-row"),
+        pytest.param([[0.0, 0.0], [3.0, 4.0]], 2, id="two-rows"),
+        pytest.param([[0.0, 0.0], [3.0, 4.0]], 3, id="min_pts-above-N"),
+        pytest.param([[1.0, 1.0]] * 3 + [[4.0, 5.0]], 2, id="copies"),
+        pytest.param([[0.0, 0.0], [1e300, 1e300], [-1e300, 0.0]], 2, id="overflow"),
+    ])
+    @pytest.mark.parametrize("cells", [1, 1 << 19])
+    def test_tiny_sets_are_prims(self, x, min_pts, cells, monkeypatch):
+        # a budget of one cell builds on groups or, past 2^450, on one
+        # group; the default builds on the whole matrix. Distances that
+        # overflow are inf, and so is every edge of a row never core
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        with np.errstate(over="ignore"):
+            curve = KCurve(x, min_pts)
+        assert_curve_is_prims(curve, np.asarray(x), min_pts, "euclidean")
+
+    def test_trees_that_choose_each_other_share_one_edge(self):
+        parent = np.arange(4)
+        joined = core._merge(parent, np.array([0, 1, 2]), np.array([1, 0, 3]), np.array([2.0, 2.0, 5.0]))
+        assert sorted(joined.tolist()) == [2.0, 5.0] and parent.tolist() == [0, 0, 2, 2]
+
+    def test_a_cycle_of_equal_choices_drops_one_edge(self):
+        # three trees at equal distance each choose the next: two edges
+        # join them, and the lighter edge of a fourth tree joins too
+        parent = np.arange(5)
+        joined = core._merge(parent, np.array([0, 1, 2, 3]), np.array([1, 2, 0, 4]),
+                             np.array([1.0, 1.0, 1.0, 0.5]))
+        assert sorted(joined.tolist()) == [0.5, 1.0, 1.0] and parent.tolist() == [0, 0, 0, 3, 3]
 
 
 class TestCounting:

@@ -15,7 +15,8 @@ from tsdbscan import NOISE, approximate_diameter_ub, core, dbscan, search
 from tsdbscan.search import SearchBounds, TuneConfig, ternary_search, ts_clustering, tse_clustering
 from tsdbscan.core import METRICS, KCurve, PreparedPoints, RunStats, _distance_block, _validate
 
-from conftest import PLAN, brute_force_dbscan, brute_force_distances, distance, given_groups, key_window
+from conftest import (PLAN, _prim_radii, assert_curve_is_prims, brute_force_dbscan, brute_force_distances, distance,
+                      given_groups, key_window)
 
 # the bound's approximation factor: 2 from the triangle inequality, 4
 # under cosine, where the triangle inequality holds only for angles
@@ -161,7 +162,7 @@ def test_kcurve_matches_dbscan(metric, data):
 
 
 @st.composite
-def cached_sets(draw, metric):
+def cached_sets(draw, metric, scaled=True):
     """Rows whose prepared set fits one block and reads its counts off the
     curve it keeps, two columns or more, and a ``min_pts`` up to N + 1: 1
     to 12 rows, some drawn again, and one of them repeated up to ``min_pts``
@@ -169,12 +170,15 @@ def cached_sets(draw, metric):
     edges. Outside cosine the rows are scaled by 1, 1e-300 or 1e300, at
     which squares underflow or distances overflow to inf, and manhattan's
     sums of four differences of rows at 1e305 overflow too; under cosine
-    the rows are scaled as scaled_rows scales them."""
+    the rows are scaled as scaled_rows scales them. ``scaled`` False keeps
+    every row as drawn."""
     n, d = draw(st.integers(1, 12)), draw(st.integers(2, 4))
     x = draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3, allow_subnormal=False, width=64)))
     x = np.vstack([x, x[draw(st.lists(st.integers(0, n - 1), max_size=3))]])
     min_pts = draw(st.integers(2, len(x) + 1))
     x = np.vstack([x, np.repeat(x[draw(st.integers(0, n - 1))][None], draw(st.integers(0, min_pts)), axis=0)])
+    if not scaled:
+        return with_direction(x) if metric == "cosine" else x, min_pts
     if metric == "cosine":
         return draw(scaled_rows(metric, x)), min_pts
     scales = [1.0, 1e-300, 1e300] + ([1e305] if metric == "manhattan" else [])
@@ -209,6 +213,55 @@ def test_a_build_that_fits_one_block_computes_its_matrix_in_one_call(metric, dat
         by_rows = KCurve(x, min_pts, metric)
     for radii in ("_core", "_edges", "_reach"):
         assert np.array_equal(getattr(curve, radii), getattr(by_rows, radii)), radii
+
+
+@pytest.mark.parametrize("cells", [1, 3, 7, 50])
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_a_build_past_one_block_is_prims_bit_for_bit(metric, cells, data):
+    # a budget below N^2 from N = 3 on builds the curve by Borůvka over the
+    # set's groups, in blocks of a row or a few: on rows as drawn, or on one
+    # group where rows scaled to 1e-300 or 1e300 fall outside [2^-450,
+    # 2^450]. Its sorted radii must be dense Prim's, with the zero-weight
+    # edges between copies and the inf edges of rows never core, also at
+    # N = 1 and 2 and when min_pts > N leaves no point core
+    x, min_pts = data.draw(cached_sets(metric, scaled=data.draw(st.booleans())))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_CELLS", cells)
+        curve = KCurve(x, min_pts, metric)
+    assert_curve_is_prims(curve, x, min_pts, metric)
+
+
+@st.composite
+def clustered_sets(draw, metric):
+    """Up to 120 rows of 2 or 3 columns in 1 to 6 clusters of up to 20 rows
+    each, around centres up to 1e3 apart, with coordinates rounded to a
+    grid so that copies and equal distances are common, and a ``min_pts``
+    from 2 to 8: enough groups, trees and rounds for the later rounds of
+    Borůvka, their kept least weights and their ties to run."""
+    d = draw(st.integers(2, 3))
+    centres = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=st.floats(-1e3, 1e3, width=64)))
+    sizes = draw(st.lists(st.integers(1, 20), min_size=len(centres), max_size=len(centres)))
+    seed, grid = draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from([0.5, 1.0, 4.0]))
+    x = np.repeat(centres, sizes, axis=0) + np.random.default_rng(seed).normal(scale=3.0, size=(sum(sizes), d))
+    x = np.round(x / grid) * grid
+    return (with_direction(x) if metric == "cosine" else x), draw(st.integers(2, 8))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_rounds_on_clustered_sets_are_prims_bit_for_bit(metric, data):
+    # budgets of 50 and 500 cells split the set's groups into blocks of a
+    # few rows; at the default budget, a set whose N^2 fits one block runs
+    # the contracted rounds on its whole matrix
+    x, min_pts = data.draw(clustered_sets(metric))
+    for cells in (50, 500, 1 << 19):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_CELLS", cells)
+            curve = KCurve(x, min_pts, metric)
+        assert_curve_is_prims(curve, x, min_pts, metric)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -340,7 +393,7 @@ def test_one_column_curves_match_the_oracle_and_the_pass(metric, data):
     assert stats.dbscan_invocations == len(radii) and stats.curve_builds == 1
     assert stats.point_evaluations <= 3 * len(x)
     assert np.array_equal(lab.labels, expected)
-    _, edges, _ = core._prim_radii(_validate(x, metric), min_pts, metric, None)
+    _, edges, _ = _prim_radii(_validate(x, metric), min_pts, metric, None)
     assert np.array_equal(curve._edges[curve._edges < np.inf], np.sort(edges[edges < np.inf]))
 
 
@@ -516,8 +569,7 @@ def test_searches_read_the_cached_matrix_as_they_would_compute_it(metric, data):
     # search builds its curve at its first probe, from the whole matrix of
     # its rows computed in one call, and reads every probe off it; a budget
     # of a few cells, below N^2 from N = 3 on, makes every probe run the
-    # pass instead, and the curve build compute its rows by blocks and
-    # Prim's steps, so the curve is compared with the pass. Zeroed entries
+    # pass instead, so the curve is compared with the pass. Zeroed entries
     # make a dimension subsample zero some rows out, and the extra zero rows
     # of the lone search have no direction under cosine: both are noise.
     # The radius, the labels and roles, and each probe's (eps, k, noise)
