@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import curve as curve_module
 from .core import METRICS, NOISE, RunStats, dbscan
-from .curve import curve_to_sample, dip_p_value, dip_statistic, epsilon_grid, sweep_curve
+from .curve import curve_to_sample, dip_p_value, epsilon_grid, sweep_curve
 from .data_io import (
     atomic_write_text,
     load_curve,
@@ -120,6 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-cluster", type=int, default=100)
     p.add_argument("--dims", type=int, default=8)
     p.add_argument("--separation", type=float, default=20.0)
+    p.add_argument("--ambient", type=int, default=None,
+                   help="rotate the blobs into this many columns (at least --dims)")
 
     return parser
 
@@ -167,8 +170,9 @@ def _run_sweep(args, outdir: Path, stats: RunStats) -> dict:
 def _run_dip(args, outdir: Path, stats: RunStats) -> dict:
     curve = load_curve(args.input)
     sample = curve_to_sample(curve)
-    dip = dip_statistic(sample)
-    p = dip_p_value(sample, args.n_boot, args.seed)
+    # computed once, through the module, where the benchmark's tracer times it
+    dip = curve_module.dip_statistic(sample)
+    p = dip_p_value(sample, args.n_boot, args.seed, observed=dip)
     mode = max(curve, key=lambda c: c.k)
     return {
         "dip": dip,
@@ -216,11 +220,11 @@ def _run_eval(args, outdir: Path, stats: RunStats) -> dict:
 
 def _run_synth(args, outdir: Path, stats: RunStats) -> dict:
     points, labels = synth_blobs(args.k, args.per_cluster, args.dims,
-                                 args.separation, args.seed)
+                                 args.separation, args.seed, args.ambient)
     lines = [",".join(repr(float(v)) for v in row) for row in points]
     atomic_write_text(outdir / "data.csv", "\n".join(lines) + "\n")
     write_labels(outdir / "labels.csv", labels)
-    return {"n_points": len(points), "n_dims": args.dims, "k": args.k}
+    return {"n_points": len(points), "n_dims": points.shape[1], "k": args.k}
 
 
 _RUNNERS = {
@@ -248,7 +252,8 @@ def run(args: argparse.Namespace) -> int:
         "version": REPORT_VERSION,
         "tool_version": __version__,
         "command": args.command,
-        "config": {k.replace("_", "-"): v for k, v in vars(args).items() if k != "command"},
+        # an option left unset (None) is not echoed, so the config replays as given
+        "config": {k.replace("_", "-"): v for k, v in vars(args).items() if k != "command" and v is not None},
         "results": results,
         "dbscan_invocations": stats.dbscan_invocations,
         "point_evaluations": stats.point_evaluations,

@@ -155,9 +155,11 @@ def dip_statistic(sample) -> float:
     return float(_chunk_dips(chunk, np.empty(chunk.shape, dtype=np.intp))[0])
 
 
-def dip_p_value(sample, n_boot: int, seed: int) -> float:
+def dip_p_value(sample, n_boot: int, seed: int, *, observed: float | None = None) -> float:
     """Bootstrap p-value: fraction of same-size uniform samples whose dip
-    is at least the observed one. Deterministic per seed.
+    is at least the observed one. Deterministic per seed. ``observed`` is
+    the sample's ``dip_statistic`` when the caller has it, so that it is
+    not computed twice; by default it is computed here.
 
     Replicate b is ``default_rng([seed, b]).random(n)``. The replicates run
     in chunks of as many as fit ``_CHUNK_CELLS`` cells, at least one, in
@@ -167,7 +169,8 @@ def dip_p_value(sample, n_boot: int, seed: int) -> float:
     """
     if _as_integer(n_boot, "n_boot") < 1:
         raise ValueError("n_boot must be positive")
-    observed = dip_statistic(sample)
+    if observed is None:
+        observed = dip_statistic(sample)
     n = len(np.asarray(sample).ravel())
     dips = _lockstep_dips(n, n_boot, seed, max(1, _CHUNK_CELLS // (2 * (n + 1))))
     return sum(d >= observed for d in dips) / n_boot

@@ -131,16 +131,23 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def synth_blobs(k: int, per_cluster: int, dims: int, separation: float,
-                seed: int) -> tuple[np.ndarray, np.ndarray]:
+                seed: int, ambient: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Isotropic unit-variance Gaussian blobs with well-separated centers.
 
     Centers are rejection-sampled in a cube until mutually at least
-    ``separation`` apart. Returns (points, ground-truth labels).
+    ``separation`` apart. With ``ambient`` columns (at least ``dims``), the
+    blobs then span a random ``dims``-dimensional subspace of them: the
+    points are rotated in by the first ``dims`` rows of an orthogonal
+    matrix, the Q of a QR factorisation of a Gaussian ``ambient`` x
+    ``ambient`` matrix drawn after everything else, so the draws before it
+    are those of the default. Returns (points, ground-truth labels).
     """
     if _as_integer(k, "k") < 1 or _as_integer(per_cluster, "per_cluster") < 1 or _as_integer(dims, "dims") < 1:
         raise ValueError("k, per_cluster, and dims must be positive")
     if not 0 < separation < math.inf:
         raise ValueError("separation must be positive and finite")
+    if ambient is not None and _as_integer(ambient, "ambient") < dims:
+        raise ValueError(f"ambient must be at least dims={dims}, got {ambient}")
     rng = np.random.default_rng(seed)
     side = separation * max(2.0, 1.5 * math.ceil(k ** (1.0 / dims)))
     centers = []
@@ -153,5 +160,8 @@ def synth_blobs(k: int, per_cluster: int, dims: int, separation: float,
         else:
             raise RuntimeError("could not place blob centers; lower k or separation")
     points = np.vstack([c + rng.normal(size=(per_cluster, dims)) for c in centers])
+    if ambient is not None:
+        rotation, _ = np.linalg.qr(rng.normal(size=(ambient, ambient)))
+        points = points @ rotation[:dims]
     labels = np.repeat(np.arange(k, dtype=np.int64), per_cluster)
     return points, labels

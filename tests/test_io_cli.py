@@ -1,8 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from tsdbscan import NOISE, CurveSample
 from tsdbscan.cli import main
@@ -153,6 +155,18 @@ class TestSynthBlobs:
             for j in range(i + 1, 5):
                 assert np.linalg.norm(centers[i] - centers[j]) > 40
 
+    def test_ambient_rotates_the_same_blobs_into_more_columns(self):
+        # the rotation is drawn after the blobs, so their rows are those of
+        # the default, moved by an isometry into the ambient columns
+        x, labels = synth_blobs(4, 20, 3, 20.0, seed=3)
+        for ambient in (3, 16):
+            y, again = synth_blobs(4, 20, 3, 20.0, seed=3, ambient=ambient)
+            assert y.shape == (80, ambient) and np.array_equal(again, labels)
+            assert np.allclose(pdist(y), pdist(x), rtol=1e-12, atol=0)
+        assert np.array_equal(y, synth_blobs(4, 20, 3, 20.0, seed=3, ambient=16)[0])
+        with pytest.raises(ValueError, match="ambient must be at least dims=3, got 2"):
+            synth_blobs(4, 20, 3, 20.0, seed=3, ambient=2)
+
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("separation", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
     def test_rejects_separation_that_is_not_positive_and_finite(self, k, separation):
@@ -208,7 +222,35 @@ def blob_files(tmp_path):
     return out / "data.csv", out / "labels.csv"
 
 
+# sha256 of data.csv from `tsdbscan synth` with the benchmark's blob
+# arguments; an option added to synth must leave the default bytes alone
+SYNTH_BYTES = {
+    ("--k", 20, "--per-cluster", 100, "--dims", 16, "--separation", 20, "--seed", 0):
+        "b65fa1522031afe126f371523663e033646c5b027189fa6c1645c17a6398c27d",
+    ("--k", 16, "--per-cluster", 500, "--dims", 2, "--separation", 20, "--seed", 3):
+        "c06cf0eefb15818c583192a9b075e0c812e8f98ae759a6a34c0f3a5f09b7f7c2",
+}
+
+
+@pytest.mark.parametrize("args", list(SYNTH_BYTES))
+def test_synth_default_bytes_are_pinned(tmp_path, args):
+    assert run_cli(["synth", *args, "--out", tmp_path]) == 0
+    assert hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest() == SYNTH_BYTES[args]
+    assert "ambient" not in json.loads((tmp_path / "report.json").read_text())["config"]
+
+
 class TestCli:
+    def test_synth_ambient_replays_from_its_report(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        args = ["--k", 2, "--per-cluster", 5, "--dims", 2, "--ambient", 6, "--seed", 7]
+        assert run_cli(["synth", *args, "--out", first]) == 0
+        report = json.loads((first / "report.json").read_text())
+        assert report["config"]["ambient"] == 6 and report["results"]["n_dims"] == 6
+        assert load_matrix(first / "data.csv").shape == (10, 6)
+        replay = [a for key, value in report["config"].items() if key != "out" for a in (f"--{key}", value)]
+        assert run_cli(["synth", *replay, "--out", second]) == 0
+        assert (first / "data.csv").read_bytes() == (second / "data.csv").read_bytes()
+
     def test_dbscan_round_trip(self, tmp_path, blob_files):
         data, _ = blob_files
         out = tmp_path / "run"

@@ -268,6 +268,79 @@ class TestCollapsedInterval:
         assert all(lower < eps < upper for lower, eps, upper, probed in searches if probed)
 
 
+class TestDearFirstProbe:
+    # over a budget of 1000 cells, the 90 x 8 rows of three blobs exceed one
+    # block (8100 cells), so a search that prepares them builds 7 groups at
+    # its first probe. Besides that build, the first probe on (0, UB0)
+    # computes 0.106 of N^2 x D, and the one on (0, UB0 / 4), where each
+    # blob's groups are inside pairs, 0.0019
+
+    @pytest.fixture
+    def blobs(self, monkeypatch):
+        monkeypatch.setattr(tsdbscan.core, "_BLOCK_CELLS", 1000)
+        x, _ = synth_blobs(3, 30, 8, 30.0, 2)
+        return x
+
+    @staticmethod
+    def events(monkeypatch):
+        """Records "pass" at each run of the counts pass and "probe" at each
+        probe the search reads."""
+        events = []
+        windowed, effective = tsdbscan.core._windowed, tsdbscan.search.effective_k
+
+        def recorded_windowed(*args):
+            events.append("pass")
+            return windowed(*args)
+
+        def recorded_effective_k(probe):
+            events.append("probe")
+            return effective(probe)
+
+        monkeypatch.setattr(tsdbscan.core, "_windowed", recorded_windowed)
+        monkeypatch.setattr(tsdbscan.search, "effective_k", recorded_effective_k)
+        return events
+
+    def test_a_dear_first_probe_switches_to_one_curve(self, blobs, monkeypatch):
+        cfg, stats = TuneConfig(min_pts=3, itr=3), RunStats()
+        bounds = SearchBounds(0.0, approximate_diameter_ub(blobs))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tsdbscan.search, "_DEAR_PROBE", np.inf)
+            passed = ternary_search(blobs, bounds, cfg)
+        events = self.events(monkeypatch)
+        assert ternary_search(blobs, bounds, cfg, stats) == passed
+        assert stats.curve_builds == 1 and stats.dbscan_invocations == 6
+        assert events == ["pass"] + ["probe"] * 6
+
+    def test_a_cheap_first_probe_keeps_the_pass(self, blobs, monkeypatch):
+        events, stats = self.events(monkeypatch), RunStats()
+        bounds = SearchBounds(0.0, approximate_diameter_ub(blobs) / 4)
+        ternary_search(blobs, bounds, TuneConfig(min_pts=3, itr=3), stats)
+        assert stats.curve_builds == 0
+        assert events == ["pass", "probe"] * 6
+
+    def test_a_callers_prepared_set_never_switches(self, blobs, monkeypatch):
+        points = PreparedPoints(blobs)
+        events, stats = self.events(monkeypatch), RunStats()
+        ternary_search(points, SearchBounds(0.0, approximate_diameter_ub(blobs)), TuneConfig(min_pts=3, itr=3),
+                       stats)
+        assert stats.curve_builds == 0 and not points._reads_curve
+        assert events == ["pass", "probe"] * 6
+
+    def test_a_set_whose_scale_rules_out_groups_never_switches(self, blobs, monkeypatch):
+        # rows scaled by 2^-460 build no groups, so every probe runs the key
+        # window, whose first probe is as dear; a curve there would run
+        # Borůvka with every pair met each round. The scale is exact, so the
+        # search lands at the same radius scaled
+        bounds = SearchBounds(0.0, approximate_diameter_ub(blobs))
+        cfg = TuneConfig(min_pts=3, itr=3)
+        unscaled = ternary_search(blobs, bounds, cfg)
+        events, stats = self.events(monkeypatch), RunStats()
+        scaled = SearchBounds(bounds.lower, bounds.upper * 2.0 ** -460)
+        assert ternary_search(blobs * 2.0 ** -460, scaled, cfg, stats) == unscaled * 2.0 ** -460
+        assert stats.curve_builds == 0
+        assert events == ["pass", "probe"] * 6
+
+
 class TestBoundEstimators:
     def test_alpha_one_upper_reduces_to_full_search(self):
         cfg = TuneConfig(min_pts=2, alpha=1.0, seed=3)

@@ -166,3 +166,25 @@ def test_traced_one_column_curves_pass_the_counter_check(tmp_path):
     assert reports["tse"]["dbscan_invocations"] == 4 * 2 + 2 * 2 * 2
     checks = tracing.counter_check(spans, reports)
     assert len(checks) == len(commands) and all(ok for _, ok, _ in checks), checks
+
+
+def test_traced_curve_switches_pass_the_counter_check(tmp_path, monkeypatch):
+    # over a budget of 100 cells the upper bound's 18 x 8 subsample exceeds
+    # one block, so its first probe builds the set's groups and runs the
+    # pass, computing 0.025 of N^2 x D besides the group build: dear, so
+    # the search switches to the set's curve. The build runs inside the
+    # traced dbscan of the second probe, and the later probes compute no
+    # cell. The 90 x 2 lower bound's first probe computes 0.009 and keeps
+    # the pass, and each of TSE's 18 x 2 searches switches too
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 100)
+    commands = {"tune": ["--itr", 2], "tse": ["--itr", 2, "--m", 2]}
+    tracing, spans, reports = traced(tmp_path, commands)
+    command, stage, _ = tracing._annotate(spans)
+    for name in commands:
+        probes = [i for i, span in enumerate(spans) if span[0] == "core.dbscan"
+                  and command[i] == f"cli.{name}" and stage[i] == "search.upper_bound"]
+        kernels = Counter(span[1] for span in spans if span[0] == "core.distance")
+        assert len(probes) == 4 and all(kernels[i] for i in probes[:2]) and not any(kernels[i] for i in probes[2:])
+    assert (reports["tune"]["curve_builds"], reports["tse"]["curve_builds"]) == (1, 1 + 2)
+    checks = tracing.counter_check(spans, reports)
+    assert len(checks) == len(commands) and all(ok for _, ok, _ in checks), checks
