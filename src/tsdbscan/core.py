@@ -58,11 +58,11 @@ once, from the whole distance matrix of its rows, which the build
 computes and drops, or from the sorted keys on one column, and each run
 reads its cluster and noise counts off it, the very counts its passes
 would give, and runs the passes only when its labels are first read.
-So does every run on a set with groups once a search that prepared it
-has found its first probe dear (``search._prober``): the next run builds
-the set's curve, by Borůvka over its groups.
-Otherwise, on a set a caller
-prepared (each ternary search prepares its rows once), the first run that
+So does every run on a set with groups that a search stage prepared
+for its own probes (``search._prober``): the first run builds the set's
+curve, by Borůvka over its groups.
+Otherwise, on a set a caller prepared (the final search's, which the
+final clustering reuses), the first run that
 needs a block builds farthest-first groups, ceil(sqrt(N / 2)) centres with
 the radius of each group (Gonzalez, 1985), unless its scale rules them
 out (``_Groups``). Every run on a set with groups runs the group bound
@@ -190,10 +190,10 @@ class RunStats:
     on a set whose N^2 exceeds one block counts the groups it builds, if
     no run has, as a run does, and each block of Borůvka's, rows x cols x
     D, the same pair again in each round that meets it. Such a set builds
-    its curve in a search's second probe when the search prepared it and
-    found its first probe dear (``search._prober``): that search counts
-    its first probe's ball ends, group build and blocks, then the curve's
-    blocks, and no cell after them, and adds one to ``curve_builds``.
+    its curve in a search's first probe when the search prepared it
+    (``search._prober``): that search counts the group build and the
+    curve's blocks, and no cell after them, and adds one to
+    ``curve_builds``.
     """
 
     dbscan_invocations: int = 0
@@ -333,8 +333,8 @@ class PreparedPoints:
     computed in the build, or on one column from ``key``, with its kernel
     values counted in that run's ``stats``; the build counts in the run's
     ``curve_builds``, and the curve is kept, not the matrix. So does a set
-    whose ``_reads_curve`` a search set (``search._prober``), with its
-    curve built over its groups. Otherwise, on
+    with groups that a search stage prepared (``_reads_curve``, set by
+    ``search._prober``), with its curve built over its groups. Otherwise, on
     a set a caller prepared for many runs, the first run that needs a
     block builds the set's farthest-first groups (``_farthest_first``),
     counted in its ``stats``, and every run probes through them
@@ -355,8 +355,8 @@ class PreparedPoints:
         self.key = np.ascontiguousarray(self.x[:, widest])
         self._curves = {}  # min_pts -> the set's KCurve
         self._groups = None  # False once the scale rules groups out
-        # True once a search on the set has found its probes dear: every
-        # run then reads its counts off the curve (``search._prober``)
+        # True on a search stage's own set: where it has groups, every run
+        # reads its counts off the curve (``search._prober``)
         self._reads_curve = False
 
     def __len__(self) -> int:
@@ -680,7 +680,7 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     the same either way.
     With one column the run is the ball, so no distance block is computed.
     On a prepared set with one column, or whose N^2 fits one block, or
-    that a search switched to its curve after a dear first probe
+    with groups that a search stage prepared for its own probes
     (``search._prober``), a run checks no ball end and runs no pass: its
     counts are read off the set's
     :class:`KCurve` at ``min_pts`` (``PreparedPoints._curve``), the very
@@ -697,7 +697,8 @@ def dbscan(points, epsilon: float, min_pts: int, metric: str = "euclidean",
     n = len(points)
     if stats is not None:
         stats.dbscan_invocations += 1
-    if shared and (points._reads_curve or points.x.shape[1] == 1 or n * n <= _BLOCK_CELLS):
+    if shared and (points.x.shape[1] == 1 or n * n <= _BLOCK_CELLS
+                   or points._reads_curve and points._grouping(stats) is not None):
         curve = points._curve(min_pts, stats)
         return Labeling(curve.k(epsilon), curve.n_noise(epsilon),
                         lambda: _forest(points, epsilon, min_pts, shared, stats))

@@ -35,18 +35,6 @@ _SEED_REPEAT = 3
 # noise fraction above which effective_k discounts a lone cluster
 CHANCE_NOISE_THRESHOLD = 0.9
 
-# Share of N^2 x D cells from which a search's first probe on a grouped
-# set it prepared, its group build left out, reads every later probe off
-# the set's KCurve (``_prober``). A curve build costs 0.15-0.24 N^2 x D, a
-# search 12 probes. On one 2-core host, the first probes of the stages
-# that gained from a curve computed 0.019-0.037 (the 2000 x 4 lower bound
-# of the 2000 x 16 blob set) and 0.026-0.034 (the 1600 x 2 upper bound of
-# the 8000 x 2 one) at seeds 0-4, and 0.031-0.034 on 4000 rows of 2-dim
-# blobs rotated into 128 dimensions; the lower bound of 8-dim blobs there,
-# which must keep the pass, computed 0.0000.
-_DEAR_PROBE = 0.01
-
-
 @dataclass
 class SearchBounds:
     """Interval the search contracts around the mode of k(eps)."""
@@ -112,14 +100,11 @@ def _prober(x, cfg: TuneConfig, stats: RunStats | None):
     dimension subsample may zero them out) have no angle, and count as
     noise at every radius.
 
-    On rows prepared here, the first probe is checked: when the set has
-    groups and that probe's blocks, the group build left out, computed
-    ``_DEAR_PROBE`` of N^2 x D cells or more, every later probe reads its
-    counts off the set's :class:`KCurve`, built inside the next probe's
-    ``dbscan``. A caller's set is never switched: a final clustering that
-    reuses it keeps the plan its probes ran."""
-    unchecked = not isinstance(x, PreparedPoints)
-    if not unchecked:
+    Rows prepared here are a search stage's own set: every probe on them
+    reads its counts off the set's :class:`KCurve`, built inside the first
+    probe's ``dbscan`` (see there). A caller's set is never marked: a
+    final clustering that reuses it keeps the plan its probes ran."""
+    if isinstance(x, PreparedPoints):
         points = x
         n = len(points)
     else:
@@ -130,32 +115,14 @@ def _prober(x, cfg: TuneConfig, stats: RunStats | None):
         if not len(x):
             return lambda epsilon: CurveSample(epsilon, 0, 1.0)
         points = PreparedPoints(x, cfg.metric)
+        points._reads_curve = True
 
     def probe(epsilon: float) -> CurveSample:
-        nonlocal unchecked
-        counted = RunStats() if unchecked and stats is None else stats
-        before = counted.point_evaluations if unchecked else 0
-        labeling = dbscan(points, epsilon, cfg.min_pts, metric=cfg.metric, stats=counted)
-        if unchecked:
-            unchecked = False
-            points._reads_curve = _dear(points, counted.point_evaluations - before)
+        labeling = dbscan(points, epsilon, cfg.min_pts, metric=cfg.metric, stats=stats)
         noise = (labeling.n_noise + n - len(points)) / n
         return CurveSample(epsilon=epsilon, k=labeling.n_clusters, noise=float(noise))
 
     return probe
-
-
-def _dear(points: PreparedPoints, cells: int) -> bool:
-    """Whether a first probe on ``points`` that computed ``cells`` cells,
-    its group build among them, proved dear enough that the set's curve
-    beats the search's later probes: only on a set with groups, where the
-    probe ran the group plan. A set whose scale rules groups out keeps the
-    pass, since Borůvka there meets every pair each round."""
-    groups = points._groups
-    if not groups:
-        return False
-    n, d = points.x.shape
-    return cells - groups.sizes.size * n * d >= _DEAR_PROBE * n * n * d
 
 
 def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
@@ -171,11 +138,11 @@ def ternary_search(x, bounds: SearchBounds, cfg: TuneConfig,
     ``x`` is a matrix, or a :class:`PreparedPoints` of ``cfg.metric`` that
     the probes share, as ``dbscan`` takes. Under cosine, rows of a matrix
     with no direction (zero rows) count as noise. On a matrix, which the
-    search prepares itself, a first probe that proves dear on the set's
-    groups switches every later probe to the set's curve (``_prober``):
-    the same k and noise at every radius, so the same result, with one
-    curve build in place of the pass. The bound stages search matrices;
-    the final search runs on the caller's prepared set and keeps the pass.
+    search prepares itself, every probe reads the set's curve
+    (``_prober``): the same k and noise at every radius, so the same
+    result, with one curve build in place of the passes. The bound stages
+    and TSE's searches search matrices; the final search runs on the
+    caller's prepared set and keeps the pass.
     """
     probe = _prober(x, cfg, stats)
     mid = None

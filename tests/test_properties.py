@@ -2,7 +2,6 @@
 with the brute-force oracle and of the exact curve engine with DBSCAN,
 for every metric."""
 
-import math
 import warnings
 
 import numpy as np
@@ -569,9 +568,11 @@ def test_searches_read_the_cached_matrix_as_they_would_compute_it(metric, data):
     # a search prepares its rows once. These sets fit one block, so each
     # search builds its curve at its first probe, from the whole matrix of
     # its rows computed in one call, and reads every probe off it; a budget
-    # of a few cells, below N^2 from N = 3 on, with no first probe dear
-    # enough to switch a search to its set's curve, makes every probe run
-    # the pass instead, so the curve is compared with the pass. Zeroed entries
+    # of a few cells, below N^2 from N = 3 on, makes a search stage build
+    # its curve by Borůvka over its groups instead, where the scale allows
+    # them, and every other probe run the pass, the final search's on the
+    # set the tuning prepares among them. So the whole matrix's curve is
+    # compared with the grouped curve and with the pass. Zeroed entries
     # make a dimension subsample zero some rows out, and the extra zero rows
     # of the lone search have no direction under cosine: both are noise.
     # The radius, the labels and roles, and each probe's (eps, k, noise)
@@ -606,7 +607,6 @@ def test_searches_read_the_cached_matrix_as_they_would_compute_it(metric, data):
     cached = run()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 3, 7])))
-        mp.setattr(search, "_DEAR_PROBE", math.inf)
         assert run() == cached
 
 
@@ -615,11 +615,12 @@ def test_searches_read_the_cached_matrix_as_they_would_compute_it(metric, data):
 @given(data=st.data())
 def test_a_search_that_switches_to_its_curve_probes_as_the_pass(metric, data):
     # over a budget of a few cells, a set of N >= 3 rows and two columns or
-    # more that a search prepares builds its groups at the first probe,
-    # unless its scale rules them out. With _DEAR_PROBE at 0 every such
-    # first probe is dear, and the search reads each later probe off the
-    # set's curve, built in the second probe; at inf every probe runs the
-    # pass. The radius and each probe's (eps, k, noise) must not move
+    # more exceeds one block. A search on the matrix prepares the rows
+    # itself and reads every probe off the set's curve, built by Borůvka
+    # over its groups in the first probe, unless the scale rules groups
+    # out; the same search on a caller's prepared set of the same rows runs
+    # the pass at every probe. The radius and each probe's (eps, k, noise)
+    # must not move
     x = data.draw(st.one_of(point_sets_with_duplicates(metric), collinear_rows(metric)))
     if x.shape[1] == 1:
         x = np.c_[x, 0 * x]  # groups need two columns
@@ -628,7 +629,7 @@ def test_a_search_that_switches_to_its_curve_probes_as_the_pass(metric, data):
     cfg = TuneConfig(min_pts=data.draw(st.integers(2, len(x) + 1)), itr=3, metric=metric)
     effective_k = search.effective_k
 
-    def run(share):
+    def run(rows):
         probes, stats = [], RunStats()
 
         def recorded(probe):
@@ -638,18 +639,17 @@ def test_a_search_that_switches_to_its_curve_probes_as_the_pass(metric, data):
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # degenerate intervals
             mp.setattr(core, "_BLOCK_CELLS", cells)
-            mp.setattr(search, "_DEAR_PROBE", share)
             mp.setattr(search, "effective_k", recorded)
-            eps = ternary_search(x, bounds, cfg, stats)
+            eps = ternary_search(rows, bounds, cfg, stats)
         return eps, probes, stats.curve_builds
 
-    eps, probes, builds = run(0.0)
-    passed, passed_probes, curves = run(math.inf)
+    eps, probes, builds = run(x)
+    passed, passed_probes, curves = run(PreparedPoints(x, metric))
     assert (passed, passed_probes) == (eps, probes)
     # a set whose N^2 fits the budget reads a curve either way
     top = np.abs(PreparedPoints(x, metric).x).max()
     grouped = len(x) ** 2 > cells and 2.0 ** -450 <= top <= 2.0 ** 450
-    assert builds - curves == (grouped and len(probes) > 1)
+    assert builds - curves == (grouped and len(probes) > 0)
 
 
 @st.composite

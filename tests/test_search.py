@@ -268,12 +268,10 @@ class TestCollapsedInterval:
         assert all(lower < eps < upper for lower, eps, upper, probed in searches if probed)
 
 
-class TestDearFirstProbe:
+class TestStageCurve:
     # over a budget of 1000 cells, the 90 x 8 rows of three blobs exceed one
-    # block (8100 cells), so a search that prepares them builds 7 groups at
-    # its first probe. Besides that build, the first probe on (0, UB0)
-    # computes 0.106 of N^2 x D, and the one on (0, UB0 / 4), where each
-    # blob's groups are inside pairs, 0.0019
+    # block (8100 cells), so a search that prepares them builds 7 groups in
+    # its first probe, and then its curve over them
 
     @pytest.fixture
     def blobs(self, monkeypatch):
@@ -300,25 +298,19 @@ class TestDearFirstProbe:
         monkeypatch.setattr(tsdbscan.search, "effective_k", recorded_effective_k)
         return events
 
-    def test_a_dear_first_probe_switches_to_one_curve(self, blobs, monkeypatch):
+    @pytest.mark.parametrize("shrink", [1, 4])
+    def test_a_stage_search_on_a_grouped_set_reads_one_curve(self, blobs, monkeypatch, shrink):
+        # on (0, UB0 / 4) each blob's groups are inside pairs, and the pass
+        # computes little; the stage reads its curve all the same
         cfg, stats = TuneConfig(min_pts=3, itr=3), RunStats()
-        bounds = SearchBounds(0.0, approximate_diameter_ub(blobs))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tsdbscan.search, "_DEAR_PROBE", np.inf)
-            passed = ternary_search(blobs, bounds, cfg)
+        bounds = SearchBounds(0.0, approximate_diameter_ub(blobs) / shrink)
+        passed = ternary_search(PreparedPoints(blobs), bounds, cfg)
         events = self.events(monkeypatch)
         assert ternary_search(blobs, bounds, cfg, stats) == passed
         assert stats.curve_builds == 1 and stats.dbscan_invocations == 6
-        assert events == ["pass"] + ["probe"] * 6
+        assert events == ["probe"] * 6
 
-    def test_a_cheap_first_probe_keeps_the_pass(self, blobs, monkeypatch):
-        events, stats = self.events(monkeypatch), RunStats()
-        bounds = SearchBounds(0.0, approximate_diameter_ub(blobs) / 4)
-        ternary_search(blobs, bounds, TuneConfig(min_pts=3, itr=3), stats)
-        assert stats.curve_builds == 0
-        assert events == ["pass", "probe"] * 6
-
-    def test_a_callers_prepared_set_never_switches(self, blobs, monkeypatch):
+    def test_a_callers_prepared_set_never_reads_a_curve(self, blobs, monkeypatch):
         points = PreparedPoints(blobs)
         events, stats = self.events(monkeypatch), RunStats()
         ternary_search(points, SearchBounds(0.0, approximate_diameter_ub(blobs)), TuneConfig(min_pts=3, itr=3),
@@ -326,11 +318,11 @@ class TestDearFirstProbe:
         assert stats.curve_builds == 0 and not points._reads_curve
         assert events == ["pass", "probe"] * 6
 
-    def test_a_set_whose_scale_rules_out_groups_never_switches(self, blobs, monkeypatch):
+    def test_a_set_whose_scale_rules_out_groups_keeps_the_pass(self, blobs, monkeypatch):
         # rows scaled by 2^-460 build no groups, so every probe runs the key
-        # window, whose first probe is as dear; a curve there would run
-        # Borůvka with every pair met each round. The scale is exact, so the
-        # search lands at the same radius scaled
+        # window; a curve there would run Borůvka with every pair met each
+        # round. The scale is exact, so the search lands at the same radius
+        # scaled
         bounds = SearchBounds(0.0, approximate_diameter_ub(blobs))
         cfg = TuneConfig(min_pts=3, itr=3)
         unscaled = ternary_search(blobs, bounds, cfg)

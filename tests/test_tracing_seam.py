@@ -121,13 +121,17 @@ def test_traced_group_builds_pass_the_counter_check(tmp_path, monkeypatch):
     # its 90 x 2 projection of the lower bound (8100 cells each) no longer
     # fit one block, so the first probe of each search builds the set's
     # groups inside its traced dbscan: ceil(sqrt(90 / 2)) = 7 centres, each
-    # a 1 x 90 kernel block, counted in that run. The final clustering of
-    # tune reuses the final search's set and builds nothing; that of tse
-    # prepares the 90 x 8 rows once more and builds its 7 centres inside
-    # the uncounted final-clustering span, which the counter check leaves
-    # out. The 18-row subsets of the upper bound and of TSE (324 cells)
-    # still fit one block and read a curve. The tracer wraps the kernel recorded here,
-    # so the k-th kernel span is the k-th call recorded
+    # a 1 x 90 kernel block, counted in that run. The lower bound, a set
+    # its stage prepares, then builds its curve over the groups in the same
+    # dbscan, whose blocks here all span fewer than 90 columns; the final
+    # search runs the pass on the set that tune prepares. The final
+    # clustering of tune reuses the final search's set and builds nothing;
+    # that of tse prepares the 90 x 8 rows once more and builds its 7
+    # centres inside the uncounted final-clustering span, which the counter
+    # check leaves out. The 18-row subsets of the upper bound and of TSE
+    # (324 cells) still fit one block and read a curve. The tracer wraps
+    # the kernel recorded here, so the k-th kernel span is the k-th call
+    # recorded
     monkeypatch.setattr(core, "_BLOCK_CELLS", 1000)
     shapes = []
 
@@ -140,6 +144,7 @@ def test_traced_group_builds_pass_the_counter_check(tmp_path, monkeypatch):
     tracing, spans, reports = traced(tmp_path, commands)
     assert reports["tune"]["dbscan_invocations"] == 6 * 2
     assert reports["tse"]["dbscan_invocations"] == 4 * 2 + 2 * 2 * 2
+    assert (reports["tune"]["curve_builds"], reports["tse"]["curve_builds"]) == (2, 2 + 2)
     command, stage, _ = tracing._annotate(spans)
     kernels = [i for i, span in enumerate(spans) if span[0] == "core.distance"]
     assert len(kernels) == len(shapes)
@@ -169,22 +174,23 @@ def test_traced_one_column_curves_pass_the_counter_check(tmp_path):
 
 
 def test_traced_curve_switches_pass_the_counter_check(tmp_path, monkeypatch):
-    # over a budget of 100 cells the upper bound's 18 x 8 subsample exceeds
-    # one block, so its first probe builds the set's groups and runs the
-    # pass, computing 0.025 of N^2 x D besides the group build: dear, so
-    # the search switches to the set's curve. The build runs inside the
-    # traced dbscan of the second probe, and the later probes compute no
-    # cell. The 90 x 2 lower bound's first probe computes 0.009 and keeps
-    # the pass, and each of TSE's 18 x 2 searches switches too
+    # over a budget of 100 cells every search stage's set exceeds one block:
+    # the upper bound's 18 x 8 subsample and each of TSE's 18 x 2 searches
+    # (324 cells), and the lower bound's 90 x 2 projection (8100). A stage
+    # prepares its own set, so its first probe builds the set's groups and
+    # then its curve over them, inside that probe's traced dbscan, and the
+    # later probes read the curve and compute no cell. The final search
+    # runs on the 90 x 8 set that tune prepares, and keeps the pass
     monkeypatch.setattr(core, "_BLOCK_CELLS", 100)
     commands = {"tune": ["--itr", 2], "tse": ["--itr", 2, "--m", 2]}
     tracing, spans, reports = traced(tmp_path, commands)
     command, stage, _ = tracing._annotate(spans)
-    for name in commands:
-        probes = [i for i, span in enumerate(spans) if span[0] == "core.dbscan"
-                  and command[i] == f"cli.{name}" and stage[i] == "search.upper_bound"]
-        kernels = Counter(span[1] for span in spans if span[0] == "core.distance")
-        assert len(probes) == 4 and all(kernels[i] for i in probes[:2]) and not any(kernels[i] for i in probes[2:])
-    assert (reports["tune"]["curve_builds"], reports["tse"]["curve_builds"]) == (1, 1 + 2)
+    stages = {"search.upper_bound", "search.lower_bound", "search.tse_estimate"}
+    searches = [i for i, span in enumerate(spans) if span[0] == "search.ternary_search" and stage[i] in stages]
+    assert len(searches) == 2 + 4
+    first = {min(j for j, span in enumerate(spans) if span[1] == i and span[0] == "core.dbscan") for i in searches}
+    kernels = {span[1] for i, span in enumerate(spans) if span[0] == "core.distance" and stage[i] in stages}
+    assert kernels == first
+    assert (reports["tune"]["curve_builds"], reports["tse"]["curve_builds"]) == (2, 2 + 2)
     checks = tracing.counter_check(spans, reports)
     assert len(checks) == len(commands) and all(ok for _, ok, _ in checks), checks
