@@ -39,7 +39,9 @@ already form one tree, each late core point meets the core points in its
 window once more. The border pass then finds the core points in the
 ball of each non-core point with a neighbour. These two
 passes share one block routine: blocks of rows against the core columns
-from the key ball of the block's first row to that of its last.
+from the key ball of the block's first row to that of its last. Both
+walks, the pass's and this routine's, find a block's columns when they
+reach it.
 
 The cluster count is the number of the forest's roots among core points,
 and the noise count the number of points neither core nor in the ball of
@@ -556,53 +558,24 @@ class _GroupPlan:
     only the pairs ``keep`` keeps and ``inside`` does not hold whole: a
     block of group A's rows [s, e) meets the columns of those groups B < A,
     and of A up to e unless A is inside itself, each cut to the block's key
-    window, as a few ranges, all found at once, before any block. A group
-    whose every kept pair B <= A is inside runs no block. A block's window
-    lies in its group's, so the block fits, unless it is one row. A set of
-    rows of one group meets those groups on both sides, cut the same way.
-    A set with groups always runs this plan on them, and every other run on
-    one group, built afresh (``_plan``). On one group, with ``keep``
-    [[True]] and ``inside`` [[False]], this is the key window: the group's
-    window is all N rows, so a block is ``_block_rows(N)`` sorted rows
-    [s, e) and meets the columns [lo_s, e); a set of rows meets the columns
-    from the key ball of its first row to that of its last."""
+    window, a few ranges found when the walk over the groups (``blocks``)
+    reaches the block; a group of one block keeps its group's window. A
+    group whose every kept pair B <= A is inside runs no block. A block's
+    window lies in its group's, so the block fits, unless it is one row. A
+    set of rows of one group meets those groups on both sides, cut the same
+    way (``_core_blocks``). A set with groups always runs this plan on them,
+    and every other run on one group, built afresh (``_plan``). On one
+    group, with ``keep`` [[True]] and ``inside`` [[False]], this is the key
+    window: the group's window is all N rows, so a block is
+    ``_block_rows(N)`` sorted rows [s, e) and meets the columns [lo_s, e);
+    a set of rows meets the columns from the key ball of its first row to
+    that of its last."""
 
     def __init__(self, groups: _Groups, lo: np.ndarray, hi: np.ndarray, keep: np.ndarray,
                  inside: np.ndarray):
         self.groups, self.lo, self.hi, self.inside = groups, lo, hi, inside
-        self.order = groups.order
         # the pairs of groups whose cells a run computes
         self.meets = keep & ~inside
-        self._size_blocks()
-
-    def _size_blocks(self) -> None:
-        """Each group's blocks, sized by the group's window, and each
-        block's ranges."""
-        g = self.groups
-        # the groups B <= A that each group meets, ascending, A last unless
-        # A is inside itself (a group always keeps itself), in the key window
-        # of the whole group; a group that meets none runs no block
-        group, kept = np.nonzero(np.tril(self.meets))
-        runs, heads, pairs = np.unique(group, return_index=True, return_counts=True)
-        ends = heads + pairs
-        first, stop = self._window(kept, g.starts[group], g.starts[group + 1] - 1)
-        diagonal = kept[ends - 1] == runs
-        stop[ends[diagonal] - 1] = g.starts[runs[diagonal] + 1]
-        width = np.add.reduceat(stop - first, heads)
-        step = np.maximum(1, _BLOCK_CELLS // np.maximum(width, 1))
-        counts = -(-g.sizes[runs] // step)
-        # block j holds the rows [s[j], e[j]) of the group runs[run[j]], and
-        # meets the groups that group meets
-        run = np.repeat(np.arange(counts.size), counts)
-        nth = np.arange(run.size) - (np.cumsum(counts) - counts)[run]
-        self.s = g.starts[runs][run] + nth * step[run]
-        self.e = np.minimum(self.s + step[run], g.starts[runs + 1][run])
-        self.diagonal = diagonal[run]
-        self.bounds = np.concatenate(([0], np.cumsum(pairs[run])))
-        block = np.repeat(np.arange(run.size), pairs[run])
-        kept = kept[_spans(heads[run], ends[run])]
-        self.first, self.stop = self._window(kept, self.s[block], self.e[block] - 1)
-        self.stop[self.bounds[1:][self.diagonal] - 1] = self.e[self.diagonal]
 
     def block(self, rows, cols, stats: RunStats | None) -> np.ndarray:
         """The kernel of the rows ``rows`` of ``groups.x`` against ``cols``:
@@ -622,25 +595,27 @@ class _GroupPlan:
         """Each block's rows [s, e), its window, the ascending columns it
         meets, which end with [s, e) when the block holds its diagonal, and
         how many of them lie before s. Skips a block whose window is empty."""
-        bounds = self.bounds.tolist()
-        for j, (s, e, diagonal) in enumerate(zip(self.s.tolist(), self.e.tolist(), self.diagonal.tolist())):
-            pairs = slice(bounds[j], bounds[j + 1])
-            window = _spans(self.first[pairs], self.stop[pairs])
-            if window.size:
-                yield s, e, window, window.size - (e - s) if diagonal else window.size
-
-    def runs(self, rows: np.ndarray) -> list:
-        """The ascending ``rows`` split by group, leaving out the groups that
-        meet no group."""
-        cut = np.searchsorted(rows, self.groups.starts).tolist()
-        live = self.meets.any(axis=1).tolist()
-        return [rows[a:b] for a, b, met in zip(cut, cut[1:], live) if a < b and met]
-
-    def ranges(self, first: np.ndarray, last: np.ndarray) -> tuple:
-        """Rows of one group in blocks from ``first[j]`` to ``last[j]``:
-        block j meets the ranges [starts[j, k], stops[j, k])."""
-        a = np.searchsorted(self.groups.starts, first[0], side="right") - 1
-        return self._window(np.flatnonzero(self.meets[a]), first[:, None], last[:, None])
+        starts, below = self.groups.starts.tolist(), np.tril(self.meets)
+        # the groups B <= A that A meets, ascending, A last unless A is inside
+        # itself (a group always keeps itself); a group that meets none runs
+        # no block
+        for a in np.flatnonzero(below.any(axis=1)).tolist():
+            kept, diagonal = np.flatnonzero(below[a]), bool(below[a, a])
+            start, end = starts[a], starts[a + 1]
+            first, stop = self._window(kept, start, end - 1)
+            if diagonal:
+                stop[-1] = end
+            window = _spans(first, stop)
+            step = max(1, _BLOCK_CELLS // max(window.size, 1))
+            for s in range(start, end, step):
+                e = min(s + step, end)
+                if e - s < end - start:  # a group of one block keeps its window
+                    first, stop = self._window(kept, s, e - 1)
+                    if diagonal:
+                        stop[-1] = e
+                    window = _spans(first, stop)
+                if window.size:
+                    yield s, e, window, window.size - (e - s) if diagonal else window.size
 
 
 def _as_slice(cols: np.ndarray):
@@ -730,7 +705,7 @@ def _forest(points: PreparedPoints, epsilon: float, min_pts: int, shared: bool,
     rows, then the returns of ``_windowed`` (``_one_column`` on one
     column)."""
     # every pass below runs on the rows in the order of its plan, sorted or
-    # grouped, scattered back through the plan's ``order`` at the end. The
+    # grouped, scattered back through its groups' ``order`` at the end. The
     # kernel is symmetric bit for bit, so sorted row j <= i lies in the key
     # ball of i exactly when i lies in that of j; and hi never decreases
     hi = _ball_ends(points.key, epsilon, points.metric, stats)
@@ -738,7 +713,7 @@ def _forest(points: PreparedPoints, epsilon: float, min_pts: int, shared: bool,
     if points.x.shape[1] == 1:
         return (points.order, *_one_column(points.order, lo, hi, min_pts))
     plan = _plan(points, lo, hi, epsilon, shared, stats)
-    return (plan.order, *_windowed(plan, epsilon, min_pts, stats))
+    return (plan.groups.order, *_windowed(plan, epsilon, min_pts, stats))
 
 
 def _tree_first(order: np.ndarray, parent: np.ndarray, cores: np.ndarray) -> np.ndarray:
@@ -801,7 +776,7 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
     tree's smallest index), and the border points with the least over the
     core points in each one's ball of their tree's smallest caller index
     (``_tree_first``, see ``_borders``)."""
-    n = plan.order.size
+    n = plan.groups.order.size
     nearest = _block_rows(n)
     sizes = plan.groups.sizes
     # distances are symmetric bit for bit, so the rows [s, e) meet only
@@ -888,7 +863,7 @@ def _windowed(plan, epsilon: float, min_pts: int, stats: RunStats | None):
     border = np.flatnonzero(~core & (counts > 1))
     if not (cores.size and border.size):
         return core, parent, border[:0], border[:0]
-    first = _tree_first(plan.order, parent, cores)
+    first = _tree_first(plan.groups.order, parent, cores)
     # a border point of group A is within epsilon of every core point of the
     # groups A is inside with; these need not lie in one tree
     tree = np.full(n, n)
@@ -1012,19 +987,19 @@ def _core_blocks(plan, rows: np.ndarray, cores: np.ndarray, epsilon: float, stat
     """Blocks of the ascending indices ``rows`` against the core points
     ``cores`` (ascending) they can be within ``epsilon`` of: yields each
     block, its window of ``cores`` and the block's ``near`` mask, and skips
-    an empty window. The plan splits the rows into runs that share one rule
-    (``runs``), and gives the blocks of a run their columns as ranges, all
-    at once (``ranges``): for the key window, the one range from the key
-    ball of the block's first row to that of its last."""
+    an empty window. The walk takes the rows group by group, in blocks of
+    ``_block_rows(|cores|)`` rows of one group, and finds a block's columns
+    when it reaches the block: the core points of the groups its group
+    meets, from the key ball of its first row to that of its last (for the
+    key window, one range)."""
     step = _block_rows(max(1, cores.size))
-    for run in plan.runs(rows):
-        last = np.minimum(np.arange(step, run.size + step, step), run.size) - 1
-        starts, stops = plan.ranges(run[::step], run[last])
-        a, b = np.searchsorted(cores, starts), np.searchsorted(cores, stops)
-        for j, s in enumerate(range(0, run.size, step)):
-            cols = cores[_spans(a[j], b[j])]
+    cut = np.searchsorted(rows, plan.groups.starts).tolist()
+    for a, (i, j) in enumerate(zip(cut, cut[1:])):
+        for s in range(i, j, step):
+            block = rows[s : min(s + step, j)]
+            first, stop = plan._window(np.flatnonzero(plan.meets[a]), block[0], block[-1])
+            cols = cores[_spans(np.searchsorted(cores, first), np.searchsorted(cores, stop))]
             if cols.size:
-                block = run[s : s + step]
                 yield block, cols, plan.block(block, cols, stats) <= epsilon
 
 

@@ -66,6 +66,9 @@ class TuneConfig:
             raise ValueError("alpha must be in (0, 1]")
         if _as_integer(self.m, "m") < 1:
             raise ValueError("m must be positive")
+        # numpy's seed sequences take no negative entropy
+        if _as_integer(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def effective_k(probe: CurveSample) -> int:

@@ -352,7 +352,7 @@ class TestDbscan:
         core_blocks, rechecked = core._core_blocks, []
 
         def spy(plan, rows, cores, epsilon, stats):
-            rechecked.append(plan.order[rows].tolist())
+            rechecked.append(plan.groups.order[rows].tolist())
             return core_blocks(plan, rows, cores, epsilon, stats)
 
         monkeypatch.setattr(core, "_BLOCK_CELLS", len(x))
@@ -579,9 +579,12 @@ class TestGroupBound:
             assert np.array_equal(plan.groups.x, x[plan.groups.order])
             if prepared:
                 assert plan.groups.x is points.x and not points._groups
-            assert plan.s.tolist() == list(range(0, n, step))
-            assert plan.e.tolist() == [min(s + step, n) for s in range(0, n, step)]
-            assert plan.diagonal.all()
+            # the walk skips a block whose window is empty, but a key-window
+            # block holds its own rows, so none is skipped here. A block is
+            # on its diagonal when its rows end its window (p != window.size)
+            blocks = list(plan.blocks())
+            assert [(s, e) for s, e, _, _ in blocks] == [(s, min(s + step, n)) for s in range(0, n, step)]
+            assert all(p != window.size for _, _, window, p in blocks)
 
     def test_each_group_takes_the_fewest_blocks_its_window_allows(self, monkeypatch):
         # the 45 collinear rows above, over a budget of 300 cells. Farthest-
@@ -615,9 +618,12 @@ class TestGroupBound:
         assert points._groups.radius.tolist() == [8, 1, 11, 7, 11]
         (plan,) = plans
         assert np.flatnonzero(plan.inside.diagonal()).tolist() == [0, 1, 3]
-        assert (plan.e - plan.s).tolist() == [11, 11, 11, 3]
-        assert plan.diagonal.tolist() == [True, False, True, True]
-        assert all((e - s) * window.size <= 300 for s, e, window, _ in plan.blocks())
+        # the walk skips a block whose window is empty; every window here
+        # holds a column. A block is on its diagonal when p != window.size
+        blocks = list(plan.blocks())
+        assert [e - s for s, e, _, _ in blocks] == [11, 11, 11, 3]
+        assert [p != window.size for _, _, window, p in blocks] == [True, False, True, True]
+        assert all((e - s) * window.size <= 300 for s, e, window, _ in blocks)
 
     @pytest.mark.parametrize("min_pts", [4, 45, 46])
     def test_a_run_with_every_kept_pair_inside_computes_no_block(self, monkeypatch, min_pts):

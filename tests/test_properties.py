@@ -713,10 +713,13 @@ def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
         x = x * data.draw(st.sampled_from([1.0, 1e-300, 1e300]))
     min_pts = data.draw(st.integers(2, len(x) + 1))
     cells = data.draw(st.sampled_from([1, 3, 7, 50, 200]))
-    runs, plans = {}, []
+    runs, plans, blocks = {}, [], []
 
     def recorded(*args):
+        # a plan sizes its blocks as it walks them, so they are walked here,
+        # under the budget
         plans.append(PLAN(*args))
+        blocks.append(list(plans[-1].blocks()))
         return plans[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -727,8 +730,8 @@ def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
         for name, plan in (("key", key_window), ("group", recorded)):
             mp.setattr(core, "_plan", plan)
             runs[name] = [dbscan(points, eps, min_pts, metric) for eps in radii]
-    for plan, eps in zip(plans, radii):
-        assert all(e - s == 1 or (e - s) * window.size <= cells for s, e, window, _ in plan.blocks())
+    for plan, walked, eps in zip(plans, blocks, radii):
+        assert all(e - s == 1 or (e - s) * window.size <= cells for s, e, window, _ in walked)
         # every pair of an inside pair of groups is within eps
         starts = plan.groups.starts
         for a, b in zip(*np.nonzero(plan.inside)):
@@ -743,6 +746,57 @@ def test_the_group_bound_matches_the_key_window_and_the_oracle(metric, data):
         lab = runs["group"][i]
         assert np.array_equal(lab.labels, expected) and np.array_equal(lab.roles, key.roles), eps
         assert (lab.n_clusters, lab.n_noise) == (key.n_clusters, key.n_noise), eps
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_the_core_blocks_hold_every_near_core_point_of_their_rows(metric, data):
+    # the late re-check and the border pass meet blocks of rows against the
+    # core points near them (_core_blocks), on the key window and on the
+    # group bound, here under a budget of a few cells, so that a block
+    # holds one row or a few. The rows are a late subset of the core points,
+    # as in the re-check, or the points that are not core, as in the border
+    # pass. Every block holds ascending rows of one group, at most
+    # _block_rows(|cores|) of them, and as columns exactly the core points
+    # of the groups its group meets, within the key balls of its first and
+    # last rows; every core point within eps of a row, in a group that the
+    # row's group meets, is one of its block's columns, and the block's
+    # mask is the oracle's
+    x = data.draw(st.one_of(point_sets_with_duplicates(metric), collinear_rows(metric)))
+    if x.shape[1] == 1:
+        x = np.c_[x, 0 * x]  # groups need two columns
+    n = len(x)
+    dist = brute_force_distances(x, metric)
+    min_pts = data.draw(st.integers(2, n + 1))
+    late = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 3, 7, 50])))
+        points = PreparedPoints(x, metric)
+        eps = data.draw(st.sampled_from(edge_radii(x, metric) + inclusion_radii(points, metric)))
+        hi = core._ball_ends(points.key, eps, metric, None)
+        lo = np.searchsorted(hi, np.arange(n))
+        for plan in (key_window(points, lo, hi, eps, True, None), PLAN(points, lo, hi, eps, True, None)):
+            g = plan.groups
+            order, starts = g.order, g.starts
+            core_mask = np.count_nonzero(dist <= eps, axis=1)[order] >= min_pts
+            cores = np.flatnonzero(core_mask)
+            group = np.searchsorted(starts, np.arange(n), side="right") - 1
+            step = core._block_rows(max(1, cores.size))
+            for rows in (np.flatnonzero(core_mask & late), np.flatnonzero(~core_mask)):
+                met = {}
+                for block, cols, near in core._core_blocks(plan, rows, cores, eps, None):
+                    a = group[block[0]]
+                    assert np.all(group[block] == a) and np.all(np.diff(block) > 0)
+                    assert 0 < block.size <= step and np.all(np.isin(block, rows))
+                    key = g.pos[cores]
+                    ball = (lo[g.pos[block[0]]] <= key) & (key <= hi[g.pos[block[-1]]])
+                    assert np.array_equal(cols, cores[plan.meets[a, group[cores]] & ball]), eps
+                    assert np.array_equal(near, dist[np.ix_(order[block], order[cols])] <= eps), eps
+                    met.update((r, set(cols.tolist())) for r in block.tolist())
+                for r in rows.tolist():
+                    close = cores[(dist[order[r], order[cores]] <= eps) & plan.meets[group[r], group[cores]]]
+                    assert set(close.tolist()) <= met.get(r, set()), (eps, r)
 
 
 @pytest.mark.parametrize("metric", METRICS)

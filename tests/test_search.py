@@ -565,12 +565,19 @@ class TestConfigValidation:
         {"min_pts": 2, "alpha": 0.0},
         {"min_pts": 2, "alpha": 1.5},
         {"min_pts": 2, "m": 0},
+        {"min_pts": 2, "seed": -1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             TuneConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["itr", "m"])
+    def test_a_negative_seed_is_named(self):
+        # it failed only inside the search, in numpy's seed sequence, with
+        # an error that named no parameter
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            TuneConfig(min_pts=2, seed=-1)
+
+    @pytest.mark.parametrize("name", ["itr", "m", "seed"])
     def test_counts_must_be_integers(self, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
             TuneConfig(min_pts=3, **{name: 2.5})
